@@ -1,18 +1,29 @@
 """Bosonic Bogoliubov diagonalization of the quadratic form.
 
-In the ladder basis alpha = (c_1..c_N, c+_1..c+_N) the Hamiltonian reads
-H = (1/2) alpha+ HH alpha with HH = [[A, B], [B, A]], A = diag(w) + G and
-B = G for the x-x interaction matrix G of QuadraticHamiltonian. The
-Heisenberg equations i d/dt alpha = Sigma HH alpha define the non-Hermitian
-dynamical matrix
+The Hamiltonian H = sum_i w_i (x_i^2 + p_i^2)/2 + sum_ij G_ij x_i x_j of
+QuadraticHamiltonian couples the modes through their x quadratures only.
+Its equations of motion xdot = D p, pdot = -(D + 2G) x with D = diag(w)
+make the squared polariton frequencies the eigenvalues of the real
+symmetric matrix
 
-    M = [[A, B], [-B, -A]],   Sigma = diag(I, -I),
+    S = D^(1/2) (D + 2G) D^(1/2)
 
-whose eigenvalues come in +/- omega pairs for a stable form. A polariton
-annihilation operator p_k = sum_j X_kj c_j + Y_kj c+_j is read off a
-positive-frequency right eigenvector (u, v) of M as X = conj(u), Y = -conj(v)
-after normalizing the symplectic norm |u|^2 - |v|^2 to one, which makes the
-per-mode weights |X_kj|^2 - |Y_kj|^2 sum to one branch by branch.
+(Hopfield, Phys. Rev. 112, 1555 (1958); Colpa, Physica A 93, 327 (1978)
+treats the general Bogoliubov form, with p-p and x-p terms, that does not
+arise here). The form is stable exactly when S is positive definite, so
+the smallest eigenvalue of S is the stability margin. With e_k the unit
+eigenvector of S at Omega_k^2, the polariton annihilation operator
+p_k = sum_j X_kj c_j + Y_kj c+_j has the real Hopfield coefficients
+
+    X_kj, Y_kj = (sqrt(Omega_k / w_j) +/- sqrt(w_j / Omega_k)) e_jk / 2,
+
+so the bare-mode weights |X_kj|^2 - |Y_kj|^2 = e_jk^2 sum to one branch by
+branch. normal_modes solves a whole stack of forms, such as every point of
+a bias sweep, with one eigh (or eigvalsh) call.
+
+build_dynamical_matrix gives the ladder-basis 2N x 2N dynamical matrix
+M = [[A, B], [-B, -A]], A = diag(w) + G, B = G, whose eigenvalues are the
++/- Omega_k pairs; no solver path uses it, it is there to check one.
 """
 
 from __future__ import annotations
@@ -24,10 +35,6 @@ import numpy as np
 from .errors import InstabilityError, NumericalError
 from .model import RAD_PER_SEC_PER_THZ
 
-# relative imaginary part above which an eigenvalue flags an unstable form
-IMAG_TOL = 1e-9
-# relative mismatch allowed between omega and its mirrored partner
-PAIR_TOL = 1e-9
 # relative frequency window treated as degenerate when ordering branches
 DEGENERACY_TOL = 1e-9
 
@@ -37,8 +44,8 @@ class EigenSolution:
     """Positive-frequency normal modes of one quadratic form.
 
     frequencies are in THz, ascending; rows of hopfield_x / hopfield_y hold
-    the annihilation / creation coefficients of one polariton branch, and
-    fractions[k, j] = |X_kj|^2 - |Y_kj|^2 is the weight of bare mode j in
+    the real annihilation / creation coefficients of one polariton branch,
+    and fractions[k, j] = X_kj^2 - Y_kj^2 is the weight of bare mode j in
     branch k (photon modes first).
     """
 
@@ -76,32 +83,6 @@ def build_dynamical_matrix(ham):
     return np.block([[a, b], [-b, -a]])
 
 
-def _real_eigenvalues(evals, context=""):
-    """Truncate eigenvalues to real, raising if an imaginary part survives."""
-    bad = np.abs(evals.imag) > IMAG_TOL * np.abs(evals.real)
-    if np.any(bad):
-        worst = evals[np.flatnonzero(bad)[np.argmax(np.abs(evals.imag[bad]))]]
-        raise InstabilityError(
-            f"quadratic form is not positive definite{context}: eigenvalue "
-            f"{worst:.6e} rad/s has a non-negligible imaginary part")
-    return evals.real
-
-
-def _check_pairing(lam, n):
-    pos = np.sort(lam[lam > 0.0])
-    neg = np.sort(-lam[lam < 0.0])
-    if len(pos) != n or len(neg) != n:
-        raise NumericalError(
-            f"expected {n} positive/negative eigenvalue pairs, found "
-            f"{len(pos)}/{len(neg)}")
-    mismatch = np.abs(pos - neg) > PAIR_TOL * np.abs(pos)
-    if np.any(mismatch):
-        k = np.flatnonzero(mismatch)[0]
-        raise NumericalError(
-            f"eigenvalue {pos[k]:.6e} rad/s lacks a mirrored partner "
-            f"(closest {neg[k]:.6e})")
-
-
 def _branch_order(freqs, fractions, n_photon):
     """Ascending order; within degenerate groups photon-heavy branches come
     first, then lower dominant bare-mode index."""
@@ -122,39 +103,64 @@ def _branch_order(freqs, fractions, n_photon):
     return np.array(order)
 
 
-def diagonalize(ham):
-    """Diagonalize a stable quadratic form into its polariton modes."""
-    m = build_dynamical_matrix(ham)
+def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
+    """Polariton modes of a stack of quadratic forms.
+
+    diag_freqs (T, n) and interaction (T, n, n) are in rad/s, laid out as in
+    QuadraticHamiltonian. Returns (frequencies, vecs): frequencies (T, n) in
+    THz, ascending per row, and vecs[t, k] the unit eigenvector e_k of S at
+    frequencies[t, k], so vecs ** 2 are the bare-mode fractions. With
+    vectors=False only eigenvalues are computed and vecs is None. eigh picks
+    arbitrary vectors inside a degenerate subspace, so at points with
+    frequencies degenerate within DEGENERACY_TOL the branches are reordered
+    deterministically, photon-heavy (counting the first n_photon modes)
+    first. Raises InstabilityError, with the index of the first failing
+    form as its entry, unless every S is positive definite.
+    """
+    root = np.sqrt(diag_freqs)
+    s = 2.0 * np.asarray(interaction, dtype=float)
+    diag = np.arange(s.shape[-1])
+    s[:, diag, diag] += diag_freqs
+    s *= root[:, :, None]
+    s *= root[:, None, :]
     try:
-        evals, evecs = np.linalg.eig(m)
+        if vectors:
+            squared, evecs = np.linalg.eigh(s)
+        else:
+            squared, evecs = np.linalg.eigvalsh(s), None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
-    lam = _real_eigenvalues(evals)
-    n = ham.n_modes
-    _check_pairing(lam, n)
+    unstable = np.flatnonzero(~(squared[:, 0] > 0.0))
+    if unstable.size:
+        t = int(unstable[0])
+        raise InstabilityError(
+            "quadratic form is not positive definite: smallest squared "
+            f"frequency {squared[t, 0] / RAD_PER_SEC_PER_THZ ** 2:.6e} THz^2",
+            entry=t)
+    freqs = np.sqrt(squared) / RAD_PER_SEC_PER_THZ
+    if evecs is None:
+        return freqs, None
 
-    pos = np.flatnonzero(lam > 0.0)
-    freqs = lam[pos]
-    x = np.empty((n, n), dtype=complex)
-    y = np.empty((n, n), dtype=complex)
-    for row, k in enumerate(pos):
-        u = evecs[:n, k]
-        v = evecs[n:, k]
-        norm = float(np.vdot(u, u).real - np.vdot(v, v).real)
-        if norm <= 0.0:
-            raise NumericalError(
-                f"eigenvector at {freqs[row]:.6e} rad/s has non-positive "
-                f"symplectic norm {norm:.3e}")
-        scale = 1.0 / np.sqrt(norm)
-        x[row] = np.conj(u) * scale
-        y[row] = -np.conj(v) * scale
+    vecs = np.swapaxes(evecs, 1, 2)
+    degenerate = np.diff(freqs, axis=1) <= DEGENERACY_TOL * freqs[:, 1:]
+    for t in np.flatnonzero(degenerate.any(axis=1)):
+        order = _branch_order(freqs[t], vecs[t] ** 2, n_photon)
+        freqs[t] = freqs[t, order]
+        vecs[t] = vecs[t, order]
+    return freqs, vecs
 
-    fractions = np.abs(x) ** 2 - np.abs(y) ** 2
-    order = _branch_order(freqs, fractions, ham.n_photon)
-    return EigenSolution(frequencies=freqs[order] / RAD_PER_SEC_PER_THZ,
-                         hopfield_x=x[order], hopfield_y=y[order],
-                         fractions=fractions[order], n_photon=ham.n_photon)
+
+def diagonalize(ham):
+    """Diagonalize a stable quadratic form into its polariton modes."""
+    freqs, vecs = normal_modes(ham.diag_freqs[None], ham.interaction[None],
+                               ham.n_photon)
+    freqs, vecs = freqs[0], vecs[0]
+    ratio = np.sqrt(freqs[:, None] * RAD_PER_SEC_PER_THZ / ham.diag_freqs)
+    x = 0.5 * (ratio + 1.0 / ratio) * vecs
+    y = 0.5 * (ratio - 1.0 / ratio) * vecs
+    return EigenSolution(frequencies=freqs, hopfield_x=x, hopfield_y=y,
+                         fractions=vecs ** 2, n_photon=ham.n_photon)
 
 
 def hopfield_fractions(solution):
@@ -170,13 +176,8 @@ def hopfield_fractions(solution):
 
 def positive_frequencies(hams):
     """Positive eigenfrequencies (THz, sorted per row) of a batch of
-    Hamiltonians of equal size; no eigenvectors. Fast path for fitting."""
-    mats = np.stack([build_dynamical_matrix(h) for h in hams])
-    evals = np.linalg.eigvals(mats)
-    n = hams[0].n_modes
-    out = np.empty((len(hams), n))
-    for i, row in enumerate(evals):
-        lam = _real_eigenvalues(row, context=f" (batch entry {i})")
-        _check_pairing(lam, n)
-        out[i] = np.sort(lam[lam > 0.0])
-    return out / RAD_PER_SEC_PER_THZ
+    Hamiltonians of equal size; no eigenvectors."""
+    freqs, _ = normal_modes(np.stack([h.diag_freqs for h in hams]),
+                            np.stack([h.interaction for h in hams]),
+                            hams[0].n_photon, vectors=False)
+    return freqs

@@ -1,11 +1,12 @@
 """Magnetic-bias sweeps, branch bookkeeping, and spectrum synthesis.
 
-A sweep diagonalizes the coupled system on a grid of cyclotron frequencies
-and keeps branch columns continuous by nearest-frequency matching between
-adjacent grid points. Feature detection classifies the matched columns into
-flat photon lines, the bare cyclotron line, and the coupled polariton
-branches, and extracts the quantities used to compare parameter sets:
-anticrossing gaps, the inflection of the middle branch, and its asymptotes.
+A sweep diagonalizes the coupled system on a whole grid of cyclotron
+frequencies in one stacked eigensolve and keeps branch columns continuous
+by nearest-frequency matching between adjacent grid points. Feature
+detection classifies the matched columns into flat photon lines, the bare
+cyclotron line, and the coupled polariton branches, and extracts the
+quantities used to compare parameter sets: anticrossing gaps, the
+inflection of the middle branch, and its asymptotes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import diagonalize
+from .bogoliubov import normal_modes
 from .errors import InstabilityError
-from .model import assemble_hamiltonian
+from .model import assemble_batch
 
 # branch-classification thresholds (THz unless noted)
 VARIATION_TOL = 0.02        # minimum total frequency variation of a coupled branch
@@ -120,21 +121,22 @@ def sweep(photons, coupling, nu_c_grid):
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("nu_c grid must be strictly ascending")
 
-    n = 2 * coupling.n_photon
-    branches = np.empty((len(grid), n))
-    fractions = np.empty((len(grid), n, n))
-    for t, nu_c in enumerate(grid):
-        try:
-            sol = diagonalize(assemble_hamiltonian(photons, nu_c, coupling))
-        except InstabilityError as exc:
-            raise InstabilityError(f"at nu_c = {nu_c:.6g} THz: {exc}") from exc
-        if t == 0:
-            order = np.arange(n)
-        else:
-            order = _match_columns(branches[t - 1], fractions[t - 1],
-                                   sol.frequencies, sol.fractions)
-        branches[t] = sol.frequencies[order]
-        fractions[t] = sol.fractions[order]
+    try:
+        freqs, vecs = normal_modes(*assemble_batch(photons, grid, coupling),
+                                   coupling.n_photon)
+    except InstabilityError as exc:
+        raise InstabilityError(f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
+                               entry=exc.entry) from exc
+    fracs = vecs ** 2
+    branches = np.empty_like(freqs)
+    fractions = np.empty_like(fracs)
+    branches[0] = freqs[0]
+    fractions[0] = fracs[0]
+    for t in range(1, len(grid)):
+        order = _match_columns(branches[t - 1], fractions[t - 1],
+                               freqs[t], fracs[t])
+        branches[t] = freqs[t, order]
+        fractions[t] = fracs[t, order]
     return SweepResult(nu_c_values=grid, branches=branches,
                        fractions=fractions, n_photon=coupling.n_photon)
 

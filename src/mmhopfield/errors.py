@@ -2,8 +2,14 @@
 
 
 class InstabilityError(RuntimeError):
-    """The quadratic form is not positive definite: the dynamical matrix has
-    eigenvalues with a non-negligible imaginary part."""
+    """The quadratic form is not positive definite: S = D^(1/2) (D + 2G)
+    D^(1/2) has an eigenvalue (a squared mode frequency) that is not
+    positive. entry is the index of the first such form in a stacked batch,
+    or None when the error is not tied to one."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class NumericalError(RuntimeError):

@@ -18,9 +18,9 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize
 
-from .bogoliubov import positive_frequencies
+from .bogoliubov import normal_modes
 from .errors import DataCoverageError, InstabilityError, ProfileFormatError
-from .model import assemble_hamiltonian, couplings_from_ratios
+from .model import assemble_batch, couplings_from_ratios
 
 MAX_ASSIGNED_PEAKS = 5
 
@@ -134,15 +134,16 @@ def residual(params, data, photons):
     w2 = photons[1].omega
     coupling = couplings_from_ratios(photons, params.omega_r_11 / w1,
                                      params.omega_r_2_tilde / w2, params.eta)
-    hams = [assemble_hamiltonian(photons, rec.nu_c, coupling)
-            for rec in data.records]
     try:
-        freqs = positive_frequencies(hams)
+        freqs, _ = normal_modes(
+            *assemble_batch(photons, data.nu_c_values, coupling),
+            coupling.n_photon, vectors=False)
     except InstabilityError as exc:
         raise InstabilityError(
             f"with W_11 = {params.omega_r_11:.6e}, Wt_2 = "
-            f"{params.omega_r_2_tilde:.6e} rad/s, eta = {params.eta:.4f}: {exc}"
-        ) from exc
+            f"{params.omega_r_2_tilde:.6e} rad/s, eta = {params.eta:.4f}, at "
+            f"nu_c = {data.records[exc.entry].nu_c:.6g} THz: {exc}",
+            entry=exc.entry) from exc
     total = 0.0
     count = 0
     for rec, row in zip(data.records, freqs):

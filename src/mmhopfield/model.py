@@ -333,9 +333,14 @@ def diamagnetic_matrix(coupling, nu_c):
     return 0.5 * (gram + gram.T)
 
 
-def assemble_hamiltonian(photons, nu_c, coupling):
-    """Quadratic Hamiltonian of the coupled system at cyclotron frequency
-    nu_c (THz), with couplings rescaled from their reference by sqrt(w_c).
+def assemble_batch(photons, nu_c_values, coupling):
+    """Quadratic forms of the coupled system on a grid of cyclotron
+    frequencies (THz), with couplings rescaled from their reference by
+    sqrt(w_c).
+
+    Returns the stacked bare angular frequencies, shape (T, n), and
+    interaction matrices G, shape (T, n, n), in the layout of
+    QuadraticHamiltonian, for n = n_photon + n_matter and T grid points.
 
     The diamagnetic block is evaluated in its nu_c-independent closed form
     from the reference-quoted couplings, so nu_c = 0 is legal: the matter
@@ -345,24 +350,36 @@ def assemble_hamiltonian(photons, nu_c, coupling):
     if len(photons) != coupling.n_photon:
         raise ValueError(
             f"{len(photons)} photon modes but coupling set has {coupling.n_photon}")
-    if nu_c < 0.0:
-        raise ValueError("nu_c must be non-negative")
-    at_field = rescale_coupling(coupling, nu_c)
+    nu_c = np.asarray(nu_c_values, dtype=float)
+    if nu_c.ndim != 1:
+        raise ValueError("nu_c values must form a one-dimensional grid")
+    if not np.all(np.isfinite(nu_c)) or np.any(nu_c < 0.0):
+        raise ValueError("nu_c must be finite and non-negative")
+    if coupling.reference_cyclotron <= 0.0:
+        raise ValueError(
+            "coupling set has no positive reference cyclotron frequency")
     blueshift = diamagnetic_matrix(coupling, coupling.reference_cyclotron)
-
-    nu_matter = max(nu_c, MATTER_FREQ_FLOOR_THZ)
-    matter = [MatterMode(index=i + 1, frequency=nu_matter)
-              for i in range(coupling.n_matter)]
+    rabi = (coupling.rabi[None]
+            * np.sqrt(nu_c / coupling.reference_cyclotron)[:, None, None])
 
     n_ph = coupling.n_photon
     n = n_ph + coupling.n_matter
-    freqs = np.empty(n)
-    freqs[:n_ph] = [m.omega for m in photons]
-    freqs[n_ph:] = [m.frequency * RAD_PER_SEC_PER_THZ for m in matter]
+    freqs = np.empty((len(nu_c), n))
+    freqs[:, :n_ph] = [m.omega for m in photons]
+    freqs[:, n_ph:] = (np.maximum(nu_c, MATTER_FREQ_FLOOR_THZ)
+                       * RAD_PER_SEC_PER_THZ)[:, None]
 
-    inter = np.zeros((n, n))
-    inter[:n_ph, :n_ph] = 2.0 * blueshift
-    inter[:n_ph, n_ph:] = at_field.rabi
-    inter[n_ph:, :n_ph] = at_field.rabi.T
-    return QuadraticHamiltonian(n_photon=n_ph, n_matter=coupling.n_matter,
-                                diag_freqs=freqs, interaction=inter)
+    inter = np.zeros((len(nu_c), n, n))
+    inter[:, :n_ph, :n_ph] = 2.0 * blueshift
+    inter[:, :n_ph, n_ph:] = rabi
+    inter[:, n_ph:, :n_ph] = np.swapaxes(rabi, 1, 2)
+    return freqs, inter
+
+
+def assemble_hamiltonian(photons, nu_c, coupling):
+    """Quadratic Hamiltonian of the coupled system at one cyclotron
+    frequency nu_c (THz); the single-point case of assemble_batch."""
+    freqs, inter = assemble_batch(photons, [nu_c], coupling)
+    return QuadraticHamiltonian(n_photon=coupling.n_photon,
+                                n_matter=coupling.n_matter,
+                                diag_freqs=freqs[0], interaction=inter[0])

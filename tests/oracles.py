@@ -1,10 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the production diagonalization path: the solver
-works in the ladder-operator basis on the 2N x 2N dynamical matrix, while
-the oracle here integrates the quadrature-basis equations of motion and the
-two-mode case is solved in closed form from the secular polynomial. Any
-disagreement beyond round-off is a bug in one of the two routes.
+takes the eigenvalues of the real symmetric N x N matrix
+S = D^(1/2) (D + 2G) D^(1/2) with numpy's eigh, while the oracle here takes
+the general eigenproblem of the 2N x 2N first-order quadrature equations of
+motion, and the two-mode case is solved in closed form from the secular
+polynomial. Any disagreement beyond round-off is a bug in one of the
+routes.
 """
 
 import numpy as np
@@ -59,14 +61,18 @@ def two_mode_secular(omega_a, omega_b, rabi):
 
     Photon frequency omega_a carries the self-interaction h = rabi^2 /
     omega_b, so the quartic secular equation in w^2 factors through
-    w^4 - tr(DK) w^2 + det(DK) = 0. Units in = units out.
+    w^4 - tr(DK) w^2 + det(DK) = 0. The upper root comes from the sum
+    (tr + disc) / 2, which cannot cancel; the lower one from the product of
+    the roots, lower * upper = sqrt(det), because (tr - disc) / 2 loses
+    every digit once det << tr^2 (deep-strong coupling, near-zero field).
+    Units in = units out.
     """
     h = rabi ** 2 / omega_b
     trace = omega_a ** 2 + omega_b ** 2 + 4.0 * h * omega_a
     det = (omega_a * omega_b) ** 2
     disc = np.sqrt(trace ** 2 - 4.0 * det)
-    lower = np.sqrt((trace - disc) / 2.0)
     upper = np.sqrt((trace + disc) / 2.0)
+    lower = omega_a * omega_b / upper
     return lower, upper
 
 

@@ -1,10 +1,14 @@
 """Exact diagonalization against the independent quadrature-basis oracle.
 
-The production path works on the 2N x 2N ladder-basis dynamical matrix;
-oracles.py integrates the quadrature equations of motion instead and also
-carries the closed-form two-mode secular roots. Frequencies, Hopfield
-fractions, pairing, and symplectic norms are all cross-checked.
+The production path takes eigh of the real symmetric N x N matrix
+S = D^(1/2) (D + 2G) D^(1/2), whose smallest eigenvalue is the stability
+margin; oracles.py solves the 2N x 2N quadrature equations of motion
+instead and also carries the closed-form two-mode secular roots.
+Frequencies, Hopfield fractions, symplectic norms, and the +/- pairing of
+the ladder-basis dynamical matrix are all cross-checked.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +98,20 @@ def test_resonant_two_mode_against_secular_roots():
         assert sol.frequencies.prod() == pytest.approx(0.8 * 0.8, rel=1e-10)
 
 
+def test_deep_strong_low_field_single_mode_against_secular_roots():
+    # from moderate to deep-strong coupling and from near-zero field to far
+    # above resonance, where the lower branch falls to ~1e-9 THz
+    photon = mm.PhotonMode(index=1, frequency=0.8)
+    grid = np.geomspace(1e-4, 10.0, 60)
+    for ratio in (0.5, 5.0, 20.0, 100.0):
+        res = mm.sweep([photon], mm.single_mode_coupling(photon, ratio), grid)
+        lower, upper = oracles.two_mode_secular(
+            0.8, grid, ratio * 0.8 * np.sqrt(grid / 0.8))
+        np.testing.assert_allclose(np.sort(res.branches, axis=1),
+                                   np.column_stack([lower, upper]),
+                                   rtol=1e-10, err_msg=f"ratio {ratio}")
+
+
 def test_resonant_fraction_balance_moderate_coupling():
     # half-half mixing holds at moderate coupling; deep in the ultrastrong
     # regime the A^2 term skews the balance (checked against the oracle in
@@ -144,12 +162,24 @@ def test_uniform_scaling():
 
 
 def test_instability_raises():
+    # S = D^1/2 (D + 2G) D^1/2 = [[1, -1.6], [-1.6, 1]] THz^2 has the
+    # eigenvalue -0.6 THz^2; the error reports it and, in a batch, the entry
     d = np.array([1.0, 1.0]) * RAD_PER_SEC_PER_THZ
     g = np.array([[0.0, -0.8], [-0.8, 0.0]]) * RAD_PER_SEC_PER_THZ
     ham = mm.QuadraticHamiltonian(n_photon=2, n_matter=0, diag_freqs=d,
                                   interaction=g)
-    with pytest.raises(mm.InstabilityError):
+    with pytest.raises(mm.InstabilityError) as excinfo:
         mm.diagonalize(ham)
+    reported = re.search(r"smallest squared frequency (\S+) THz\^2",
+                         str(excinfo.value))
+    assert reported is not None, str(excinfo.value)
+    assert float(reported.group(1)) == pytest.approx(-0.6, rel=1e-6)
+
+    stable = mm.QuadraticHamiltonian(n_photon=2, n_matter=0, diag_freqs=d,
+                                     interaction=0.25 * g)
+    with pytest.raises(mm.InstabilityError) as excinfo:
+        mm.positive_frequencies([stable, ham, stable])
+    assert excinfo.value.entry == 1
 
 
 def test_fraction_rows_sum_to_one(photon_pair, structured_coupling):

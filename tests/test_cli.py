@@ -3,8 +3,9 @@
 Everything runs in-process through cli.main() so exit codes and stderr can be
 asserted directly. The console-script entry point declared in pyproject.toml
 is run as its own process, through the same wrapper an install generates, so
-no install is needed; an installed script is checked too when one is on PATH.
-Output files are byte-compared where determinism is promised.
+no install is needed, and so is `python -m mmhopfield`; an installed script
+is checked too when one is on PATH. Output files are byte-compared where
+determinism is promised.
 """
 
 import json
@@ -351,6 +352,15 @@ def _assert_sweep_runs(command, tmp_path, env=None):
     assert (tmp_path / "branches.csv").exists()
 
 
+def _package_env():
+    """Environment in which a child imports the same package as this run."""
+    src = str(Path(mm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_smoke(tmp_path):
     module, func = _declared_entry_point().split(":")
     # the body of the console script an install generates for this entry
@@ -358,12 +368,13 @@ def test_console_script_smoke(tmp_path):
                f"from {module} import {func}\n"
                "sys.argv[0] = 'mmhopfield'\n"
                f"sys.exit({func}())\n")
-    # the child imports the same package as this test run
-    src = str(Path(mm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    _assert_sweep_runs([sys.executable, "-c", wrapper], tmp_path, env=env)
+    _assert_sweep_runs([sys.executable, "-c", wrapper], tmp_path,
+                       env=_package_env())
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    _assert_sweep_runs([sys.executable, "-m", "mmhopfield"], tmp_path,
+                       env=_package_env())
 
 
 @pytest.mark.skipif(shutil.which("mmhopfield") is None,

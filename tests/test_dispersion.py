@@ -156,14 +156,22 @@ def test_diamagnetic_term_keeps_every_bias_stable(photon_pair):
 def test_instability_error_names_grid_point(photon_pair,
                                             unstructured_coupling,
                                             monkeypatch):
+    # the diamagnetic term keeps every real coupling set stable, so make the
+    # assembled form at the second grid point unstable: a photon x-x term of
+    # -w turns that photon's entry of D + 2G negative
     import mmhopfield.dispersion as disp
 
-    def explode(ham):
-        raise mm.InstabilityError("negative mode pair")
+    real_assembly = disp.assemble_batch
 
-    monkeypatch.setattr(disp, "diagonalize", explode)
-    with pytest.raises(mm.InstabilityError, match="at nu_c = 0.3"):
-        disp.sweep(photon_pair, unstructured_coupling, [0.3, 0.6])
+    def unstable_at_second_point(photons, grid, coupling):
+        freqs, inter = real_assembly(photons, grid, coupling)
+        inter[1, 0, 0] = -freqs[1, 0]
+        return freqs, inter
+
+    monkeypatch.setattr(disp, "assemble_batch", unstable_at_second_point)
+    with pytest.raises(mm.InstabilityError,
+                       match="at nu_c = 0.6 THz: .*smallest squared"):
+        disp.sweep(photon_pair, unstructured_coupling, [0.3, 0.6, 0.9])
 
 
 def test_spectrum_dip_placement(photon_pair, structured_coupling):
