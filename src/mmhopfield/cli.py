@@ -193,9 +193,10 @@ def _load_coupling(cfg):
                              "the two-mode model needs exactly two frequencies")
         ratio_11 = cfg.get_float("coupling", "ratio_11")
         ratio_2 = cfg.get_float("coupling", "ratio_2_tilde")
-        if ratio_11 < 0.0 or ratio_2 < 0.0:
-            raise _cfg_error(cfg.path, "coupling", "ratio_11",
-                             "ratios must be non-negative")
+        for key, ratio in (("ratio_11", ratio_11), ("ratio_2_tilde", ratio_2)):
+            if ratio < 0.0:
+                raise _cfg_error(cfg.path, "coupling", key,
+                                 "ratios must be non-negative")
         return photons, model.couplings_from_ratios(photons, ratio_11, ratio_2, eta)
 
     volumes = cfg.get_floats("coupling", "mode_volumes_m3")
@@ -323,15 +324,11 @@ def _run_spectrum(args):
     else:
         weights = np.full(result.branches.shape, 1.0 / result.n_branches)
 
-    buf = io.StringIO()
-    buf.write("nu_c_THz,nu_THz,T\n")
-    for t, nu_c in enumerate(result.nu_c_values):
-        trans = dispersion.spectrum_from_branches(result.branches[t],
-                                                  weights[t], spec_cfg)
-        for nu, value in zip(spec_cfg.frequency_grid, trans):
-            buf.write(f"{nu_c:.9g},{nu:.9g},{value:.9g}\n")
+    trans = dispersion.spectrum_from_branches(result.branches, weights, spec_cfg)
+    text = "nu_c_THz,nu_THz,T\n" + dispersion.csv_rows(
+        result.nu_c_values, dispersion.g9_cells(spec_cfg.frequency_grid), trans)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "spectrum.csv"), buf.getvalue())
+    _atomic_write(os.path.join(args.out, "spectrum.csv"), text)
     return 0
 
 

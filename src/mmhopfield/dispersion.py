@@ -12,6 +12,7 @@ inflection of the middle branch, and its asymptotes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -238,13 +239,16 @@ class SpectrumConfig:
 def spectrum_from_branches(freqs, weights, config):
     """Transmission proxy 1 - sum_k w_k L(nu; nu_k, gamma_k), clipped to [0, 1].
 
-    L is a unit-peak Lorentzian of HWHM gamma_k."""
-    freqs = np.asarray(freqs, dtype=float)
-    weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-    widths = np.broadcast_to(config.linewidths, freqs.shape)
+    L is a unit-peak Lorentzian of HWHM gamma_k. freqs and weights hold the
+    branches on their last axis; leading axes broadcast, so the stacked
+    (T, n) branches of a sweep give the (T, F) map in one call, equal to T
+    calls on single rows."""
+    freqs = np.asarray(freqs, dtype=float)[..., None, :]
+    weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)[..., None, :]
+    widths = np.broadcast_to(config.linewidths, freqs.shape[-1:])
     nu = config.frequency_grid[:, None]
     dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
-    return np.clip(1.0 - dips.sum(axis=1), 0.0, 1.0)
+    return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)
 
 
 def synthesize_spectrum(solution, config):
@@ -256,6 +260,26 @@ def synthesize_spectrum(solution, config):
     return spectrum_from_branches(solution.frequencies, weights, config)
 
 
+def g9_cells(values):
+    """Each number of values, row-major, as "%.9g" text: the same text that
+    f"{x:.9g}" gives for every float, at a fraction of the cost."""
+    return list(map("%.9g".__mod__, np.ravel(values).tolist()))
+
+
+def csv_rows(keys, labels, *values):
+    """CSV rows of a table indexed by (key, label), keys outer. The row of
+    keys[t] and labels[k] reads "key,label,values[0][t, k],...", and every
+    row ends in a newline. keys and the (T, K) values arrays are written as
+    "%.9g"; labels are K ready-made cells, reused for every key."""
+    chunks = []
+    blocks = zip(*(np.asarray(v, dtype=float).tolist() for v in values))
+    for key, block in zip(g9_cells(keys), blocks):
+        rows = zip(repeat(key), labels,
+                   *(map("%.9g".__mod__, r) for r in block))
+        chunks.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(chunks)
+
+
 def write_branch_csv(result, stream):
     """Branch CSV: one row per (nu_c, branch), 9 significant digits."""
     n_ph = result.n_photon
@@ -264,9 +288,6 @@ def write_branch_csv(result, stream):
     header += [f"photon_frac_{j + 1}" for j in range(n_ph)]
     header += [f"matter_frac_{j + 1}" for j in range(n_mat)]
     stream.write(",".join(header) + "\n")
-    for t, nu_c in enumerate(result.nu_c_values):
-        for k in range(result.n_branches):
-            row = [f"{nu_c:.9g}", str(k + 1), f"{result.branches[t, k]:.9g}"]
-            row += [f"{result.fractions[t, k, j]:.9g}"
-                    for j in range(result.fractions.shape[2])]
-            stream.write(",".join(row) + "\n")
+    labels = [str(k + 1) for k in range(result.n_branches)]
+    stream.write(csv_rows(result.nu_c_values, labels, result.branches,
+                          *np.moveaxis(result.fractions, 2, 0)))

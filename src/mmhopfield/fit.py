@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize
 
 from .bogoliubov import normal_modes
 from .errors import DataCoverageError, InstabilityError, ProfileFormatError
@@ -166,6 +165,10 @@ def _check_coverage(data, photons):
 
 def fit(data, photons, config=FitConfig()):
     """Estimate (W_11, Wt_2[, eta]) by restarted Nelder-Mead on the residual."""
+    # imported here, not at module level: scipy.optimize takes most of a
+    # package import, and only fitting needs it
+    from scipy import optimize
+
     _check_coverage(data, photons)
     w1 = photons[0].omega
     w2 = photons[1].omega

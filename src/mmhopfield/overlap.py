@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import re
 
 import numpy as np
 
@@ -197,38 +198,86 @@ def _parse_header(path, line):
     return nx, ny, dx, dy
 
 
-def _read_tokens(path, lines):
-    for lineno, line in enumerate(lines, start=2):
+def _read_file(path):
+    """Header line and body text of a profile or mask file (ASCII only)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline()
+            if not header.strip():
+                raise ProfileFormatError(f"{path}:1: empty header line")
+            return header, fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        pos = re.search(rb"[\x80-\xff]", data).start()
+        lineno = data.count(b"\n", 0, pos) + 1
+        raise ProfileFormatError(
+            f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}") from None
+
+
+def _read_tokens(body):
+    for lineno, line in enumerate(body.split("\n"), start=2):
         for token in line.split():
             yield lineno, token
 
 
+def _check_count(path, count, size):
+    if count != size:
+        raise ProfileFormatError(
+            f"{path}: expected nx*ny = {size} entries, found {count}")
+
+
+def _scan_profile(path, body, size):
+    """Token-by-token parse of a profile body; raises at the first bad line."""
+    flat = np.empty(size, dtype=complex)
+    count = 0
+    for lineno, token in _read_tokens(body):
+        if count >= size:
+            raise ProfileFormatError(
+                f"{path}:{lineno}: more than nx*ny = {size} entries")
+        re_im = token.split(",")
+        if len(re_im) != 2:
+            raise ProfileFormatError(
+                f"{path}:{lineno}: entry {token!r} is not 're,im'")
+        try:
+            flat[count] = complex(float(re_im[0]), float(re_im[1]))
+        except ValueError as exc:
+            raise ProfileFormatError(
+                f"{path}:{lineno}: bad entry {token!r}: {exc}") from exc
+        count += 1
+    _check_count(path, count, size)
+    return flat
+
+
+# every byte except ',' and ' ': what is left of a well-formed, single-space
+# joined profile body is ", , ... ,", one comma per entry
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b", ")
+
+
+def _parse_profile(path, body, size):
+    """All entries of a profile body at once. The bulk result is trusted only
+    if there are exactly size entries with one comma each and every half
+    converts; otherwise the scanner re-reads the body for its line-anchored
+    error."""
+    tokens = body.split()
+    if len(tokens) == size:
+        joined = " ".join(tokens)
+        skeleton = joined.encode("ascii").translate(None, _NOT_SEPARATORS)
+        if skeleton == b", " * (size - 1) + b",":
+            halves = joined.replace(" ", ",").split(",")
+            try:
+                return np.fromiter(map(float, halves), dtype=float,
+                                   count=2 * size).view(complex)
+            except ValueError:
+                pass
+    return _scan_profile(path, body, size)
+
+
 def load_profile(path):
     """Read a FieldProfile from the plain-text format."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ProfileFormatError(f"{path}:1: empty header line")
-        nx, ny, dx, dy = _parse_header(path, header)
-        flat = np.empty(nx * ny, dtype=complex)
-        count = 0
-        for lineno, token in _read_tokens(path, fh):
-            if count >= nx * ny:
-                raise ProfileFormatError(
-                    f"{path}:{lineno}: more than nx*ny = {nx * ny} entries")
-            re_im = token.split(",")
-            if len(re_im) != 2:
-                raise ProfileFormatError(
-                    f"{path}:{lineno}: entry {token!r} is not 're,im'")
-            try:
-                flat[count] = complex(float(re_im[0]), float(re_im[1]))
-            except ValueError as exc:
-                raise ProfileFormatError(
-                    f"{path}:{lineno}: bad entry {token!r}: {exc}") from exc
-            count += 1
-    if count != nx * ny:
-        raise ProfileFormatError(
-            f"{path}: expected nx*ny = {nx * ny} entries, found {count}")
+    header, body = _read_file(path)
+    nx, ny, dx, dy = _parse_header(path, header)
+    flat = _parse_profile(path, body, nx * ny)
     try:
         return FieldProfile(nx=nx, ny=ny, dx=dx, dy=dy,
                             values=flat.reshape(nx, ny))
@@ -246,30 +295,37 @@ def save_profile(path, profile):
                               for v in row) + "\n")
 
 
+def _scan_mask(path, body, size):
+    """Token-by-token parse of a mask body; raises at the first bad line."""
+    flat = np.empty(size, dtype=bool)
+    count = 0
+    for lineno, token in _read_tokens(body):
+        if count >= size:
+            raise ProfileFormatError(
+                f"{path}:{lineno}: more than nx*ny = {size} entries")
+        if token == "0":
+            flat[count] = False
+        elif token == "1":
+            flat[count] = True
+        else:
+            raise ProfileFormatError(
+                f"{path}:{lineno}: mask entry {token!r} is not 0 or 1")
+        count += 1
+    _check_count(path, count, size)
+    return flat
+
+
 def load_mask(path):
     """Read a DomainMask from the plain-text format (entries 0 or 1)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise ProfileFormatError(f"{path}:1: empty header line")
-        nx, ny, _, _ = _parse_header(path, header)
-        flat = np.empty(nx * ny, dtype=bool)
-        count = 0
-        for lineno, token in _read_tokens(path, fh):
-            if count >= nx * ny:
-                raise ProfileFormatError(
-                    f"{path}:{lineno}: more than nx*ny = {nx * ny} entries")
-            if token == "0":
-                flat[count] = False
-            elif token == "1":
-                flat[count] = True
-            else:
-                raise ProfileFormatError(
-                    f"{path}:{lineno}: mask entry {token!r} is not 0 or 1")
-            count += 1
-    if count != nx * ny:
-        raise ProfileFormatError(
-            f"{path}: expected nx*ny = {nx * ny} entries, found {count}")
+    header, body = _read_file(path)
+    nx, ny, _, _ = _parse_header(path, header)
+    tokens = body.split()
+    digits = "".join(tokens)
+    # nx*ny tokens of one character each, every one of them 0 or 1
+    if len(tokens) == len(digits) == nx * ny and not digits.strip("01"):
+        flat = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) == ord("1")
+    else:
+        flat = _scan_mask(path, body, nx * ny)
     try:
         return DomainMask(nx=nx, ny=ny, inside=flat.reshape(nx, ny))
     except ValueError as exc:

@@ -273,6 +273,17 @@ def test_unknown_config_key_exits_2_with_line(tmp_path, capsys):
     assert "bananas" in err and "unknown key" in err
 
 
+@pytest.mark.parametrize("key", ["ratio_11", "ratio_2_tilde"])
+def test_negative_ratio_names_its_own_line(tmp_path, capsys, key):
+    line = next(ln for ln in SWEEP_CFG.splitlines() if ln.startswith(key))
+    text = SWEEP_CFG.replace(line, f"{key} = -0.1")
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(f"{key} = -0.1") + 1
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}: [coupling] {key}: ratios must be non-negative" in err
+
+
 def test_fit_without_peaks_flag_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
     assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -328,6 +339,44 @@ def test_missing_config_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["sweep"])
     assert excinfo.value.code == 2
+
+
+# run in a fresh interpreter: the test process itself has scipy loaded
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import mmhopfield, mmhopfield.cli
+from mmhopfield import cli, overlap
+cfg, out = sys.argv[1], sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+for command in ("sweep", "spectrum"):
+    assert cli.main([command, "--config", cfg, "--out", out]) == 0, command
+lc = overlap.synthetic_profile("lc", nx=24, ny=24, dx=2.5, dy=2.5)
+dipolar = overlap.synthetic_profile("dipolar", nx=24, ny=24, dx=2.5, dy=2.5)
+overlap.save_profile(out + "/lc.dat", lc)
+overlap.save_profile(out + "/dipolar.dat", dipolar)
+overlap.save_mask(out + "/patch.dat",
+                  overlap.central_square_mask(24, 24, 2.5, 2.5, 7.5), 2.5, 2.5)
+assert cli.main(["overlap", "--profiles", out + "/lc.dat", out + "/dipolar.dat",
+                 "--mask", out + "/patch.dat", "--out", out]) == 0
+print(sorted(name for name in sys.modules
+             if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_non_fit_commands_do_not_import_scipy(tmp_path):
+    spectrum = SPECTRUM_CFG[SPECTRUM_CFG.index("[spectrum]"):]
+    cfg = _write(tmp_path / "cfg.ini", SWEEP_CFG + "\n" + spectrum)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, cfg,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for name in ("branches.csv", "spectrum.csv", "overlap.json"):
+        assert (tmp_path / name).exists()
 
 
 def _declared_entry_point():

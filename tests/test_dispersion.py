@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mmhopfield as mm
-from mmhopfield.dispersion import JUMP_TOL
+from mmhopfield.dispersion import JUMP_TOL, csv_rows, g9_cells
 
 # sampling ripple left on a diabatic column where it pierces an anticrossing
 # narrower than the grid step (the dark line crossing the middle branch)
@@ -235,3 +235,70 @@ def test_branch_csv_layout(photon_pair, structured_coupling):
     assert float(first[0]) == 0.4
     assert first[1] == "1"
     assert float(first[2]) == pytest.approx(res.branches[0, 0], rel=1e-8)
+
+
+# values whose "%.9g" text is easy to get wrong: signed zeros, exponents at
+# both ends of the range, and the two 9-digit rounding midpoints that sit
+# within 6e-15 of a shipped-config spectrum value
+HARD_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-12, 1e300, -1e300, 5e-324,
+               1.7976931348623157e308, 2.2250738585072014e-308, 1e16, 1e-5,
+               123456789.0, 1234567890.0, 999999999.5, 0.1 + 0.2, 1 / 3,
+               0.88378404649999, 0.88378404650000, 0.33326707350001,
+               0.33326707349999, 0.883784046500000, 2.5e-10, 0.000123456789012,
+               float("inf"), float("-inf"), float("nan")]
+
+
+def test_g9_cells_match_per_value_format():
+    values = np.array(HARD_VALUES)
+    assert g9_cells(values) == [f"{x:.9g}" for x in values]
+    rng = np.random.default_rng(11)
+    random = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    assert g9_cells(random) == [f"{x:.9g}" for x in random]
+
+
+def test_csv_rows_match_per_value_rows():
+    keys = np.array(HARD_VALUES[:6])
+    labels = ["1", "a", "x"]
+    a = np.reshape(HARD_VALUES[:18], (6, 3))
+    b = np.reshape(HARD_VALUES[9:27], (6, 3))
+    expected = "".join(f"{keys[t]:.9g},{labels[k]},{a[t, k]:.9g},{b[t, k]:.9g}\n"
+                       for t in range(6) for k in range(3))
+    assert csv_rows(keys, labels, a, b) == expected
+
+
+def test_branch_csv_matches_per_value_rows(photon_pair, structured_coupling,
+                                           full_grid):
+    res = mm.sweep(photon_pair, structured_coupling, full_grid)
+    buf = io.StringIO()
+    mm.write_branch_csv(res, buf)
+    body = buf.getvalue().split("\n", 1)[1]
+    expected = "".join(
+        ",".join([f"{nu_c:.9g}", str(k + 1), f"{res.branches[t, k]:.9g}"]
+                 + [f"{x:.9g}" for x in res.fractions[t, k]]) + "\n"
+        for t, nu_c in enumerate(res.nu_c_values)
+        for k in range(res.n_branches))
+    assert body == expected
+
+
+@pytest.mark.parametrize("widths", [0.04, [0.03, 0.04, 0.05, 0.06]])
+def test_stacked_spectrum_equals_per_point_calls(photon_pair,
+                                                 unstructured_coupling,
+                                                 full_grid, widths):
+    res = mm.sweep(photon_pair, unstructured_coupling, full_grid)
+    cfg = mm.SpectrumConfig(frequency_grid=0.05 + 0.005 * np.arange(511),
+                            linewidths=widths)
+    weights = res.photon_fractions()
+    stacked = mm.spectrum_from_branches(res.branches, weights, cfg)
+    assert stacked.shape == (len(full_grid), 511)
+    per_point = np.array([mm.spectrum_from_branches(res.branches[t],
+                                                    weights[t], cfg)
+                          for t in range(len(full_grid))])
+    assert np.array_equal(stacked, per_point)
+
+
+def test_spectrum_rejects_linewidth_count_mismatch(photon_pair,
+                                                   unstructured_coupling):
+    res = mm.sweep(photon_pair, unstructured_coupling, [0.4, 0.8])
+    cfg = mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=[0.1, 0.2])
+    with pytest.raises(ValueError):
+        mm.spectrum_from_branches(res.branches, res.photon_fractions(), cfg)

@@ -1,6 +1,7 @@
 """Near-field overlap quadrature, synthetic fixtures, and file round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,69 @@ def test_mask_entry_must_be_binary(tmp_path):
     with pytest.raises(mm.ProfileFormatError) as err:
         mm.load_mask(path)
     assert "not 0 or 1" in str(err.value)
+
+
+def _raises_at(path, lineno, message):
+    """Expect a ProfileFormatError whose message starts at path:lineno."""
+    return pytest.raises(mm.ProfileFormatError,
+                         match=re.escape(f"{path}:{lineno}: {message}"))
+
+
+def test_entry_with_extra_comma_reports_line(tmp_path):
+    # two commas in one entry and none in the next: the comma count matches
+    # nx*ny, but the entries do not
+    path = tmp_path / "bad.dat"
+    path.write_text("1 2 0.5 0.5\n1,2,3\n4\n")
+    with _raises_at(path, 2, "entry '1,2,3' is not 're,im'"):
+        mm.load_profile(path)
+
+
+def test_surplus_entries_report_line(tmp_path):
+    path = tmp_path / "long.dat"
+    path.write_text("1 2 0.5 0.5\n1,0\n2,0\n3,0\n")
+    with _raises_at(path, 4, "more than nx*ny = 2 entries"):
+        mm.load_profile(path)
+
+
+def test_empty_half_reports_line(tmp_path):
+    path = tmp_path / "half.dat"
+    path.write_text("1 2 0.5 0.5\n1,0\n2,\n")
+    with _raises_at(path, 3, "bad entry '2,'"):
+        mm.load_profile(path)
+
+
+def test_loose_whitespace_parses_like_one_row_per_line(tmp_path):
+    path = tmp_path / "loose.dat"
+    path.write_bytes(b"2 2 0.5 0.5\r\n  1.5,-0  2,3e-3\t\r\n\n-4,1e300 "
+                     b"nan,0\r\n")
+    with pytest.raises(mm.ProfileFormatError, match="finite"):
+        mm.load_profile(path)
+    path.write_bytes(path.read_bytes().replace(b"nan", b"-0.0"))
+    back = mm.load_profile(path)
+    assert np.array_equal(back.values, [[1.5 - 0j, 2 + 3e-3j],
+                                        [-4 + 1e300j, complex(-0.0, 0.0)]])
+    assert math.copysign(1.0, back.values[1, 1].real) == -1.0
+
+
+def test_non_ascii_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "latin.dat"
+    path.write_bytes(b"1 2 0.5 0.5\n1,0\n2,0 \xb5\n")
+    for load in (mm.load_profile, mm.load_mask):
+        with _raises_at(path, 3, "non-ASCII byte 0xb5"):
+            load(path)
+
+
+def test_mask_bulk_and_line_errors(tmp_path):
+    path = tmp_path / "mask.dat"
+    path.write_text("2 3 1.0 1.0\n0 1 1\n\t1 0  0\n")
+    assert mm.load_mask(path).inside.tolist() == [[False, True, True],
+                                                  [True, False, False]]
+    path.write_text("2 3 1.0 1.0\n0 1 1\n1 01 0\n")
+    with _raises_at(path, 3, "mask entry '01' is not 0 or 1"):
+        mm.load_mask(path)
+    path.write_text("2 3 1.0 1.0\n0 1 1\n1 0\n")
+    with pytest.raises(mm.ProfileFormatError, match="expected nx\\*ny"):
+        mm.load_mask(path)
 
 
 def test_grid_mismatch_rejected():
