@@ -18,7 +18,7 @@ from .dispersion import (DispersionFeatures, SpectrumConfig, SweepResult,
 from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
                      NumericalError, ProfileFormatError)
 from .fit import (FitConfig, FitParams, FitResult, PeakDataset, PeakRecord,
-                  fit, load_peaks, residual, save_peaks)
+                  fit, load_peaks, record_residuals, residual, save_peaks)
 from .model import (CODATA, CouplingSet, MaterialParams, MatterMode,
                     PhotonMode, PhysicalConstants, QuadraticHamiltonian,
                     assemble_hamiltonian, couplings_from_overlap,
@@ -46,8 +46,8 @@ __all__ = [
     "effective_mode_volume", "field_for_cyclotron", "fit", "full_mask",
     "hopfield_fractions", "load_mask", "load_peaks", "load_profile",
     "mode_volume_for_coupling", "overlap_integral", "overlap_parameter",
-    "positive_frequencies", "rabi_microscopic", "rescale_coupling",
-    "residual", "save_mask", "save_peaks", "save_profile",
+    "positive_frequencies", "rabi_microscopic", "record_residuals",
+    "rescale_coupling", "residual", "save_mask", "save_peaks", "save_profile",
     "single_mode_coupling", "spectrum_from_branches", "sweep",
     "synthesize_spectrum", "synthetic_profile", "write_branch_csv",
 ]

@@ -26,8 +26,8 @@ from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
                      NumericalError, ProfileFormatError)
 # "from . import fit" would pick up the fit() function re-exported by the
 # package, not the submodule, so pull the needed names in directly
-from .fit import (FitConfig, FitParams, PeakDataset, fit as fit_couplings,
-                  load_peaks, residual)
+from .fit import (FitConfig, FitParams, fit as fit_couplings, load_peaks,
+                  record_residuals)
 
 
 class ConfigError(ValueError):
@@ -376,7 +376,7 @@ def _run_fit(args):
     result = fit_couplings(data, photons, fit_cfg)
     if not result.converged:
         raise ConvergenceError(
-            f"no simplex restart converged (best rms {result.residual_rms:.6g} THz)")
+            f"no restart converged (best rms {result.residual_rms:.6g} THz)")
 
     w1, w2 = photons[0].omega, photons[1].omega
     coupling = model.couplings_from_ratios(photons, result.omega_r_11 / w1,
@@ -404,12 +404,11 @@ def _run_fit(args):
 
     params = FitParams(result.omega_r_11, result.omega_r_2_tilde,
                                result.eta)
+    rms = record_residuals(params, data, photons).tolist()
     buf = io.StringIO()
     buf.write("record,nu_c_THz,rms_THz\n")
-    for i, rec in enumerate(data.records):
-        single = PeakDataset(records=(rec,), source_label="")
-        rms = residual(params, single, photons)
-        buf.write(f"{i + 1},{rec.nu_c:.9g},{rms:.9g}\n")
+    for i, (rec, value) in enumerate(zip(data.records, rms)):
+        buf.write(f"{i + 1},{rec.nu_c:.9g},{value:.9g}\n")
     _atomic_write(os.path.join(args.out, "fit_residuals.csv"), buf.getvalue())
     return 0
 

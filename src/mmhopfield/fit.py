@@ -3,11 +3,16 @@
 The residual compares measured peak positions against the model branch
 frequencies at each record's cyclotron frequency, assigning peaks to
 branches by the minimum-cost injective assignment (records may hold fewer
-peaks than there are branches). Parameters are searched with a bounded
-Nelder-Mead simplex restarted from random points inside the bounds; the
-couplings are parametrized by the normalized ratios quoted at the
-respective photon resonance, the same convention the results are reported
-in.
+peaks than there are branches). The couplings are parametrized by the
+normalized ratios quoted at the respective photon resonance, the same
+convention the results are reported in.
+
+Parameters are searched by a bounded Levenberg-Marquardt iteration
+(Marquardt, SIAM J. Appl. Math. 11, 431 (1963)) on the per-peak residuals,
+restarted from seeded random points inside the bounds. Each iteration
+fixes the assignment at its current point and takes a forward-difference
+Jacobian; the trial point and the parameter sets of its Jacobian are
+solved in one stacked eigensolve. The search needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .bogoliubov import normal_modes
 from .errors import DataCoverageError, InstabilityError, ProfileFormatError
 from .model import assemble_batch, couplings_from_ratios
+from .overlap import read_ascii
 
 MAX_ASSIGNED_PEAKS = 5
 
@@ -75,7 +81,9 @@ class FitParams:
 class FitConfig:
     """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2. eta is held
     at eta_fixed unless fit_eta is set, in which case it moves inside
-    eta_bounds."""
+    eta_bounds. A restart has converged once its step falls below xatol in
+    units of each parameter's bound width; it may evaluate at most
+    max_evaluations parameter sets."""
 
     ratio_11_bounds: tuple = (0.0, 1.0)
     ratio_2_bounds: tuple = (0.0, 1.0)
@@ -108,17 +116,21 @@ class FitResult:
     converged: bool
 
 
+def _check_assignable(n_peaks, n_branches):
+    if n_peaks > n_branches:
+        raise ValueError(
+            f"{n_peaks} peaks cannot be assigned to {n_branches} branches")
+    if n_peaks > MAX_ASSIGNED_PEAKS:
+        raise ValueError(
+            f"records with more than {MAX_ASSIGNED_PEAKS} peaks are not supported")
+
+
 def _assignment_cost(peaks, freqs):
     """Minimum sum of squared errors over injective peak-to-branch maps.
 
     Both lists are ascending, so within any chosen branch subset the
     order-preserving pairing is optimal; minimize over subsets."""
-    if len(peaks) > len(freqs):
-        raise ValueError(
-            f"{len(peaks)} peaks cannot be assigned to {len(freqs)} branches")
-    if len(peaks) > MAX_ASSIGNED_PEAKS:
-        raise ValueError(
-            f"records with more than {MAX_ASSIGNED_PEAKS} peaks are not supported")
+    _check_assignable(len(peaks), len(freqs))
     best = np.inf
     for subset in combinations(range(len(freqs)), len(peaks)):
         cost = sum((p - freqs[j]) ** 2 for p, j in zip(peaks, subset))
@@ -127,28 +139,91 @@ def _assignment_cost(peaks, freqs):
     return best
 
 
+class _Misfit:
+    """Peak misfit of one dataset, evaluated for a stack of parameter sets.
+
+    Records are grouped by peak count, and each group's candidate branch
+    subsets (the order-preserving maps of _assignment_cost) are indexed
+    once, so assigning the peaks of a whole stack is array arithmetic. A
+    parameter set is a row (ratio_11, ratio_2_tilde, eta).
+    """
+
+    def __init__(self, data, photons):
+        self.photons = photons
+        self.nu_c = data.nu_c_values
+        n_branches = 2 * len(photons)  # one matter mode per photon mode
+        counts = np.array([len(rec.peaks) for rec in data.records])
+        self.groups = []
+        for m in np.unique(counts).tolist():
+            _check_assignable(m, n_branches)
+            rows = np.flatnonzero(counts == m)
+            peaks = np.array([data.records[t].peaks for t in rows])
+            subsets = np.array(list(combinations(range(n_branches), m)))
+            self.groups.append((rows, peaks, subsets))
+        # the per-peak residual vector runs group by group
+        self.peaks = np.concatenate([peaks.ravel()
+                                     for _, peaks, _ in self.groups])
+        self.peak_rows = np.concatenate([np.repeat(rows, peaks.shape[1])
+                                         for rows, peaks, _ in self.groups])
+
+    def frequencies(self, sets):
+        """Branch frequencies (K, T, n) of K parameter sets at every record,
+        from one stacked eigensolve."""
+        forms = [assemble_batch(self.photons, self.nu_c,
+                                couplings_from_ratios(self.photons, *row))
+                 for row in sets.tolist()]
+        try:
+            freqs, _ = normal_modes(np.concatenate([f for f, _ in forms]),
+                                    np.concatenate([g for _, g in forms]),
+                                    len(self.photons), vectors=False)
+        except InstabilityError as exc:
+            k, t = divmod(exc.entry, len(self.nu_c))
+            ratio_11, ratio_2, eta = sets[k]
+            raise InstabilityError(
+                f"with W_11 = {ratio_11 * self.photons[0].omega:.6e}, Wt_2 = "
+                f"{ratio_2 * self.photons[1].omega:.6e} rad/s, eta = "
+                f"{eta:.4f}, at nu_c = {self.nu_c[t]:.6g} THz: {exc}",
+                entry=t) from exc
+        return freqs.reshape(len(sets), len(self.nu_c), -1)
+
+    def assign(self, freqs):
+        """Optimal assignment for each of K stacked branch sets: the squared
+        error of every record (K, T) and the branch of every peak (K, M)."""
+        costs = np.empty(freqs.shape[:2])
+        branches = []
+        for rows, peaks, subsets in self.groups:
+            err = peaks[:, None, :] - freqs[:, rows][:, :, subsets]
+            squared = (err * err).sum(axis=-1)
+            costs[:, rows] = squared.min(axis=-1)
+            pick = squared.argmin(axis=-1)
+            branches.append(subsets[pick].reshape(len(freqs), -1))
+        return costs, np.concatenate(branches, axis=1)
+
+    def rms(self, costs):
+        return np.sqrt(costs.sum(axis=-1) / len(self.peaks))
+
+
+def _costs(params, data, photons):
+    """The misfit of data and its per-record squared errors (1, T) at one
+    parameter set."""
+    misfit = _Misfit(data, photons)
+    sets = np.array([[params.omega_r_11 / photons[0].omega,
+                      params.omega_r_2_tilde / photons[1].omega, params.eta]])
+    costs, _ = misfit.assign(misfit.frequencies(sets))
+    return misfit, costs
+
+
 def residual(params, data, photons):
     """RMS peak-position misfit (THz) of one parameter set."""
-    w1 = photons[0].omega
-    w2 = photons[1].omega
-    coupling = couplings_from_ratios(photons, params.omega_r_11 / w1,
-                                     params.omega_r_2_tilde / w2, params.eta)
-    try:
-        freqs, _ = normal_modes(
-            *assemble_batch(photons, data.nu_c_values, coupling),
-            coupling.n_photon, vectors=False)
-    except InstabilityError as exc:
-        raise InstabilityError(
-            f"with W_11 = {params.omega_r_11:.6e}, Wt_2 = "
-            f"{params.omega_r_2_tilde:.6e} rad/s, eta = {params.eta:.4f}, at "
-            f"nu_c = {data.records[exc.entry].nu_c:.6g} THz: {exc}",
-            entry=exc.entry) from exc
-    total = 0.0
-    count = 0
-    for rec, row in zip(data.records, freqs):
-        total += _assignment_cost(rec.peaks, row)
-        count += len(rec.peaks)
-    return float(np.sqrt(total / count))
+    misfit, costs = _costs(params, data, photons)
+    return float(misfit.rms(costs)[0])
+
+
+def record_residuals(params, data, photons):
+    """RMS peak-position misfit (THz) of each record, from one stacked
+    evaluation; entry t equals residual() of record t alone."""
+    _, costs = _costs(params, data, photons)
+    return np.sqrt(costs[0] / [len(rec.peaks) for rec in data.records])
 
 
 def _check_coverage(data, photons):
@@ -163,13 +238,93 @@ def _check_coverage(data, photons):
                 f"{mode.frequency} THz")
 
 
-def fit(data, photons, config=FitConfig()):
-    """Estimate (W_11, Wt_2[, eta]) by restarted Nelder-Mead on the residual."""
-    # imported here, not at module level: scipy.optimize takes most of a
-    # package import, and only fitting needs it
-    from scipy import optimize
+# Marquardt damping: start, factor per rejected (and divisor per accepted)
+# step, floor, and the value past which the point counts as stationary
+LAMBDA_START = 1e-3
+LAMBDA_FACTOR = 10.0
+LAMBDA_MIN = 1e-12
+LAMBDA_MAX = 1e16
+# a Jacobian column shorter than this fraction of the longest (both in
+# normalized units) is zero to forward-difference precision
+FLAT_COLUMN = 1e-6
 
+
+def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
+    """Bounded Levenberg-Marquardt from x on the per-peak residuals.
+
+    Every iteration evaluates a trial point together with the
+    forward-difference steps of its Jacobian, len(x) + 1 parameter sets in
+    one stack, with the assignment fixed at the trial point. The trial is
+    accepted only if its misfit (assignment re-solved, as residual()
+    computes it) falls. The run has converged once it has tried a step
+    below xatol in units of the bound widths, or once the damping
+    saturates; it stops unconverged when the next iteration would exceed
+    budget evaluations. Returns (x, rms, evaluations, converged)."""
+    span = hi - lo
+    h = np.sqrt(np.finfo(float).eps) * span
+
+    def probe(x):
+        steps = np.where(x + h > hi, -h, h)  # step inward at an upper bound
+        points = np.vstack([x, x + np.diag(steps)])
+        freqs = misfit.frequencies(param_sets(points))
+        costs, branches = misfit.assign(freqs[:1])
+        resid = misfit.peaks - freqs[:, misfit.peak_rows, branches[0]]
+        jac = (resid[1:] - resid[0]).T / steps
+        return float(misfit.rms(costs)[0]), resid[0], jac
+
+    rms, resid, jac = probe(x)
+    evaluations = len(x) + 1
+    lam = LAMBDA_START
+    while lam <= LAMBDA_MAX:
+        grad = jac.T @ resid
+        # A variable on a bound stays there if its descent direction points
+        # out of the box, or if it has no slope there: the frequencies are
+        # even in eta and in each coupling, so at zero the forward
+        # difference holds only curvature, and a linear model built on it
+        # sends the step far off the bound.
+        reach = np.linalg.norm(jac, axis=0) * span
+        flat = reach <= FLAT_COLUMN * reach.max()
+        free = ~(((x <= lo) & ((grad > 0.0) | flat))
+                 | ((x >= hi) & ((grad < 0.0) | flat)))
+        delta = np.zeros_like(x)
+        if free.any():
+            normal = (jac.T @ jac)[np.ix_(free, free)]
+            # Marquardt's scaling, floored so that a parameter with no
+            # effect (eta when Wt_2 = 0) keeps the system regular
+            scale = np.diag(normal)
+            scale = np.maximum(scale, max(1e-12 * scale.max(),
+                                          np.finfo(float).tiny))
+            delta[free] = np.linalg.solve(normal + lam * np.diag(scale),
+                                          -grad[free])
+        trial = np.clip(x + delta, lo, hi)
+        step = np.max(np.abs(trial - x) / span)
+        if step == 0.0:
+            return x, rms, evaluations, True
+        if evaluations + len(x) + 1 > budget:
+            return x, rms, evaluations, bool(step < xatol)
+        trial_rms, trial_resid, trial_jac = probe(trial)
+        evaluations += len(x) + 1
+        if trial_rms < rms:
+            x, rms, resid, jac = trial, trial_rms, trial_resid, trial_jac
+            lam = max(lam / LAMBDA_FACTOR, LAMBDA_MIN)
+        else:
+            lam *= LAMBDA_FACTOR
+        if step < xatol:
+            return x, rms, evaluations, True
+    return x, rms, evaluations, True
+
+
+def fit(data, photons, config=FitConfig()):
+    """Estimate (W_11, Wt_2[, eta]) by restarted, bounded Levenberg-Marquardt.
+
+    Each restart starts from a seeded random point inside the bounds and
+    may evaluate up to config.max_evaluations parameter sets, one per
+    iteration for the trial point and one per fitted parameter for its
+    Jacobian; the restarts stop early once a converged one fits below
+    1e-7 THz. n_evaluations counts the parameter sets evaluated over all
+    restarts, and the best restart gives the result."""
     _check_coverage(data, photons)
+    misfit = _Misfit(data, photons)
     w1 = photons[0].omega
     w2 = photons[1].omega
 
@@ -178,41 +333,36 @@ def fit(data, photons, config=FitConfig()):
     if config.fit_eta:
         lo.append(config.eta_bounds[0])
         hi.append(config.eta_bounds[1])
-    lo, hi = np.array(lo), np.array(hi)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
 
-    evaluations = 0
-
-    def objective(x):
-        nonlocal evaluations
-        evaluations += 1
-        eta = x[2] if config.fit_eta else config.eta_fixed
-        eta = min(max(eta, 0.0), 1.0)
-        return residual(FitParams(x[0] * w1, x[1] * w2, eta), data, photons)
+    def param_sets(points):
+        if config.fit_eta:
+            eta = np.clip(points[:, 2], 0.0, 1.0)
+        else:
+            eta = np.full(len(points), config.eta_fixed)
+        return np.column_stack([points[:, 0], points[:, 1], eta])
 
     rng = np.random.default_rng(config.seed)
     best = None
     total_evals = 0
     for _ in range(config.restarts):
         x0 = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=len(lo))
-        evaluations = 0
-        res = optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            bounds=optimize.Bounds(lo, hi),
-            options={"xatol": config.xatol, "fatol": 1e-10,
-                     "maxfev": config.max_evaluations})
-        total_evals += evaluations
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.success and best.fun < 1e-7:
+        run = _levenberg_marquardt(misfit, param_sets, x0, lo, hi,
+                                   config.xatol, config.max_evaluations)
+        total_evals += run[2]
+        if best is None or run[1] < best[1]:
+            best = run
+        if best[3] and best[1] < 1e-7:
             break  # already at an exact-data optimum; further restarts are noise
 
-    eta = best.x[2] if config.fit_eta else config.eta_fixed
-    return FitResult(omega_r_11=float(best.x[0] * w1),
-                     omega_r_2_tilde=float(best.x[1] * w2),
-                     eta=float(min(max(eta, 0.0), 1.0)),
-                     residual_rms=float(best.fun),
+    x, rms, _, converged = best
+    eta = param_sets(x[None])[0, 2]
+    return FitResult(omega_r_11=float(x[0] * w1),
+                     omega_r_2_tilde=float(x[1] * w2),
+                     eta=float(eta),
+                     residual_rms=rms,
                      n_evaluations=total_evals,
-                     converged=bool(best.success))
+                     converged=converged)
 
 
 # --- peak-list file format ---------------------------------------------------
@@ -222,29 +372,28 @@ def fit(data, photons, config=FitConfig()):
 def load_peaks(path):
     """Read a PeakDataset from the peak-list CSV format."""
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        cols = [c.strip() for c in header.strip().split(",")]
-        if len(cols) < 2 or cols[0] != "nu_c_THz" or cols[1] != "peak1_THz":
+    header, body = read_ascii(path)
+    cols = [c.strip() for c in header.strip().split(",")]
+    if len(cols) < 2 or cols[0] != "nu_c_THz" or cols[1] != "peak1_THz":
+        raise ProfileFormatError(
+            f"{path}:1: header must start with 'nu_c_THz,peak1_THz', got "
+            f"{header.strip()!r}")
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.strip().split(",")]
+        if len(cells) > len(cols):
             raise ProfileFormatError(
-                f"{path}:1: header must start with 'nu_c_THz,peak1_THz', got "
-                f"{header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = [c.strip() for c in line.strip().split(",")]
-            if len(cells) > len(cols):
-                raise ProfileFormatError(
-                    f"{path}:{lineno}: {len(cells)} cells but {len(cols)} columns")
-            try:
-                nu_c = float(cells[0])
-                peaks = [float(c) for c in cells[1:] if c != ""]
-            except ValueError as exc:
-                raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                records.append(PeakRecord(nu_c=nu_c, peaks=tuple(peaks)))
-            except ValueError as exc:
-                raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
+                f"{path}:{lineno}: {len(cells)} cells but {len(cols)} columns")
+        try:
+            nu_c = float(cells[0])
+            peaks = [float(c) for c in cells[1:] if c != ""]
+        except ValueError as exc:
+            raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            records.append(PeakRecord(nu_c=nu_c, peaks=tuple(peaks)))
+        except ValueError as exc:
+            raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
     if not records:
         raise ProfileFormatError(f"{path}: no records found")
     return PeakDataset(records=tuple(records), source_label=str(path))

@@ -198,8 +198,9 @@ def _parse_header(path, line):
     return nx, ny, dx, dy
 
 
-def _read_file(path):
-    """Header line and body text of a profile or mask file (ASCII only)."""
+def read_ascii(path):
+    """Header line and body text of a profile, mask or peak-list file; a
+    non-ASCII byte is a ProfileFormatError naming its line."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline()
@@ -275,7 +276,7 @@ def _parse_profile(path, body, size):
 
 def load_profile(path):
     """Read a FieldProfile from the plain-text format."""
-    header, body = _read_file(path)
+    header, body = read_ascii(path)
     nx, ny, dx, dy = _parse_header(path, header)
     flat = _parse_profile(path, body, nx * ny)
     try:
@@ -317,7 +318,7 @@ def _scan_mask(path, body, size):
 
 def load_mask(path):
     """Read a DomainMask from the plain-text format (entries 0 or 1)."""
-    header, body = _read_file(path)
+    header, body = read_ascii(path)
     nx, ny, _, _ = _parse_header(path, header)
     tokens = body.split()
     digits = "".join(tokens)

@@ -379,6 +379,26 @@ def test_non_fit_commands_do_not_import_scipy(tmp_path):
         assert (tmp_path / name).exists()
 
 
+_FIT_NO_SCIPY_SCRIPT = """
+import sys
+from mmhopfield import cli
+cfg, peaks, out = sys.argv[1:]
+assert cli.main(["fit", "--config", cfg, "--peaks", peaks, "--out", out]) == 0
+print(sorted(name for name in sys.modules
+             if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_fit_command_does_not_import_scipy(tmp_path, peaks_csv):
+    cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
+    proc = subprocess.run([sys.executable, "-c", _FIT_NO_SCIPY_SCRIPT, cfg,
+                           peaks_csv, str(tmp_path)], capture_output=True,
+                          text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "fit_residuals.csv").exists()
+
+
 def _declared_entry_point():
     """The `mmhopfield` entry of [project.scripts] in the repo's pyproject."""
     if sys.version_info >= (3, 11):

@@ -1,20 +1,23 @@
 """Peak-to-branch assignment, residual behavior, and parameter recovery."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
 import mmhopfield as mm
-from mmhopfield.fit import _assignment_cost
+from mmhopfield.fit import _assignment_cost, _Misfit
 
 TRUE_RATIO_11 = 0.37
 TRUE_RATIO_2 = 0.2124026
 TRUE_ETA = 0.15
 
 
-def _truth_params(photon_pair):
+def _truth_params(photon_pair, eta=TRUE_ETA):
     return mm.FitParams(omega_r_11=TRUE_RATIO_11 * photon_pair[0].omega,
                         omega_r_2_tilde=TRUE_RATIO_2 * photon_pair[1].omega,
-                        eta=TRUE_ETA)
+                        eta=eta)
 
 
 def _synthetic_dataset(photon_pair, n_points=40, noise=0.0, seed=0,
@@ -56,6 +59,26 @@ def test_assignment_rejects_surplus_peaks():
         _assignment_cost(tuple(np.linspace(0.1, 0.6, 6)), np.arange(1.0, 9.0))
 
 
+def test_stacked_assignment_matches_scalar_rule(photon_pair):
+    rng = np.random.default_rng(11)
+    records = tuple(
+        mm.PeakRecord(nu_c=0.1 + 0.05 * t,
+                      peaks=tuple(np.sort(rng.uniform(0.1, 3.0, 1 + t % 4))))
+        for t in range(40))
+    misfit = _Misfit(mm.PeakDataset(records=records), photon_pair)
+    freqs = np.sort(rng.uniform(0.1, 3.0, size=(3, 40, 4)), axis=-1)
+    costs, branches = misfit.assign(freqs)
+    for k in range(3):
+        expected = [_assignment_cost(rec.peaks, freqs[k, t])
+                    for t, rec in enumerate(records)]
+        np.testing.assert_allclose(costs[k], expected, rtol=1e-14, atol=0.0)
+        # the assigned branches give those costs
+        resid = misfit.peaks - freqs[k, misfit.peak_rows, branches[k]]
+        np.testing.assert_allclose(
+            np.bincount(misfit.peak_rows, weights=resid ** 2), expected,
+            rtol=1e-14, atol=0.0)
+
+
 def test_residual_vanishes_at_truth(photon_pair):
     data = _synthetic_dataset(photon_pair)
     rms = mm.residual(_truth_params(photon_pair), data, photon_pair)
@@ -76,6 +99,30 @@ def test_residual_handles_partial_peak_lists(photon_pair):
     # records keep only the two outermost branches; truth still fits exactly
     data = _synthetic_dataset(photon_pair, keep=slice(0, 4, 3))
     assert mm.residual(_truth_params(photon_pair), data, photon_pair) < 1e-10
+
+
+def test_instability_error_names_parameters_and_record(photon_pair,
+                                                      monkeypatch):
+    # every real coupling set is stable, so make the eta = 0.5 set's form
+    # at the second record unstable (as in test_dispersion)
+    fit_module = sys.modules["mmhopfield.fit"]
+    real_assembly = fit_module.assemble_batch
+
+    def unstable_eta_half(photons, grid, coupling):
+        freqs, inter = real_assembly(photons, grid, coupling)
+        if coupling.overlap == 0.5:
+            inter[1, 0, 0] = -freqs[1, 0]
+        return freqs, inter
+
+    monkeypatch.setattr(fit_module, "assemble_batch", unstable_eta_half)
+    records = tuple(mm.PeakRecord(nu_c=nu_c, peaks=(1.0,))
+                    for nu_c in (0.3, 0.6, 0.9))
+    misfit = _Misfit(mm.PeakDataset(records=records), photon_pair)
+    with pytest.raises(mm.InstabilityError,
+                       match=r"W_11 = 1\.859823e\+12, .* eta = 0\.5000, at "
+                             r"nu_c = 0\.6 THz: .*smallest squared") as err:
+        misfit.frequencies(np.array([[0.37, 0.2, 0.15], [0.37, 0.2, 0.5]]))
+    assert err.value.entry == 1
 
 
 def test_coverage_requires_enough_records(photon_pair):
@@ -122,12 +169,67 @@ def test_fit_recovers_eta_when_free(photon_pair):
     assert abs(result.eta - TRUE_ETA) < 0.05
 
 
+def test_free_eta_fit_converges_on_the_eta_zero_bound(photon_pair):
+    # with the truth at eta = 0 and this noise draw, the best eta is the
+    # bound itself, where every eta-slope vanishes
+    grid = np.linspace(0.3, 2.15, 12)
+    truth = _truth_params(photon_pair, eta=0.0)
+    forward = mm.sweep(photon_pair, mm.couplings_from_ratios(
+        photon_pair, TRUE_RATIO_11, TRUE_RATIO_2, 0.0), grid)
+    rng = np.random.default_rng(0)
+    records = []
+    for t, nu_c in enumerate(grid):
+        peaks = np.sort(forward.branches[t] + rng.normal(0.0, 0.01, 4))
+        if t % 4 == 3:
+            peaks = np.delete(peaks, rng.integers(4))
+        records.append(mm.PeakRecord(nu_c=float(nu_c), peaks=tuple(peaks)))
+    data = mm.PeakDataset(records=tuple(records))
+    config = mm.FitConfig(ratio_11_bounds=(0.0, 0.8),
+                          ratio_2_bounds=(0.0, 0.8), fit_eta=True,
+                          eta_bounds=(0.0, 0.6), restarts=4, seed=0)
+    result = mm.fit(data, photon_pair, config)
+    assert result.converged
+    assert result.eta == 0.0
+    assert result.residual_rms <= mm.residual(truth, data, photon_pair)
+    for eta in (1e-3, 1e-2, 0.1):
+        moved = mm.FitParams(result.omega_r_11, result.omega_r_2_tilde, eta)
+        assert mm.residual(moved, data, photon_pair) > result.residual_rms
+
+
+def test_record_residuals_match_single_record_residuals(photon_pair):
+    data = _synthetic_dataset(photon_pair, n_points=12, noise=0.01, seed=4)
+    records = tuple(mm.PeakRecord(nu_c=rec.nu_c, peaks=rec.peaks[t % 3:])
+                    for t, rec in enumerate(data.records))
+    data = mm.PeakDataset(records=records)
+    params = mm.FitParams(omega_r_11=0.35 * photon_pair[0].omega,
+                          omega_r_2_tilde=0.22 * photon_pair[1].omega,
+                          eta=0.3)
+    single = [mm.residual(params, mm.PeakDataset(records=(rec,)), photon_pair)
+              for rec in records]
+    np.testing.assert_allclose(mm.record_residuals(params, data, photon_pair),
+                               single, rtol=1e-15, atol=0.0)
+
+
 def test_fit_reports_failure_on_starved_budget(photon_pair):
     data = _synthetic_dataset(photon_pair, n_points=8)
     config = mm.FitConfig(restarts=1, seed=0, max_evaluations=5,
                           eta_fixed=TRUE_ETA)
     result = mm.fit(data, photon_pair, config)
     assert not result.converged
+
+
+def test_budget_that_stops_the_last_small_step_still_converges(photon_pair):
+    data = _synthetic_dataset(photon_pair, n_points=12, noise=0.01, seed=2)
+    config = mm.FitConfig(ratio_11_bounds=(0.0, 0.8),
+                          ratio_2_bounds=(0.0, 0.8), eta_fixed=TRUE_ETA,
+                          restarts=1, seed=0)
+    full = mm.fit(data, photon_pair, config)
+    cut = mm.fit(data, photon_pair, dataclasses.replace(
+        config, max_evaluations=full.n_evaluations - 1))
+    assert full.converged is True
+    # the step left untried is already below xatol
+    assert cut.converged is True
+    assert cut.n_evaluations == full.n_evaluations - 3
 
 
 def test_fit_config_validation():
@@ -185,3 +287,11 @@ def test_peaks_file_bad_cell_reports_line(tmp_path):
     with pytest.raises(mm.ProfileFormatError) as err:
         mm.load_peaks(path)
     assert f"{path}:3" in str(err.value)
+
+
+def test_peaks_file_non_ascii_byte_names_its_line(tmp_path):
+    path = tmp_path / "peaks.csv"
+    path.write_bytes(b"nu_c_THz,peak1_THz\n0.4,0.5\n0.6,0.7\xb5\n")
+    with pytest.raises(mm.ProfileFormatError) as err:
+        mm.load_peaks(path)
+    assert str(err.value) == f"{path}:3: non-ASCII byte 0xb5"
