@@ -15,12 +15,12 @@ from .bogoliubov import (EigenSolution, build_dynamical_matrix, diagonalize,
 from .dispersion import (DispersionFeatures, SpectrumConfig, SweepResult,
                          detect_features, spectrum_from_branches, sweep,
                          synthesize_spectrum, write_branch_csv)
-from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, ProfileFormatError)
+from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
+                     InstabilityError, NumericalError, ProfileFormatError)
 from .fit import (FitConfig, FitParams, FitResult, PeakDataset, PeakRecord,
                   fit, load_peaks, record_residuals, residual, save_peaks)
-from .model import (CODATA, CouplingSet, MaterialParams, MatterMode,
-                    PhotonMode, PhysicalConstants, QuadraticHamiltonian,
+from .model import (CODATA, CouplingSet, MaterialParams, PhotonMode,
+                    PhysicalConstants, QuadraticHamiltonian,
                     assemble_hamiltonian, couplings_from_overlap,
                     couplings_from_ratios, cyclotron_frequency,
                     diamagnetic_matrix, field_for_cyclotron,
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CODATA", "ConvergenceError", "CouplingSet", "DataCoverageError",
     "DispersionFeatures", "DomainMask", "EigenSolution", "FieldProfile",
-    "FitConfig", "FitParams", "FitResult", "InstabilityError",
-    "MaterialParams", "MatterMode", "NumericalError", "PeakDataset",
+    "FitConfig", "FitConfigError", "FitParams", "FitResult",
+    "InstabilityError", "MaterialParams", "NumericalError", "PeakDataset",
     "PeakRecord", "PhotonMode", "PhysicalConstants", "ProfileFormatError",
     "QuadraticHamiltonian", "SpectrumConfig", "SweepResult",
     "assemble_hamiltonian", "build_dynamical_matrix", "central_square_mask",

@@ -22,8 +22,8 @@ import tempfile
 import numpy as np
 
 from . import dispersion, model, overlap
-from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, ProfileFormatError)
+from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
+                     InstabilityError, NumericalError, ProfileFormatError)
 # "from . import fit" would pick up the fit() function re-exported by the
 # package, not the submodule, so pull the needed names in directly
 from .fit import (FitConfig, FitParams, fit as fit_couplings, load_peaks,
@@ -334,17 +334,10 @@ def _run_spectrum(args):
 
 def _fit_config(cfg, seed):
     cfg.require("fit")
-    b11 = cfg.get_floats("fit", "ratio_11_bounds", [0.0, 1.0])
-    b2 = cfg.get_floats("fit", "ratio_2_bounds", [0.0, 1.0])
-    if len(b11) != 2 or len(b2) != 2:
-        raise ConfigError(f"{cfg.path}: [fit] bounds need exactly two values")
     mode = cfg.get("fit", "eta_mode", "fixed")
     if mode not in ("fixed", "free"):
         raise _cfg_error(cfg.path, "fit", "eta_mode", "must be 'fixed' or 'free'")
     fit_eta = mode == "free"
-    eta_bounds = cfg.get_floats("fit", "eta_bounds", [0.0, 1.0])
-    if len(eta_bounds) != 2:
-        raise ConfigError(f"{cfg.path}: [fit] eta_bounds needs two values")
     eta_fixed = 1.0
     if not fit_eta:
         if not cfg.has("coupling", "eta"):
@@ -352,14 +345,21 @@ def _fit_config(cfg, seed):
                 f"{cfg.path}: eta_mode = fixed needs [coupling] eta")
         eta_fixed = cfg.get_float("coupling", "eta")
     try:
-        return FitConfig(ratio_11_bounds=tuple(b11),
-                                 ratio_2_bounds=tuple(b2),
-                                 eta_fixed=eta_fixed, fit_eta=fit_eta,
-                                 eta_bounds=tuple(eta_bounds),
-                                 restarts=cfg.get_int("fit", "restarts", 8),
-                                 seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: [fit]: {exc}") from exc
+        return FitConfig(
+            ratio_11_bounds=tuple(cfg.get_floats("fit", "ratio_11_bounds",
+                                                 [0.0, 1.0])),
+            ratio_2_bounds=tuple(cfg.get_floats("fit", "ratio_2_bounds",
+                                                [0.0, 1.0])),
+            eta_fixed=eta_fixed, fit_eta=fit_eta,
+            eta_bounds=tuple(cfg.get_floats("fit", "eta_bounds", [0.0, 1.0])),
+            restarts=cfg.get_int("fit", "restarts", 8),
+            seed=seed)
+    except FitConfigError as exc:
+        # every field set from the file is the [fit] key of that name, but
+        # eta_fixed, which is read from [coupling] eta
+        section, key = (("coupling", "eta") if exc.field == "eta_fixed"
+                        else ("fit", exc.field))
+        raise _cfg_error(cfg.path, section, key, exc.problem) from exc
 
 
 def _run_fit(args):

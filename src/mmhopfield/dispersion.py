@@ -2,7 +2,9 @@
 
 A sweep diagonalizes the coupled system on a whole grid of cyclotron
 frequencies in one stacked eigensolve and keeps branch columns continuous
-by nearest-frequency matching between adjacent grid points. Feature
+by matching the columns of adjacent grid points: each step takes the exact
+minimum-cost assignment under a cost of frequency distance plus Hopfield
+fraction distance, solved for every step at once. Feature
 detection classifies the matched columns into flat photon lines, the bare
 cyclotron line, and the coupled polariton branches, and extracts the
 quantities used to compare parameter sets: anticrossing gaps, the
@@ -12,6 +14,7 @@ inflection of the middle branch, and its asymptotes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -79,41 +82,90 @@ class DispersionFeatures:
     asymptote_high: float | None
 
 
-def _match_columns(prev_freqs, prev_fracs, freqs, fracs):
-    """Permutation sigma with freqs[sigma[i]] continuing branch column i.
+def _match_cost(freqs, fracs):
+    """Cost of continuing each column of point t-1 as each column of point t.
 
-    The metric mixes frequency distance with the L1 distance of the Hopfield
-    fraction rows. The fraction term decides ties at (near-)degenerate
-    crossings, so a column follows its mode character diabatically through
-    anticrossings narrower than the grid step instead of swapping identity;
-    at genuine wide anticrossings the frequencies never approach and the
-    metric reduces to nearest-frequency matching. Greedy assignment plus
-    pairwise-swap refinement of the total cost."""
-    n = len(freqs)
-    dist = (np.abs(prev_freqs[:, None] - freqs[None, :])
-            + FRACTION_MATCH_WEIGHT
-            * np.abs(prev_fracs[:, None, :] - fracs[None, :, :]).sum(axis=2))
-    sigma = np.full(n, -1)
-    taken = np.zeros(n, dtype=bool)
-    for flat in np.argsort(dist, axis=None):
-        i, j = divmod(int(flat), n)
-        if sigma[i] < 0 and not taken[j]:
-            sigma[i] = j
-            taken[j] = True
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n):
-            for k in range(i + 1, n):
-                if (dist[i, sigma[k]] + dist[k, sigma[i]]
-                        < dist[i, sigma[i]] + dist[k, sigma[k]]):
-                    sigma[i], sigma[k] = sigma[k], sigma[i]
-                    improved = True
-    return sigma
+    Columns are in the solver's ascending order. cost[t - 1, a, b] mixes
+    the frequency distance between column a of point t-1 and column b of
+    point t with the L1 distance of their Hopfield fraction rows. The
+    fraction term decides ties at (near-)degenerate crossings, so a column
+    follows its mode character diabatically through anticrossings narrower
+    than the grid step instead of swapping identity; at genuine wide
+    anticrossings the frequencies never approach and the cost reduces to
+    nearest-frequency matching."""
+    diff = fracs[:-1, :, None, :] - fracs[1:, None, :, :]
+    cost = FRACTION_MATCH_WEIGHT * np.abs(diff, out=diff).sum(axis=3)
+    cost += np.abs(freqs[:-1, :, None] - freqs[1:, None, :])
+    return cost
+
+
+@lru_cache(maxsize=None)
+def _subset_levels(n):
+    """Index tables of the subset dynamic program over n columns.
+
+    Level k lists the column sets (bit masks) of size k, each mask's k
+    member columns ascending, and the mask left after removing each one."""
+    masks = np.arange(1 << n)
+    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
+    levels = []
+    for k in range(1, n + 1):
+        level = masks[sizes == k]
+        members = np.array([[j for j in range(n) if m >> j & 1] for m in level],
+                           dtype=np.intp)
+        rest = level[:, None] ^ (1 << members)
+        for table in (level, members, rest):
+            table.flags.writeable = False  # shared by every caller
+        levels.append((level, members, rest))
+    return levels
+
+
+def _min_cost_assignment(cost):
+    """Minimum-cost permutations of a stack of square cost matrices.
+
+    cost has shape (S, n, n); perm[s, a] is the column assigned to row a of
+    matrix s, minimizing sum_a cost[s, a, perm[s, a]] over all n!
+    permutations. Solved exactly by a dynamic program over column subsets,
+    best[mask] = min over j in mask of cost[row, j] + best[mask - j] with
+    row = n - |mask|, one pass per subset size for the whole stack. Time
+    and memory grow as n 2^n per matrix, which suits the few modes of a
+    cavity.
+
+    Tie rule: among permutations of equal cost, summed in floating point as
+    cost[0, p0] + (cost[1, p1] + (... + cost[n-1, p(n-1)])), the
+    lexicographically smallest wins: row 0 takes the lowest column it can,
+    then row 1, and so on. The members of each subset are scanned in
+    ascending order and replace the running minimum only when strictly
+    lower."""
+    cost = np.moveaxis(np.asarray(cost, dtype=float), 0, -1)  # (n, n, S)
+    n, n_sets = cost.shape[1:]
+    best = np.zeros((1 << n, n_sets))
+    choice = np.zeros((1 << n, n_sets), dtype=np.intp)
+    for size, (level, members, rest) in enumerate(_subset_levels(n), start=1):
+        candidates = cost[n - size][members] + best[rest]  # (masks, size, S)
+        low = candidates[:, 0]
+        pick = np.broadcast_to(members[:, :1], low.shape)
+        for m in range(1, size):
+            lower = candidates[:, m] < low
+            low = np.where(lower, candidates[:, m], low)
+            pick = np.where(lower, members[:, m:m + 1], pick)
+        best[level] = low
+        choice[level] = pick
+    perm = np.empty((n_sets, n), dtype=np.intp)
+    mask = np.full(n_sets, (1 << n) - 1)
+    sets = np.arange(n_sets)
+    for row in range(n):
+        perm[:, row] = choice[mask, sets]
+        mask ^= 1 << perm[:, row]
+    return perm
 
 
 def sweep(photons, coupling, nu_c_grid):
-    """Diagonalize over a grid of cyclotron frequencies (THz, ascending)."""
+    """Diagonalize over a grid of cyclotron frequencies (THz, ascending).
+
+    Branch column k starts as the k-th lowest mode at the first point and
+    follows the minimum-cost assignment between adjacent points. The
+    assignments do not depend on each other, so all are solved at once and
+    only their integer permutations are composed point by point."""
     grid = np.asarray(nu_c_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("nu_c grid must contain at least two points")
@@ -129,15 +181,14 @@ def sweep(photons, coupling, nu_c_grid):
         raise InstabilityError(f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
                                entry=exc.entry) from exc
     fracs = vecs ** 2
-    branches = np.empty_like(freqs)
-    fractions = np.empty_like(fracs)
-    branches[0] = freqs[0]
-    fractions[0] = fracs[0]
-    for t in range(1, len(grid)):
-        order = _match_columns(branches[t - 1], fractions[t - 1],
-                               freqs[t], fracs[t])
-        branches[t] = freqs[t, order]
-        fractions[t] = fracs[t, order]
+    steps = _min_cost_assignment(_match_cost(freqs, fracs))
+    # branch column i is eigen-order column order[t, i] at point t
+    order = np.empty_like(steps, shape=freqs.shape)
+    order[0] = np.arange(freqs.shape[1])
+    for t, step in enumerate(steps, start=1):
+        order[t] = step[order[t - 1]]
+    branches = np.take_along_axis(freqs, order, axis=1)
+    fractions = np.take_along_axis(fracs, order[..., None], axis=1)
     return SweepResult(nu_c_values=grid, branches=branches,
                        fractions=fractions, n_photon=coupling.n_photon)
 

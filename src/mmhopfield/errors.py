@@ -24,6 +24,16 @@ class DataCoverageError(ValueError):
     """Input data insufficient to constrain the requested estimate."""
 
 
+class FitConfigError(ValueError):
+    """A fit setting the solver cannot honour. field names the FitConfig
+    field and problem says what is wrong with its value."""
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field}: {problem}")
+        self.field = field
+        self.problem = problem
+
+
 class ProfileFormatError(ValueError):
     """Malformed field-profile, mask, or peak-list file. The message names the
     offending file and line."""

@@ -23,7 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from .bogoliubov import normal_modes
-from .errors import DataCoverageError, InstabilityError, ProfileFormatError
+from .errors import (DataCoverageError, FitConfigError, InstabilityError,
+                     ProfileFormatError)
 from .model import assemble_batch, couplings_from_ratios
 from .overlap import read_ascii
 
@@ -81,9 +82,11 @@ class FitParams:
 class FitConfig:
     """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2. eta is held
     at eta_fixed unless fit_eta is set, in which case it moves inside
-    eta_bounds. A restart has converged once its step falls below xatol in
-    units of each parameter's bound width; it may evaluate at most
-    max_evaluations parameter sets."""
+    eta_bounds, a part of [0, 1]. A restart has converged once its step
+    falls below xatol in units of each parameter's bound width; it may
+    evaluate at most max_evaluations parameter sets, at least the P + 1 of
+    its first point and Jacobian (P = 2 fitted parameters, 3 with
+    fit_eta). Invalid values raise FitConfigError."""
 
     ratio_11_bounds: tuple = (0.0, 1.0)
     ratio_2_bounds: tuple = (0.0, 1.0)
@@ -97,13 +100,25 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds"):
-            lo, hi = getattr(self, name)
+            bounds = getattr(self, name)
+            if len(bounds) != 2:
+                raise FitConfigError(
+                    name, f"needs exactly two values, got {len(bounds)}")
+            lo, hi = bounds
             if not lo < hi:
-                raise ValueError(f"{name} must satisfy lo < hi")
+                raise FitConfigError(name, "must satisfy lo < hi")
+        if self.eta_bounds[0] < 0.0 or self.eta_bounds[1] > 1.0:
+            raise FitConfigError("eta_bounds", "must lie within [0, 1]")
         if not 0.0 <= self.eta_fixed <= 1.0:
-            raise ValueError("eta_fixed must lie in [0, 1]")
+            raise FitConfigError("eta_fixed", "must lie in [0, 1]")
         if self.restarts < 1:
-            raise ValueError("need at least one restart")
+            raise FitConfigError("restarts", "need at least one restart")
+        first_probe = (3 if self.fit_eta else 2) + 1
+        if self.max_evaluations < first_probe:
+            raise FitConfigError(
+                "max_evaluations",
+                f"must be at least {first_probe}, the parameter sets of a "
+                f"restart's first point and its Jacobian")
 
 
 @dataclass(frozen=True)
@@ -337,7 +352,7 @@ def fit(data, photons, config=FitConfig()):
 
     def param_sets(points):
         if config.fit_eta:
-            eta = np.clip(points[:, 2], 0.0, 1.0)
+            eta = points[:, 2]  # inside eta_bounds, a part of [0, 1]
         else:
             eta = np.full(len(points), config.eta_fixed)
         return np.column_stack([points[:, 0], points[:, 1], eta])

@@ -117,20 +117,6 @@ class PhotonMode:
 
 
 @dataclass(frozen=True)
-class MatterMode:
-    """One collective cyclotron oscillator; frequency in THz."""
-
-    index: int
-    frequency: float
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("mode index must be >= 1")
-        if self.frequency <= 0.0:
-            raise ValueError("matter frequency must be positive")
-
-
-@dataclass(frozen=True)
 class CouplingSet:
     """Rabi couplings W[nu, mu] (rad/s) between photon mode nu and matter
     mode mu, quoted at cyclotron frequency reference_cyclotron (THz).

@@ -7,9 +7,15 @@ the general eigenproblem of the 2N x 2N first-order quadrature equations of
 motion, and the two-mode case is solved in closed form from the secular
 polynomial. Any disagreement beyond round-off is a bug in one of the
 routes.
+
+The branch matcher here is the greedy assignment with pairwise-swap
+refinement that sweeps once used, one grid point after the other; the
+production sweep solves every step's exact assignment at once.
 """
 
 import numpy as np
+
+from mmhopfield.dispersion import FRACTION_MATCH_WEIGHT
 
 
 def quadrature_modes(diag_freqs, interaction):
@@ -111,3 +117,48 @@ def random_stable_system(rng, n_modes):
             return d, g
         g *= 0.7
     return d, np.zeros((n_modes, n_modes))
+
+
+def greedy_match_columns(prev_freqs, prev_fracs, freqs, fracs):
+    """Permutation sigma with freqs[sigma[i]] continuing branch column i.
+
+    Cost: frequency distance plus FRACTION_MATCH_WEIGHT times the L1
+    distance of the fraction rows. Greedy assignment in ascending cost,
+    then pairwise swaps while one lowers the total."""
+    n = len(freqs)
+    dist = (np.abs(prev_freqs[:, None] - freqs[None, :])
+            + FRACTION_MATCH_WEIGHT
+            * np.abs(prev_fracs[:, None, :] - fracs[None, :, :]).sum(axis=2))
+    sigma = np.full(n, -1)
+    taken = np.zeros(n, dtype=bool)
+    for flat in np.argsort(dist, axis=None):
+        i, j = divmod(int(flat), n)
+        if sigma[i] < 0 and not taken[j]:
+            sigma[i] = j
+            taken[j] = True
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for k in range(i + 1, n):
+                if (dist[i, sigma[k]] + dist[k, sigma[i]]
+                        < dist[i, sigma[i]] + dist[k, sigma[k]]):
+                    sigma[i], sigma[k] = sigma[k], sigma[i]
+                    improved = True
+    return sigma
+
+
+def greedy_branches(freqs, fracs):
+    """Branch columns of a sweep, matched point by point with
+    greedy_match_columns. freqs (T, n) and fracs (T, n, n) are the solver's
+    per-point output; returns the (branches, fractions) pair."""
+    branches = np.empty_like(freqs)
+    fractions = np.empty_like(fracs)
+    branches[0] = freqs[0]
+    fractions[0] = fracs[0]
+    for t in range(1, len(freqs)):
+        order = greedy_match_columns(branches[t - 1], fractions[t - 1],
+                                     freqs[t], fracs[t])
+        branches[t] = freqs[t, order]
+        fractions[t] = fracs[t, order]
+    return branches, fractions

@@ -284,6 +284,32 @@ def test_negative_ratio_names_its_own_line(tmp_path, capsys, key):
     assert f"{cfg}:{lineno}: [coupling] {key}: ratios must be non-negative" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("ratio_11_bounds = 0.0",
+     "[fit] ratio_11_bounds: needs exactly two values, got 1"),
+    ("ratio_2_bounds = 0.0, 0.4, 0.8",
+     "[fit] ratio_2_bounds: needs exactly two values, got 3"),
+    ("eta_bounds = 0.2", "[fit] eta_bounds: needs exactly two values, got 1"),
+    ("eta_bounds = -0.1, 0.5", "[fit] eta_bounds: must lie within [0, 1]"),
+    ("eta_bounds = 0.5, 1.5", "[fit] eta_bounds: must lie within [0, 1]"),
+    ("restarts = 0", "[fit] restarts: need at least one restart"),
+    ("eta = 1.5", "[coupling] eta: must lie in [0, 1]"),
+])
+def test_fit_setting_errors_name_their_line(tmp_path, capsys, peaks_csv,
+                                           line, message):
+    key = line.split(" =")[0]
+    lines = FIT_CFG.splitlines()
+    at = next((i for i, ln in enumerate(lines) if ln.startswith(key + " ")),
+              len(lines))  # FIT_CFG ends in [fit]
+    lines[at:at + 1] = [line]
+    text = "\n".join(lines) + "\n"
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(line) + 1
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path),
+                     "--peaks", peaks_csv]) == 2
+    assert f"{cfg}:{lineno}: {message}" in capsys.readouterr().err
+
+
 def test_fit_without_peaks_flag_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
     assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2

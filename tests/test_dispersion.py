@@ -1,12 +1,18 @@
 """Bias sweeps, branch tracking, feature classification, spectrum proxy."""
 
 import io
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 import mmhopfield as mm
-from mmhopfield.dispersion import JUMP_TOL, csv_rows, g9_cells
+from mmhopfield.bogoliubov import normal_modes
+from mmhopfield.dispersion import (JUMP_TOL, _min_cost_assignment, csv_rows,
+                                   g9_cells)
+from mmhopfield.model import assemble_batch
+
+import oracles
 
 # sampling ripple left on a diabatic column where it pierces an anticrossing
 # narrower than the grid step (the dark line crossing the middle branch)
@@ -46,6 +52,83 @@ def test_matching_preserves_frequency_multisets(photon_pair,
             mm.assemble_hamiltonian(photon_pair, nu_c, unstructured_coupling))
         np.testing.assert_allclose(np.sort(res.branches[t]), sol.frequencies,
                                    rtol=1e-12)
+
+
+def _one_mode_set(pair):
+    rng = np.random.default_rng(11)
+    photon = mm.PhotonMode(index=1, frequency=rng.uniform(0.5, 2.0))
+    return [photon], mm.single_mode_coupling(photon, rng.uniform(0.05, 3.0))
+
+
+def _three_mode_set(pair):
+    rng = np.random.default_rng(12)
+    photons = [mm.PhotonMode(index=i + 1, frequency=f)
+               for i, f in enumerate(np.sort(rng.uniform(0.4, 2.0, 3)))]
+    omegas = np.array([m.omega for m in photons])
+    rabi = np.tril(rng.uniform(0.0, 0.5, (3, 3))) * omegas[:, None]
+    rabi[:, 2] = 0.0  # a dark nu = nu_c line crosses every branch
+    return photons, mm.CouplingSet(n_photon=3, n_matter=3, rabi=rabi,
+                                   overlap=1.0, reference_cyclotron=1.0)
+
+
+MATCH_CASES = {
+    "structured": lambda pair: (
+        pair, mm.couplings_from_ratios(pair, 0.28, 0.1351351, 0.999)),
+    "unstructured": lambda pair: (
+        pair, mm.couplings_from_ratios(pair, 0.37, 0.2124026, 0.15)),
+    "eta_0": lambda pair: (pair, mm.couplings_from_ratios(pair, 0.37, 0.21, 0.0)),
+    "eta_1": lambda pair: (pair, mm.couplings_from_ratios(pair, 0.28, 0.14, 1.0)),
+    "zero_coupling": lambda pair: (
+        pair, mm.couplings_from_ratios(pair, 0.0, 0.0, 0.5)),
+    "ratios_3": lambda pair: (pair, mm.couplings_from_ratios(pair, 3.0, 2.5, 0.6)),
+    "one_mode": _one_mode_set,
+    "three_mode": _three_mode_set,
+}
+
+
+@pytest.mark.parametrize("case", list(MATCH_CASES))
+def test_sweep_matches_greedy_reference(case, photon_pair, full_grid):
+    # greedy matching finds the optimum on these sets, so the exact
+    # assignment must reproduce it bit for bit
+    photons, coupling = MATCH_CASES[case](photon_pair)
+    res = mm.sweep(photons, coupling, full_grid)
+    freqs, vecs = normal_modes(*assemble_batch(photons, full_grid, coupling),
+                               coupling.n_photon)
+    branches, fractions = oracles.greedy_branches(freqs, vecs ** 2)
+    assert np.array_equal(res.branches, branches)
+    assert np.array_equal(res.fractions, fractions)
+
+
+def _brute_force_assignment(cost):
+    """First permutation, in lexicographic order, of minimum cost, summed
+    from the last row up as the dynamic program sums it."""
+    n = len(cost)
+    best, best_perm = np.inf, None
+    for perm in permutations(range(n)):
+        total = 0.0
+        for row in reversed(range(n)):
+            total = cost[row, perm[row]] + total
+        if total < best:
+            best, best_perm = total, perm
+    return best_perm
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("integer", [False, True], ids=["real", "integer"])
+def test_min_cost_assignment_matches_brute_force(n, integer):
+    rng = np.random.default_rng(100 + n)
+    n_sets = 40 if n < 6 else 12
+    if integer:
+        # exact ties everywhere, and an all-zero matrix: pins the tie rule
+        cost = rng.integers(0, 3, (n_sets, n, n)).astype(float)
+        cost[0] = 0.0
+    else:
+        cost = rng.uniform(0.0, 1.0, (n_sets, n, n))
+    got = _min_cost_assignment(cost)
+    want = [_brute_force_assignment(c) for c in cost]
+    np.testing.assert_array_equal(got, want)
+    if integer:
+        np.testing.assert_array_equal(got[0], np.arange(n))
 
 
 def test_branch_columns_are_continuous(photon_pair, structured_coupling,

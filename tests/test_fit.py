@@ -241,6 +241,38 @@ def test_fit_config_validation():
         mm.FitConfig(restarts=0)
 
 
+@pytest.mark.parametrize("fields, field", [
+    (dict(ratio_11_bounds=(0.1,)), "ratio_11_bounds"),
+    (dict(ratio_2_bounds=(0.0, 0.4, 0.8)), "ratio_2_bounds"),
+    (dict(eta_bounds=(0.0, 0.5, 1.0)), "eta_bounds"),
+    # eta outside [0, 1] has no meaning: once it was clipped to the edge,
+    # which left part of the searched box flat
+    (dict(eta_bounds=(-0.1, 0.5)), "eta_bounds"),
+    (dict(eta_bounds=(0.5, 1.5), fit_eta=True), "eta_bounds"),
+    # a restart evaluates its start point and Jacobian, P + 1 sets, before
+    # it can check its budget
+    (dict(max_evaluations=0), "max_evaluations"),
+    (dict(max_evaluations=2), "max_evaluations"),
+    (dict(max_evaluations=3, fit_eta=True), "max_evaluations"),
+], ids=["ratio_11_count", "ratio_2_count", "eta_count", "eta_below_0",
+        "eta_above_1", "budget_0", "budget_2", "budget_3_free_eta"])
+def test_fit_config_rejects_settings_the_solver_cannot_honour(fields, field):
+    with pytest.raises(mm.FitConfigError) as info:
+        mm.FitConfig(**fields)
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize("fit_eta", [False, True])
+def test_smallest_budget_is_honoured(photon_pair, fit_eta):
+    data = _synthetic_dataset(photon_pair, n_points=8)
+    smallest = 4 if fit_eta else 3
+    config = mm.FitConfig(restarts=2, seed=0, max_evaluations=smallest,
+                          fit_eta=fit_eta, eta_fixed=TRUE_ETA)
+    result = mm.fit(data, photon_pair, config)
+    assert result.n_evaluations == 2 * smallest
+
+
 def test_peak_record_validation():
     with pytest.raises(ValueError):
         mm.PeakRecord(nu_c=0.5, peaks=())
