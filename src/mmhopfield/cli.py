@@ -214,6 +214,8 @@ def _load_coupling(cfg):
 
 
 def _grid(start, stop, step, what):
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"{what}: start, stop and step must be finite")
     if step <= 0.0:
         raise ConfigError(f"{what}: step must be positive")
     if stop <= start:
@@ -355,8 +357,10 @@ def _fit_config(cfg, seed):
             restarts=cfg.get_int("fit", "restarts", 8),
             seed=seed)
     except FitConfigError as exc:
-        # every field set from the file is the [fit] key of that name, but
-        # eta_fixed, which is read from [coupling] eta
+        if exc.field == "seed":
+            raise ConfigError(f"--seed: {exc.problem}") from exc
+        # every other field set from the file is the [fit] key of that name,
+        # but eta_fixed, which is read from [coupling] eta
         section, key = (("coupling", "eta") if exc.field == "eta_fixed"
                         else ("fit", exc.field))
         raise _cfg_error(cfg.path, section, key, exc.problem) from exc

@@ -274,9 +274,13 @@ class SpectrumConfig:
 
     def __post_init__(self):
         grid = np.atleast_1d(np.array(self.frequency_grid, dtype=float))
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("frequency grid must be finite")
         if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("frequency grid must be ascending with >= 2 points")
         widths = np.atleast_1d(np.array(self.linewidths, dtype=float))
+        if not np.all(np.isfinite(widths)):
+            raise ValueError("linewidths must be finite")
         if np.any(widths <= 0.0):
             raise ValueError("linewidths must be positive")
         if self.weight_mode not in ("photon_fraction", "equal"):
@@ -290,16 +294,31 @@ class SpectrumConfig:
 def spectrum_from_branches(freqs, weights, config):
     """Transmission proxy 1 - sum_k w_k L(nu; nu_k, gamma_k), clipped to [0, 1].
 
-    L is a unit-peak Lorentzian of HWHM gamma_k. freqs and weights hold the
-    branches on their last axis; leading axes broadcast, so the stacked
-    (T, n) branches of a sweep give the (T, F) map in one call, equal to T
-    calls on single rows."""
-    freqs = np.asarray(freqs, dtype=float)[..., None, :]
-    weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)[..., None, :]
-    widths = np.broadcast_to(config.linewidths, freqs.shape[-1:])
-    nu = config.frequency_grid[:, None]
-    dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
-    return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)
+    L is a unit-peak Lorentzian of HWHM gamma_k; negative weights count as
+    zero. freqs and weights hold the n branches on their last axis; leading
+    axes broadcast, so the stacked (T, n) branches of a sweep give the
+    (T, F) map in one call, equal to T calls on single rows. config holds
+    one linewidth or n, else ValueError.
+
+    The dips are evaluated branch-major, as a (..., n, F) stack with the
+    probe grid contiguous, and summed by adding branch rows in order. Below
+    8 branches this equals, bit for bit, the sum over the branch axis of a
+    (..., F, n) stack; from 8 up numpy sums such a short axis pairwise, so
+    the last bits can differ (within 1e-15 for up to 12 branches)."""
+    freqs = np.asarray(freqs, dtype=float)
+    n = freqs.shape[-1]
+    widths = config.linewidths
+    if len(widths) not in (1, n):
+        raise ValueError(
+            f"{len(widths)} linewidths for {n} branches; give one or {n}")
+    width2 = (widths * widths)[:, None]
+    denom = config.frequency_grid - freqs[..., None]
+    np.multiply(denom, denom, out=denom)
+    np.add(denom, width2, out=denom)
+    weights = np.maximum(np.asarray(weights, dtype=float), 0.0)[..., None]
+    total = (weights * width2 / denom).sum(axis=-2)
+    np.subtract(1.0, total, out=total)
+    return np.clip(total, 0.0, 1.0, out=total)
 
 
 def synthesize_spectrum(solution, config):

@@ -113,6 +113,8 @@ class FitConfig:
             raise FitConfigError("eta_fixed", "must lie in [0, 1]")
         if self.restarts < 1:
             raise FitConfigError("restarts", "need at least one restart")
+        if self.seed < 0:
+            raise FitConfigError("seed", "must be a non-negative integer")
         first_probe = (3 if self.fit_eta else 2) + 1
         if self.max_evaluations < first_probe:
             raise FitConfigError(

@@ -11,6 +11,10 @@ routes.
 The branch matcher here is the greedy assignment with pairwise-swap
 refinement that sweeps once used, one grid point after the other; the
 production sweep solves every step's exact assignment at once.
+
+The spectrum reference builds its Lorentzian dips branch-minor, as a
+(..., F, n) stack summed over its short last axis; the production spectrum
+builds them branch-major and adds whole branch rows.
 """
 
 import numpy as np
@@ -162,3 +166,15 @@ def greedy_branches(freqs, fracs):
         branches[t] = freqs[t, order]
         fractions[t] = fracs[t, order]
     return branches, fractions
+
+
+def spectrum_reference(freqs, weights, config):
+    """Transmission proxy 1 - sum_k w_k L(nu; nu_k, gamma_k) clipped to
+    [0, 1], with negative weights clipped to zero: the dips of every probe
+    frequency on the last axis, reduced with numpy's sum over that axis."""
+    freqs = np.asarray(freqs, dtype=float)[..., None, :]
+    weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)[..., None, :]
+    widths = np.broadcast_to(config.linewidths, freqs.shape[-1:])
+    nu = config.frequency_grid[:, None]
+    dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
+    return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)

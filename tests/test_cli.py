@@ -310,6 +310,29 @@ def test_fit_setting_errors_name_their_line(tmp_path, capsys, peaks_csv,
     assert f"{cfg}:{lineno}: {message}" in capsys.readouterr().err
 
 
+def test_negative_seed_names_the_flag(tmp_path, capsys, peaks_csv):
+    cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path),
+                     "--peaks", peaks_csv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "ERROR 2: --seed: must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("linewidth_thz = nan", "[spectrum]: linewidths must be finite"),
+    ("linewidth_thz = inf", "[spectrum]: linewidths must be finite"),
+    ("freq_max_thz = inf", "[spectrum]: start, stop and step must be finite"),
+    ("freq_step_thz = nan", "[spectrum]: start, stop and step must be finite"),
+])
+def test_non_finite_spectrum_settings_exit_2(tmp_path, capsys, line, message):
+    key = line.split(" =")[0]
+    old = next(ln for ln in SPECTRUM_CFG.splitlines() if ln.startswith(key))
+    cfg = _write(tmp_path / "cfg.ini", SPECTRUM_CFG.replace(old, line))
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"ERROR 2: {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_fit_without_peaks_flag_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
     assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2

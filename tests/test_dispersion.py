@@ -305,6 +305,18 @@ def test_spectrum_config_validation():
                           weight_mode="bogus")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_config_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="frequency grid must be finite"):
+        mm.SpectrumConfig(frequency_grid=[0.4, bad], linewidths=0.04)
+    with pytest.raises(ValueError, match="frequency grid must be finite"):
+        mm.SpectrumConfig(frequency_grid=[bad, 0.4, 0.5], linewidths=0.04)
+    with pytest.raises(ValueError, match="linewidths must be finite"):
+        mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=bad)
+    with pytest.raises(ValueError, match="linewidths must be finite"):
+        mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=[0.04, bad])
+
+
 def test_branch_csv_layout(photon_pair, structured_coupling):
     grid = [0.4, 0.8, 1.2]
     res = mm.sweep(photon_pair, structured_coupling, grid)
@@ -383,5 +395,33 @@ def test_spectrum_rejects_linewidth_count_mismatch(photon_pair,
                                                    unstructured_coupling):
     res = mm.sweep(photon_pair, unstructured_coupling, [0.4, 0.8])
     cfg = mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        mm.spectrum_from_branches(res.branches, res.photon_fractions(), cfg)
+    weights = res.photon_fractions()
+    message = "2 linewidths for 4 branches; give one or 4"
+    with pytest.raises(ValueError, match=message):
+        mm.spectrum_from_branches(res.branches, weights, cfg)
+    with pytest.raises(ValueError, match=message):
+        mm.spectrum_from_branches(res.branches[0], weights[0], cfg)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spectrum_matches_branch_minor_reference(n):
+    rng = np.random.default_rng(7100 + n)
+    grid = 0.05 + 0.005 * np.arange(511)
+    configs = [mm.SpectrumConfig(frequency_grid=grid, linewidths=0.04),
+               mm.SpectrumConfig(frequency_grid=grid,
+                                 linewidths=rng.uniform(0.01, 0.1, n))]
+    for shape in [(n,), (30, n), (3, 10, n)]:
+        freqs = rng.uniform(0.0, 2.6, shape)
+        # negative weights must count as zero
+        weights = rng.uniform(-0.1, 1.2, shape)
+        for cfg in configs:
+            got = mm.spectrum_from_branches(freqs, weights, cfg)
+            want = oracles.spectrum_reference(freqs, weights, cfg)
+            assert got.shape == shape[:-1] + grid.shape
+            if n < 8:
+                assert np.array_equal(got, want)
+            else:
+                # numpy sums a short innermost axis of 8 or more elements
+                # pairwise, the branch-major sum adds rows in order: the
+                # same terms in another order
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)

@@ -254,8 +254,11 @@ def test_fit_config_validation():
     (dict(max_evaluations=0), "max_evaluations"),
     (dict(max_evaluations=2), "max_evaluations"),
     (dict(max_evaluations=3, fit_eta=True), "max_evaluations"),
+    # numpy's generator takes no negative seed and would fail inside fit()
+    (dict(seed=-1), "seed"),
 ], ids=["ratio_11_count", "ratio_2_count", "eta_count", "eta_below_0",
-        "eta_above_1", "budget_0", "budget_2", "budget_3_free_eta"])
+        "eta_above_1", "budget_0", "budget_2", "budget_3_free_eta",
+        "seed_negative"])
 def test_fit_config_rejects_settings_the_solver_cannot_honour(fields, field):
     with pytest.raises(mm.FitConfigError) as info:
         mm.FitConfig(**fields)
