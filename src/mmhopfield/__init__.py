@@ -11,7 +11,7 @@ measured peak positions.
 """
 
 from .bogoliubov import (EigenSolution, build_dynamical_matrix, diagonalize,
-                         hopfield_fractions, positive_frequencies)
+                         hopfield_fractions)
 from .dispersion import (DispersionFeatures, SpectrumConfig, SweepResult,
                          detect_features, spectrum_from_branches, sweep,
                          synthesize_spectrum, write_branch_csv)
@@ -19,10 +19,10 @@ from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
                      InstabilityError, NumericalError, ProfileFormatError)
 from .fit import (FitConfig, FitParams, FitResult, PeakDataset, PeakRecord,
                   fit, load_peaks, record_residuals, residual, save_peaks)
-from .model import (CODATA, CouplingSet, MaterialParams, PhotonMode,
-                    PhysicalConstants, QuadraticHamiltonian,
-                    assemble_hamiltonian, couplings_from_overlap,
-                    couplings_from_ratios, cyclotron_frequency,
+from .model import (CouplingSet, MaterialParams, PhotonMode,
+                    QuadraticHamiltonian, assemble_hamiltonian,
+                    couplings_from_overlap, couplings_from_ratios,
+                    cyclotron_frequency,
                     diamagnetic_matrix, field_for_cyclotron,
                     mode_volume_for_coupling, rabi_microscopic,
                     rescale_coupling, single_mode_coupling)
@@ -34,20 +34,20 @@ from .overlap import (DomainMask, FieldProfile, central_square_mask,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CODATA", "ConvergenceError", "CouplingSet", "DataCoverageError",
+    "ConvergenceError", "CouplingSet", "DataCoverageError",
     "DispersionFeatures", "DomainMask", "EigenSolution", "FieldProfile",
     "FitConfig", "FitConfigError", "FitParams", "FitResult",
     "InstabilityError", "MaterialParams", "NumericalError", "PeakDataset",
-    "PeakRecord", "PhotonMode", "PhysicalConstants", "ProfileFormatError",
-    "QuadraticHamiltonian", "SpectrumConfig", "SweepResult",
+    "PeakRecord", "PhotonMode", "ProfileFormatError", "QuadraticHamiltonian",
+    "SpectrumConfig", "SweepResult",
     "assemble_hamiltonian", "build_dynamical_matrix", "central_square_mask",
     "couplings_from_overlap", "couplings_from_ratios", "cyclotron_frequency",
     "detect_features", "diagonalize", "diamagnetic_matrix",
     "effective_mode_volume", "field_for_cyclotron", "fit", "full_mask",
     "hopfield_fractions", "load_mask", "load_peaks", "load_profile",
     "mode_volume_for_coupling", "overlap_integral", "overlap_parameter",
-    "positive_frequencies", "rabi_microscopic", "record_residuals",
-    "rescale_coupling", "residual", "save_mask", "save_peaks", "save_profile",
+    "rabi_microscopic", "record_residuals", "rescale_coupling", "residual",
+    "save_mask", "save_peaks", "save_profile",
     "single_mode_coupling", "spectrum_from_branches", "sweep",
     "synthesize_spectrum", "synthetic_profile", "write_branch_csv",
 ]

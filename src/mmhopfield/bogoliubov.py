@@ -106,23 +106,24 @@ def _branch_order(freqs, fractions, n_photon):
 def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
     """Polariton modes of a stack of quadratic forms.
 
-    diag_freqs (T, n) and interaction (T, n, n) are in rad/s, laid out as in
-    QuadraticHamiltonian. Returns (frequencies, vecs): frequencies (T, n) in
-    THz, ascending per row, and vecs[t, k] the unit eigenvector e_k of S at
-    frequencies[t, k], so vecs ** 2 are the bare-mode fractions. With
+    diag_freqs (T, n) and interaction (..., T, n, n) are in rad/s, laid out
+    as in QuadraticHamiltonian; leading axes stack several forms per point.
+    Returns (frequencies, vecs): frequencies (..., T, n) in THz, ascending
+    per row, and vecs[..., t, k] the unit eigenvector e_k of S at
+    frequencies[..., t, k], so vecs ** 2 are the bare-mode fractions. With
     vectors=False only eigenvalues are computed and vecs is None. eigh picks
     arbitrary vectors inside a degenerate subspace, so at points with
     frequencies degenerate within DEGENERACY_TOL the branches are reordered
     deterministically, photon-heavy (counting the first n_photon modes)
-    first. Raises InstabilityError, with the index of the first failing
+    first. Raises InstabilityError, with the flat index of the first failing
     form as its entry, unless every S is positive definite.
     """
     root = np.sqrt(diag_freqs)
     s = 2.0 * np.asarray(interaction, dtype=float)
     diag = np.arange(s.shape[-1])
-    s[:, diag, diag] += diag_freqs
-    s *= root[:, :, None]
-    s *= root[:, None, :]
+    s[..., diag, diag] += diag_freqs
+    s *= root[..., :, None]
+    s *= root[..., None, :]
     try:
         if vectors:
             squared, evecs = np.linalg.eigh(s)
@@ -131,23 +132,24 @@ def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
-    unstable = np.flatnonzero(~(squared[:, 0] > 0.0))
+    lowest = squared[..., 0].ravel()
+    unstable = np.flatnonzero(~(lowest > 0.0))
     if unstable.size:
         t = int(unstable[0])
         raise InstabilityError(
             "quadratic form is not positive definite: smallest squared "
-            f"frequency {squared[t, 0] / RAD_PER_SEC_PER_THZ ** 2:.6e} THz^2",
+            f"frequency {lowest[t] / RAD_PER_SEC_PER_THZ ** 2:.6e} THz^2",
             entry=t)
     freqs = np.sqrt(squared) / RAD_PER_SEC_PER_THZ
     if evecs is None:
         return freqs, None
 
-    vecs = np.swapaxes(evecs, 1, 2)
-    degenerate = np.diff(freqs, axis=1) <= DEGENERACY_TOL * freqs[:, 1:]
-    for t in np.flatnonzero(degenerate.any(axis=1)):
+    vecs = np.swapaxes(evecs, -1, -2)
+    degenerate = np.diff(freqs, axis=-1) <= DEGENERACY_TOL * freqs[..., 1:]
+    for t in zip(*np.nonzero(degenerate.any(axis=-1))):
         order = _branch_order(freqs[t], vecs[t] ** 2, n_photon)
-        freqs[t] = freqs[t, order]
-        vecs[t] = vecs[t, order]
+        freqs[t] = freqs[t][order]
+        vecs[t] = vecs[t][order]
     return freqs, vecs
 
 
@@ -172,12 +174,3 @@ def hopfield_fractions(solution):
         raise NumericalError(
             f"symplectic normalization violated: row sums {sums}")
     return fractions
-
-
-def positive_frequencies(hams):
-    """Positive eigenfrequencies (THz, sorted per row) of a batch of
-    Hamiltonians of equal size; no eigenvectors."""
-    freqs, _ = normal_modes(np.stack([h.diag_freqs for h in hams]),
-                            np.stack([h.interaction for h in hams]),
-                            hams[0].n_photon, vectors=False)
-    return freqs

@@ -143,9 +143,9 @@ class _Config:
 def _load_photons(cfg, volumes=None):
     cfg.require("photon_modes")
     freqs = cfg.get_floats("photon_modes", "frequencies_thz")
-    if any(f <= 0.0 for f in freqs):
+    if not all(0.0 < f < math.inf for f in freqs):
         raise _cfg_error(cfg.path, "photon_modes", "frequencies_thz",
-                         "frequencies must be positive")
+                         "frequencies must be finite and positive")
     labels = [""] * len(freqs)
     if cfg.has("photon_modes", "labels"):
         labels = [c.strip() for c in cfg.get("photon_modes", "labels").split(",")]
@@ -194,15 +194,16 @@ def _load_coupling(cfg):
         ratio_11 = cfg.get_float("coupling", "ratio_11")
         ratio_2 = cfg.get_float("coupling", "ratio_2_tilde")
         for key, ratio in (("ratio_11", ratio_11), ("ratio_2_tilde", ratio_2)):
-            if ratio < 0.0:
+            if not 0.0 <= ratio < math.inf:
                 raise _cfg_error(cfg.path, "coupling", key,
-                                 "ratios must be non-negative")
+                                 "ratios must be non-negative" if ratio < 0.0
+                                 else "ratios must be finite")
         return photons, model.couplings_from_ratios(photons, ratio_11, ratio_2, eta)
 
     volumes = cfg.get_floats("coupling", "mode_volumes_m3")
-    if any(v <= 0.0 for v in volumes):
+    if not all(0.0 < v < math.inf for v in volumes):
         raise _cfg_error(cfg.path, "coupling", "mode_volumes_m3",
-                         "volumes must be positive")
+                         "volumes must be finite and positive")
     photons = _load_photons(cfg, volumes=volumes)
     if len(photons) != 2 or len(volumes) != 2:
         raise _cfg_error(cfg.path, "coupling", "mode_volumes_m3",
@@ -386,9 +387,7 @@ def _run_fit(args):
     coupling = model.couplings_from_ratios(photons, result.omega_r_11 / w1,
                                            result.omega_r_2_tilde / w2,
                                            result.eta)
-    back_21 = coupling.rabi[1, 0] / math.sqrt(
-        photons[0].frequency / photons[1].frequency)
-    back_22 = coupling.rabi[1, 1] / math.sqrt(
+    back_21, back_22 = coupling.rabi[1] / math.sqrt(
         photons[0].frequency / photons[1].frequency)
 
     os.makedirs(args.out, exist_ok=True)
@@ -436,6 +435,9 @@ def _run_overlap(args):
         cfg = _Config(args.config)
         if cfg.has("overlap", "physical_volumes_m3"):
             volumes = cfg.get_floats("overlap", "physical_volumes_m3")
+            if not all(0.0 < v < math.inf for v in volumes):
+                raise _cfg_error(cfg.path, "overlap", "physical_volumes_m3",
+                                 "volumes must be finite and positive")
             if len(volumes) != len(profiles):
                 raise _cfg_error(cfg.path, "overlap", "physical_volumes_m3",
                                  f"{len(volumes)} volumes for "
@@ -476,9 +478,9 @@ def _build_parser():
         cmd.add_argument("--config", required=(name != "overlap"),
                          help="INI config file")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="random seed for fit restarts")
         if name == "fit":
+            cmd.add_argument("--seed", type=int, default=0,
+                             help="random seed for fit restarts")
             cmd.add_argument("--peaks", help="peak-list CSV")
         if name == "overlap":
             cmd.add_argument("--profiles", nargs="+",

@@ -175,8 +175,10 @@ def sweep(photons, coupling, nu_c_grid):
         raise ValueError("nu_c grid must be strictly ascending")
 
     try:
-        freqs, vecs = normal_modes(*assemble_batch(photons, grid, coupling),
-                                   coupling.n_photon)
+        freqs, vecs = normal_modes(
+            *assemble_batch(photons, grid, coupling.rabi,
+                            coupling.reference_cyclotron),
+            coupling.n_photon)
     except InstabilityError as exc:
         raise InstabilityError(f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
                                entry=exc.entry) from exc

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+import math
 
 import numpy as np
 
 from .bogoliubov import normal_modes
 from .errors import (DataCoverageError, FitConfigError, InstabilityError,
                      ProfileFormatError)
-from .model import assemble_batch, couplings_from_ratios
+from .model import assemble_batch, strengths_from_ratios, two_mode_rabi
 from .overlap import read_ascii
 
 MAX_ASSIGNED_PEAKS = 5
@@ -39,13 +40,13 @@ class PeakRecord:
     peaks: tuple
 
     def __post_init__(self):
-        if self.nu_c < 0.0:
-            raise ValueError("nu_c must be non-negative")
+        if not 0.0 <= self.nu_c < math.inf:
+            raise ValueError("nu_c must be finite and non-negative")
         peaks = tuple(float(p) for p in self.peaks)
         if len(peaks) == 0:
             raise ValueError(f"record at nu_c = {self.nu_c} THz has no peaks")
-        if any(p <= 0.0 for p in peaks):
-            raise ValueError("peak frequencies must be positive")
+        if not all(0.0 < p < math.inf for p in peaks):
+            raise ValueError("peak frequencies must be finite and positive")
         if any(b <= a for a, b in zip(peaks, peaks[1:])):
             raise ValueError("peaks must be strictly ascending")
         object.__setattr__(self, "peaks", peaks)
@@ -80,7 +81,8 @@ class FitParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2. eta is held
+    """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2, finite and
+    non-negative (the frequencies are even in each coupling). eta is held
     at eta_fixed unless fit_eta is set, in which case it moves inside
     eta_bounds, a part of [0, 1]. A restart has converged once its step
     falls below xatol in units of each parameter's bound width; it may
@@ -107,6 +109,8 @@ class FitConfig:
             lo, hi = bounds
             if not lo < hi:
                 raise FitConfigError(name, "must satisfy lo < hi")
+            if name != "eta_bounds" and (lo < 0.0 or hi == math.inf):
+                raise FitConfigError(name, "must be finite and non-negative")
         if self.eta_bounds[0] < 0.0 or self.eta_bounds[1] > 1.0:
             raise FitConfigError("eta_bounds", "must lie within [0, 1]")
         if not 0.0 <= self.eta_fixed <= 1.0:
@@ -185,14 +189,14 @@ class _Misfit:
 
     def frequencies(self, sets):
         """Branch frequencies (K, T, n) of K parameter sets at every record,
-        from one stacked eigensolve."""
-        forms = [assemble_batch(self.photons, self.nu_c,
-                                couplings_from_ratios(self.photons, *row))
-                 for row in sets.tolist()]
+        from one stacked assembly and eigensolve."""
+        rabi = two_mode_rabi(strengths_from_ratios(self.photons, sets[:, :2]),
+                             sets[:, 2])
         try:
-            freqs, _ = normal_modes(np.concatenate([f for f, _ in forms]),
-                                    np.concatenate([g for _, g in forms]),
-                                    len(self.photons), vectors=False)
+            freqs, _ = normal_modes(
+                *assemble_batch(self.photons, self.nu_c, rabi,
+                                self.photons[0].frequency),
+                len(self.photons), vectors=False)
         except InstabilityError as exc:
             k, t = divmod(exc.entry, len(self.nu_c))
             ratio_11, ratio_2, eta = sets[k]
@@ -201,7 +205,7 @@ class _Misfit:
                 f"{ratio_2 * self.photons[1].omega:.6e} rad/s, eta = "
                 f"{eta:.4f}, at nu_c = {self.nu_c[t]:.6g} THz: {exc}",
                 entry=t) from exc
-        return freqs.reshape(len(sets), len(self.nu_c), -1)
+        return freqs
 
     def assign(self, freqs):
         """Optimal assignment for each of K stacked branch sets: the squared

@@ -27,7 +27,6 @@ import numpy as np
 ELEMENTARY_CHARGE = 1.602176634e-19     # C (exact)
 ELECTRON_MASS = 9.1093837015e-31        # kg
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
-REDUCED_PLANCK = 1.054571817e-34        # J s
 
 RAD_PER_SEC_PER_THZ = 2.0 * math.pi * 1e12
 
@@ -41,25 +40,6 @@ def _frozen_array(obj, name, value, dtype=float):
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed CODATA constants; not meant to be overridden."""
-
-    elementary_charge: float = ELEMENTARY_CHARGE
-    electron_mass: float = ELECTRON_MASS
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
-    reduced_planck: float = REDUCED_PLANCK
-
-    def __post_init__(self):
-        for name in ("elementary_charge", "electron_mass",
-                     "vacuum_permittivity", "reduced_planck"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
-CODATA = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -105,10 +85,11 @@ class PhotonMode:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("mode index must be >= 1")
-        if self.frequency <= 0.0:
-            raise ValueError("photon frequency must be positive")
-        if self.effective_mode_volume is not None and self.effective_mode_volume <= 0.0:
-            raise ValueError("effective mode volume must be positive")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError("photon frequency must be finite and positive")
+        if (self.effective_mode_volume is not None
+                and not 0.0 < self.effective_mode_volume < math.inf):
+            raise ValueError("effective mode volume must be finite and positive")
 
     @property
     def omega(self):
@@ -121,27 +102,20 @@ class CouplingSet:
     """Rabi couplings W[nu, mu] (rad/s) between photon mode nu and matter
     mode mu, quoted at cyclotron frequency reference_cyclotron (THz).
 
-    In the canonical basis the matrix is lower triangular: the second matter
-    mode is constructed orthogonal to the first, so W[0, 1] = 0. overlap is
-    the spatial overlap parameter eta that splits the second-row coupling.
+    W is square. In the canonical basis it is lower triangular: the second
+    matter mode is constructed orthogonal to the first, so W[0, 1] = 0.
+    overlap is the spatial overlap parameter eta that splits the second-row
+    coupling.
     """
 
-    n_photon: int
-    n_matter: int
     rabi: np.ndarray
     overlap: float
     reference_cyclotron: float
 
     def __post_init__(self):
-        if self.n_photon < 1:
-            raise ValueError("need at least one photon mode")
-        if self.n_matter != self.n_photon:
-            raise ValueError("matter mode count must equal photon mode count")
         rabi = _frozen_array(self, "rabi", self.rabi)
-        if rabi.shape != (self.n_photon, self.n_matter):
-            raise ValueError(
-                f"rabi shape {rabi.shape} does not match "
-                f"({self.n_photon}, {self.n_matter})")
+        if rabi.ndim != 2 or rabi.shape[0] != rabi.shape[1] or rabi.size == 0:
+            raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
         if not np.all(np.isfinite(rabi)):
             raise ValueError("rabi entries must be finite")
         if np.any(rabi < 0.0):
@@ -150,6 +124,11 @@ class CouplingSet:
             raise ValueError("overlap must lie in [0, 1]")
         if not np.isfinite(self.reference_cyclotron) or self.reference_cyclotron < 0.0:
             raise ValueError("reference_cyclotron must be non-negative")
+
+    @property
+    def n_photon(self):
+        """Number of photon modes, and of matter modes."""
+        return self.rabi.shape[0]
 
 
 @dataclass(frozen=True)
@@ -205,55 +184,64 @@ def field_for_cyclotron(nu_c, material=MaterialParams()):
     return 2.0 * math.pi * material.effective_mass * nu_c * 1e12 / ELEMENTARY_CHARGE
 
 
-def couplings_from_overlap(omega_r_11, omega_r_2_tilde, eta, reference_cyclotron):
-    """Two-mode coupling set from the overlap decomposition.
+def two_mode_rabi(strengths, eta):
+    """Two-mode Rabi matrices W = diag(strengths) F(eta), shape (..., 2, 2),
+    with the overlap factor F = [[1, 0], [eta, sqrt(1 - eta^2)]].
 
-    The second photon mode couples to the full cyclotron excitation of its
-    own near field with strength omega_r_2_tilde (rad/s); the overlap eta
-    with the first mode's matter excitation splits it as
-
-        W[1, 0] = eta * omega_r_2_tilde,
-        W[1, 1] = sqrt(1 - eta^2) * omega_r_2_tilde,
-
-    so that W[1, 0]^2 + W[1, 1]^2 = omega_r_2_tilde^2. Both coupling inputs
-    are quoted at reference_cyclotron (THz).
+    strengths (..., 2) are (omega_r_11, omega_r_2_tilde) in rad/s and eta
+    (...) the overlap in [0, 1]; leading axes broadcast. The second photon
+    mode couples to the full cyclotron excitation of its own near field,
+    which eta splits so that W[1, 0]^2 + W[1, 1]^2 = omega_r_2_tilde^2.
     """
-    if omega_r_11 < 0.0 or omega_r_2_tilde < 0.0:
-        raise ValueError("Rabi couplings must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    rabi = np.array([
-        [omega_r_11, 0.0],
-        [eta * omega_r_2_tilde, math.sqrt(1.0 - eta * eta) * omega_r_2_tilde],
-    ])
-    return CouplingSet(n_photon=2, n_matter=2, rabi=rabi, overlap=eta,
-                       reference_cyclotron=reference_cyclotron)
+    eta = np.asarray(eta, dtype=float)
+    factor = np.zeros(eta.shape + (2, 2))
+    factor[..., 0, 0] = 1.0
+    factor[..., 1, 0] = eta
+    factor[..., 1, 1] = np.sqrt(1.0 - eta * eta)
+    return np.asarray(strengths, dtype=float)[..., :, None] * factor
 
 
-def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
-    """Coupling set from normalized ratios quoted at the respective resonance.
-
-    ratio_11 = W_11 / w_1 at nu_c = nu_1 and ratio_2_tilde = Wt_2 / w_2 at
-    nu_c = nu_2, the convention in which fitted couplings are reported. The
-    returned set is stored at the common reference nu_1; the second row picks
-    up sqrt(nu_1 / nu_2) from the sqrt(w_c) scaling law.
-    """
+def strengths_from_ratios(photons, ratios):
+    """Strengths (omega_r_11, omega_r_2_tilde) in rad/s, quoted at nu_c =
+    nu_1, of the ratios (..., 2) = (W_11 / w_1 at nu_1, Wt_2 / w_2 at nu_2)
+    that fits report; the second picks up sqrt(nu_1 / nu_2) from the
+    sqrt(w_c) scaling law."""
     if len(photons) != 2:
         raise ValueError("ratio constructor expects exactly two photon modes")
     nu1, nu2 = photons[0].frequency, photons[1].frequency
-    w11 = ratio_11 * photons[0].omega
-    wt2 = ratio_2_tilde * photons[1].omega * math.sqrt(nu1 / nu2)
-    return couplings_from_overlap(w11, wt2, eta, reference_cyclotron=nu1)
+    return (np.asarray(ratios, dtype=float)
+            * [photons[0].omega, photons[1].omega]
+            * [1.0, math.sqrt(nu1 / nu2)])
+
+
+def couplings_from_overlap(omega_r_11, omega_r_2_tilde, eta, reference_cyclotron):
+    """Two-mode coupling set of two_mode_rabi: strengths omega_r_11 and
+    omega_r_2_tilde (rad/s) split by the overlap eta, both quoted at
+    reference_cyclotron (THz)."""
+    for strength in (omega_r_11, omega_r_2_tilde):
+        if not 0.0 <= strength < math.inf:
+            raise ValueError("Rabi couplings must be finite and non-negative")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    return CouplingSet(rabi=two_mode_rabi([omega_r_11, omega_r_2_tilde], eta),
+                       overlap=eta, reference_cyclotron=reference_cyclotron)
+
+
+def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
+    """Coupling set from normalized ratios quoted at the respective resonance
+    (see strengths_from_ratios), stored at the common reference nu_1."""
+    w11, wt2 = strengths_from_ratios(photons, [ratio_11, ratio_2_tilde]).tolist()
+    return couplings_from_overlap(w11, wt2, eta,
+                                  reference_cyclotron=photons[0].frequency)
 
 
 def single_mode_coupling(photon, ratio):
     """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency."""
-    rabi = np.array([[ratio * photon.omega]])
-    return CouplingSet(n_photon=1, n_matter=1, rabi=rabi, overlap=1.0,
+    return CouplingSet(rabi=[[ratio * photon.omega]], overlap=1.0,
                        reference_cyclotron=photon.frequency)
 
 
-def rabi_microscopic(mode, material, nu_c, constants=CODATA):
+def rabi_microscopic(mode, material, nu_c):
     """Microscopic vacuum Rabi frequency (rad/s) of one photon mode.
 
         W = sqrt( w_c n_qw rho e^2 / (2 m* eps0 eps_r w_nu V_nu) )
@@ -265,14 +253,14 @@ def rabi_microscopic(mode, material, nu_c, constants=CODATA):
         raise ValueError(f"photon mode {mode.index} has no effective mode volume")
     w_c = nu_c * RAD_PER_SEC_PER_THZ
     num = (w_c * material.qw_count * material.sheet_density
-           * constants.elementary_charge ** 2)
-    den = (2.0 * material.effective_mass * constants.vacuum_permittivity
+           * ELEMENTARY_CHARGE ** 2)
+    den = (2.0 * material.effective_mass * VACUUM_PERMITTIVITY
            * material.background_permittivity * mode.omega
            * mode.effective_mode_volume)
     return math.sqrt(num / den)
 
 
-def mode_volume_for_coupling(mode, material, nu_c, omega_r, constants=CODATA):
+def mode_volume_for_coupling(mode, material, nu_c, omega_r):
     """Effective mode volume (m^3) that reproduces Rabi coupling omega_r at
     cyclotron frequency nu_c. Inverse of rabi_microscopic."""
     if nu_c <= 0.0:
@@ -281,8 +269,8 @@ def mode_volume_for_coupling(mode, material, nu_c, omega_r, constants=CODATA):
         raise ValueError("omega_r must be positive")
     w_c = nu_c * RAD_PER_SEC_PER_THZ
     num = (w_c * material.qw_count * material.sheet_density
-           * constants.elementary_charge ** 2)
-    den = (2.0 * material.effective_mass * constants.vacuum_permittivity
+           * ELEMENTARY_CHARGE ** 2)
+    den = (2.0 * material.effective_mass * VACUUM_PERMITTIVITY
            * material.background_permittivity * mode.omega)
     return num / den / omega_r ** 2
 
@@ -298,9 +286,15 @@ def rescale_coupling(coupling, nu_c):
     if coupling.reference_cyclotron <= 0.0:
         raise ValueError("coupling set has no positive reference cyclotron frequency")
     factor = math.sqrt(nu_c / coupling.reference_cyclotron)
-    return CouplingSet(n_photon=coupling.n_photon, n_matter=coupling.n_matter,
-                       rabi=coupling.rabi * factor, overlap=coupling.overlap,
+    return CouplingSet(rabi=coupling.rabi * factor, overlap=coupling.overlap,
                        reference_cyclotron=nu_c)
+
+
+def _gram(rabi, w_c):
+    """W W^T / w_c of each matrix in a stack of Rabi matrices (..., N, N)."""
+    gram = rabi @ np.swapaxes(rabi, -1, -2) / w_c
+    # BLAS products are not bit-exactly symmetric; the assembled form must be
+    return 0.5 * (gram + np.swapaxes(gram, -1, -2))
 
 
 def diamagnetic_matrix(coupling, nu_c):
@@ -313,59 +307,60 @@ def diamagnetic_matrix(coupling, nu_c):
     if nu_c <= 0.0:
         raise ValueError("nu_c must be positive; use the reference-quoted "
                          "couplings for the zero-field limit")
-    w_c = nu_c * RAD_PER_SEC_PER_THZ
-    gram = coupling.rabi @ coupling.rabi.T / w_c
-    # BLAS products are not bit-exactly symmetric; the assembled form must be
-    return 0.5 * (gram + gram.T)
+    return _gram(coupling.rabi, nu_c * RAD_PER_SEC_PER_THZ)
 
 
-def assemble_batch(photons, nu_c_values, coupling):
+def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
     """Quadratic forms of the coupled system on a grid of cyclotron
-    frequencies (THz), with couplings rescaled from their reference by
-    sqrt(w_c).
+    frequencies (THz), for one Rabi matrix or a stack of them.
 
-    Returns the stacked bare angular frequencies, shape (T, n), and
-    interaction matrices G, shape (T, n, n), in the layout of
-    QuadraticHamiltonian, for n = n_photon + n_matter and T grid points.
+    rabi (..., N, N) holds Rabi matrices W (rad/s) quoted at
+    reference_cyclotron (THz), as CouplingSet.rabi, with N the number of
+    photon modes; each is rescaled from the reference by sqrt(w_c). Returns
+    the bare angular frequencies, shape (T, n), shared by every matrix of
+    the stack, and the interaction matrices G, shape (..., T, n, n), in the
+    layout of QuadraticHamiltonian, for n = 2 N and T grid points.
 
     The diamagnetic block is evaluated in its nu_c-independent closed form
     from the reference-quoted couplings, so nu_c = 0 is legal: the matter
     oscillators then sit at the MATTER_FREQ_FLOOR_THZ regularization floor
     with vanishing Rabi coupling while the diamagnetic blue shift survives.
     """
-    if len(photons) != coupling.n_photon:
+    rabi = np.asarray(rabi, dtype=float)
+    n_ph = len(photons)
+    if rabi.shape[-2:] != (n_ph, n_ph):
         raise ValueError(
-            f"{len(photons)} photon modes but coupling set has {coupling.n_photon}")
+            f"{n_ph} photon modes but Rabi matrices of shape {rabi.shape[-2:]}")
     nu_c = np.asarray(nu_c_values, dtype=float)
     if nu_c.ndim != 1:
         raise ValueError("nu_c values must form a one-dimensional grid")
     if not np.all(np.isfinite(nu_c)) or np.any(nu_c < 0.0):
         raise ValueError("nu_c must be finite and non-negative")
-    if coupling.reference_cyclotron <= 0.0:
+    if not reference_cyclotron > 0.0:
         raise ValueError(
             "coupling set has no positive reference cyclotron frequency")
-    blueshift = diamagnetic_matrix(coupling, coupling.reference_cyclotron)
-    rabi = (coupling.rabi[None]
-            * np.sqrt(nu_c / coupling.reference_cyclotron)[:, None, None])
+    blueshift = _gram(rabi, reference_cyclotron * RAD_PER_SEC_PER_THZ)
+    scaled = (rabi[..., None, :, :]
+              * np.sqrt(nu_c / reference_cyclotron)[:, None, None])
 
-    n_ph = coupling.n_photon
-    n = n_ph + coupling.n_matter
+    n = 2 * n_ph
     freqs = np.empty((len(nu_c), n))
     freqs[:, :n_ph] = [m.omega for m in photons]
     freqs[:, n_ph:] = (np.maximum(nu_c, MATTER_FREQ_FLOOR_THZ)
                        * RAD_PER_SEC_PER_THZ)[:, None]
 
-    inter = np.zeros((len(nu_c), n, n))
-    inter[:, :n_ph, :n_ph] = 2.0 * blueshift
-    inter[:, :n_ph, n_ph:] = rabi
-    inter[:, n_ph:, :n_ph] = np.swapaxes(rabi, 1, 2)
+    inter = np.zeros(scaled.shape[:-2] + (n, n))
+    inter[..., :n_ph, :n_ph] = 2.0 * blueshift[..., None, :, :]
+    inter[..., :n_ph, n_ph:] = scaled
+    inter[..., n_ph:, :n_ph] = np.swapaxes(scaled, -1, -2)
     return freqs, inter
 
 
 def assemble_hamiltonian(photons, nu_c, coupling):
     """Quadratic Hamiltonian of the coupled system at one cyclotron
     frequency nu_c (THz); the single-point case of assemble_batch."""
-    freqs, inter = assemble_batch(photons, [nu_c], coupling)
+    freqs, inter = assemble_batch(photons, [nu_c], coupling.rabi,
+                                  coupling.reference_cyclotron)
     return QuadraticHamiltonian(n_photon=coupling.n_photon,
-                                n_matter=coupling.n_matter,
+                                n_matter=coupling.n_photon,
                                 diag_freqs=freqs[0], interaction=inter[0])

@@ -107,8 +107,8 @@ def effective_mode_volume(f, mask, physical_volume):
     The self-overlap is taken in the same units the profile is normalized
     in; a profile with unit self-overlap returns physical_volume unchanged.
     """
-    if physical_volume <= 0.0:
-        raise ValueError("physical volume must be positive")
+    if not 0.0 < physical_volume < math.inf:
+        raise ValueError("physical volume must be finite and positive")
     f_self = overlap_integral(f, f, mask).real
     if f_self <= 0.0:
         raise ValueError("profile vanishes on the mask; mode volume undefined")

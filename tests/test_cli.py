@@ -333,6 +333,71 @@ def test_non_finite_spectrum_settings_exit_2(tmp_path, capsys, line, message):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("frequencies_thz = nan, 1.6",
+     "[photon_modes] frequencies_thz: frequencies must be finite and positive"),
+    ("frequencies_thz = 0.8, inf",
+     "[photon_modes] frequencies_thz: frequencies must be finite and positive"),
+    ("ratio_11 = nan", "[coupling] ratio_11: ratios must be finite"),
+    ("ratio_2_tilde = inf", "[coupling] ratio_2_tilde: ratios must be finite"),
+    ("mode_volumes_m3 = nan, 1e-17",
+     "[coupling] mode_volumes_m3: volumes must be finite and positive"),
+])
+def test_non_finite_coupling_settings_name_their_line(tmp_path, capsys, line,
+                                                      message):
+    key = line.split(" =")[0]
+    if key == "mode_volumes_m3":  # the microscopic route replaces the ratios
+        text = (SWEEP_CFG.replace("ratio_11 = 0.37\n", "")
+                .replace("ratio_2_tilde = 0.2124026\n", line + "\n"))
+    else:
+        old = next(ln for ln in SWEEP_CFG.splitlines() if ln.startswith(key))
+        text = SWEEP_CFG.replace(old, line)
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(line) + 1
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"ERROR 2: {cfg}:{lineno}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "branches.csv").exists()
+
+
+@pytest.mark.parametrize("volumes", ["1e-18, nan", "1e-18, inf", "-1e-18, 1e-18"])
+def test_bad_physical_volumes_name_their_line(tmp_path, capsys, lc_profile,
+                                              dipolar_profile, volumes):
+    pa, pb = tmp_path / "lc.dat", tmp_path / "dipolar.dat"
+    overlap.save_profile(str(pa), lc_profile)
+    overlap.save_profile(str(pb), dipolar_profile)
+    cfg = _write(tmp_path / "cfg.ini",
+                 f"[overlap]\nphysical_volumes_m3 = {volumes}\n")
+    rc = cli.main(["overlap", "--config", cfg, "--profiles", str(pa), str(pb),
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert (f"ERROR 2: {cfg}:2: [overlap] physical_volumes_m3: volumes must "
+            f"be finite and positive") in capsys.readouterr().err
+    assert not (tmp_path / "overlap.json").exists()
+
+
+@pytest.mark.parametrize("row", ["nan,0.7,1.2", "0.9,nan,1.2", "0.9,0.7,inf"])
+def test_non_finite_peak_cell_names_its_line(tmp_path, capsys, row):
+    cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
+    peaks = _write(tmp_path / "peaks.csv",
+                   "nu_c_THz,peak1_THz,peak2_THz\n0.4,0.5,1.1\n" + row + "\n"
+                   "1.8,0.9,1.7\n")
+    rc = cli.main(["fit", "--config", cfg, "--out", str(tmp_path),
+                   "--peaks", peaks])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR 2: {peaks}:3: ") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectrum", "overlap"])
+def test_seed_is_a_fit_option_only(tmp_path, capsys, command):
+    cfg = _write(tmp_path / "cfg.ini", SPECTRUM_CFG)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--config", cfg, "--out", str(tmp_path),
+                  "--seed", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
 def test_fit_without_peaks_flag_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
     assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2

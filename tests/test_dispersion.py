@@ -67,8 +67,8 @@ def _three_mode_set(pair):
     omegas = np.array([m.omega for m in photons])
     rabi = np.tril(rng.uniform(0.0, 0.5, (3, 3))) * omegas[:, None]
     rabi[:, 2] = 0.0  # a dark nu = nu_c line crosses every branch
-    return photons, mm.CouplingSet(n_photon=3, n_matter=3, rabi=rabi,
-                                   overlap=1.0, reference_cyclotron=1.0)
+    return photons, mm.CouplingSet(rabi=rabi, overlap=1.0,
+                                   reference_cyclotron=1.0)
 
 
 MATCH_CASES = {
@@ -92,8 +92,10 @@ def test_sweep_matches_greedy_reference(case, photon_pair, full_grid):
     # assignment must reproduce it bit for bit
     photons, coupling = MATCH_CASES[case](photon_pair)
     res = mm.sweep(photons, coupling, full_grid)
-    freqs, vecs = normal_modes(*assemble_batch(photons, full_grid, coupling),
-                               coupling.n_photon)
+    freqs, vecs = normal_modes(
+        *assemble_batch(photons, full_grid, coupling.rabi,
+                        coupling.reference_cyclotron),
+        coupling.n_photon)
     branches, fractions = oracles.greedy_branches(freqs, vecs ** 2)
     assert np.array_equal(res.branches, branches)
     assert np.array_equal(res.fractions, fractions)
@@ -246,8 +248,8 @@ def test_instability_error_names_grid_point(photon_pair,
 
     real_assembly = disp.assemble_batch
 
-    def unstable_at_second_point(photons, grid, coupling):
-        freqs, inter = real_assembly(photons, grid, coupling)
+    def unstable_at_second_point(photons, grid, rabi, reference_cyclotron):
+        freqs, inter = real_assembly(photons, grid, rabi, reference_cyclotron)
         inter[1, 0, 0] = -freqs[1, 0]
         return freqs, inter
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import mmhopfield as mm
+from mmhopfield.bogoliubov import normal_modes
 from mmhopfield.fit import _assignment_cost, _Misfit
+from mmhopfield.model import assemble_batch
 
 TRUE_RATIO_11 = 0.37
 TRUE_RATIO_2 = 0.2124026
@@ -108,10 +110,12 @@ def test_instability_error_names_parameters_and_record(photon_pair,
     fit_module = sys.modules["mmhopfield.fit"]
     real_assembly = fit_module.assemble_batch
 
-    def unstable_eta_half(photons, grid, coupling):
-        freqs, inter = real_assembly(photons, grid, coupling)
-        if coupling.overlap == 0.5:
-            inter[1, 0, 0] = -freqs[1, 0]
+    def unstable_eta_half(photons, grid, rabi, reference_cyclotron):
+        freqs, inter = real_assembly(photons, grid, rabi, reference_cyclotron)
+        # rabi[k, 1, 0] = eta Wt_2, so this picks the eta = 0.5 set
+        eta_half = np.isclose(rabi[:, 1, 0] / np.hypot(rabi[:, 1, 0],
+                                                       rabi[:, 1, 1]), 0.5)
+        inter[eta_half, 1, 0, 0] = -freqs[1, 0]
         return freqs, inter
 
     monkeypatch.setattr(fit_module, "assemble_batch", unstable_eta_half)
@@ -123,6 +127,36 @@ def test_instability_error_names_parameters_and_record(photon_pair,
                              r"nu_c = 0\.6 THz: .*smallest squared") as err:
         misfit.frequencies(np.array([[0.37, 0.2, 0.15], [0.37, 0.2, 0.5]]))
     assert err.value.entry == 1
+
+
+def test_stacked_frequencies_equal_separate_sweeps(photon_pair):
+    # eta = 0 and 1, zero couplings, and a set on the default bounds
+    sets = np.array([[TRUE_RATIO_11, TRUE_RATIO_2, TRUE_ETA],
+                     [0.37, 0.21, 0.0], [0.28, 0.14, 1.0], [0.0, 0.0, 0.5],
+                     [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    data = _synthetic_dataset(photon_pair, n_points=12, keep=slice(0, 4, 3))
+    stacked = _Misfit(data, photon_pair).frequencies(sets)
+    assert stacked.shape == (len(sets), 12, 4)
+    for k, row in enumerate(sets.tolist()):
+        coupling = mm.couplings_from_ratios(photon_pair, *row)
+        # the eigenvalue-only solve of one validated coupling set, bit for bit
+        alone, _ = normal_modes(
+            *assemble_batch(photon_pair, data.nu_c_values, coupling.rabi,
+                            coupling.reference_cyclotron),
+            2, vectors=False)
+        assert np.array_equal(stacked[k], alone)
+        # a sweep's eigh (with vectors) rounds apart from eigvalsh by ~1e-15
+        swept = mm.sweep(photon_pair, coupling, data.nu_c_values)
+        np.testing.assert_allclose(stacked[k], np.sort(swept.branches, axis=1),
+                                   rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("nu_c, peaks", [
+    (float("nan"), (1.0,)), (float("inf"), (1.0,)),
+    (0.5, (float("nan"),)), (0.5, (0.7, float("inf")))])
+def test_peak_record_rejects_non_finite_values(nu_c, peaks):
+    with pytest.raises(ValueError, match="must be finite"):
+        mm.PeakRecord(nu_c=nu_c, peaks=peaks)
 
 
 def test_coverage_requires_enough_records(photon_pair):
@@ -264,6 +298,18 @@ def test_fit_config_rejects_settings_the_solver_cannot_honour(fields, field):
         mm.FitConfig(**fields)
     assert info.value.field == field
     assert str(info.value).startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize("fields, field", [
+    (dict(ratio_11_bounds=(-0.5, 0.8)), "ratio_11_bounds"),
+    (dict(ratio_2_bounds=(0.0, float("inf"))), "ratio_2_bounds"),
+    (dict(ratio_11_bounds=(-float("inf"), 0.8)), "ratio_11_bounds")])
+def test_fit_config_rejects_negative_or_infinite_ratio_bounds(fields, field):
+    # the stacked misfit builds no validated coupling set per trial point,
+    # so a bound that would reach one is rejected here
+    with pytest.raises(mm.FitConfigError, match="finite and non-negative") as info:
+        mm.FitConfig(**fields)
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize("fit_eta", [False, True])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import mmhopfield as mm
-from mmhopfield.model import RAD_PER_SEC_PER_THZ
+from mmhopfield.model import (RAD_PER_SEC_PER_THZ, strengths_from_ratios,
+                              two_mode_rabi)
 
 import oracles
 
@@ -98,8 +99,7 @@ def test_rescale_to_zero_field(photon_pair):
 def test_diamagnetic_shared_matter_mode_cross_term():
     a, b = 1.3e12, 0.4e12
     rabi = np.array([[a, 0.0], [b, 0.0]])
-    c = mm.CouplingSet(n_photon=2, n_matter=2, rabi=rabi, overlap=1.0,
-                       reference_cyclotron=0.9)
+    c = mm.CouplingSet(rabi=rabi, overlap=1.0, reference_cyclotron=0.9)
     h = mm.diamagnetic_matrix(c, 0.9)
     w_c = 0.9 * RAD_PER_SEC_PER_THZ
     assert h[0, 1] == pytest.approx(a * b / w_c, rel=1e-14)
@@ -184,8 +184,7 @@ def test_assemble_photon_order_permutation(photon_pair):
 
     swapped_photons = [mm.PhotonMode(index=1, frequency=1.6),
                        mm.PhotonMode(index=2, frequency=0.8)]
-    swapped = mm.CouplingSet(n_photon=2, n_matter=2,
-                             rabi=c.rabi[::-1].copy(), overlap=c.overlap,
+    swapped = mm.CouplingSet(rabi=c.rabi[::-1].copy(), overlap=c.overlap,
                              reference_cyclotron=c.reference_cyclotron)
     ham_swapped = mm.assemble_hamiltonian(swapped_photons, 0.9, swapped)
 
@@ -194,6 +193,44 @@ def test_assemble_photon_order_permutation(photon_pair):
                                ham.diag_freqs[perm], rtol=1e-15)
     np.testing.assert_allclose(ham_swapped.interaction,
                                ham.interaction[np.ix_(perm, perm)], rtol=1e-12)
+
+
+def test_two_mode_rabi_equals_scalar_formula(photon_pair):
+    rng = np.random.default_rng(5)
+    ratios = rng.uniform(0.0, 1.5, (40, 2))
+    ratios[:2] = 0.0
+    eta = np.r_[0.0, 1.0, 0.999, 1.0, rng.uniform(0.0, 1.0, 36)]
+    stacked = two_mode_rabi(strengths_from_ratios(photon_pair, ratios), eta)
+    assert stacked.shape == (40, 2, 2)
+    w1, w2 = photon_pair[0].omega, photon_pair[1].omega
+    root = math.sqrt(photon_pair[0].frequency / photon_pair[1].frequency)
+    for (r11, r2), e, rabi in zip(ratios.tolist(), eta.tolist(), stacked):
+        w11, wt2 = r11 * w1, r2 * w2 * root
+        expected = np.array([[w11, 0.0],
+                             [e * wt2, math.sqrt(1.0 - e * e) * wt2]])
+        assert np.array_equal(rabi, expected)
+        assert np.array_equal(
+            mm.couplings_from_ratios(photon_pair, r11, r2, e).rabi, expected)
+        assert np.array_equal(
+            mm.couplings_from_overlap(w11, wt2, e, 0.8).rabi, expected)
+
+
+def test_coupling_set_derives_its_mode_count():
+    assert mm.CouplingSet(rabi=np.eye(3), overlap=1.0,
+                          reference_cyclotron=1.0).n_photon == 3
+    with pytest.raises(ValueError, match="square"):
+        mm.CouplingSet(rabi=np.zeros((2, 2, 2)), overlap=1.0,
+                       reference_cyclotron=1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_photon_mode_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mm.PhotonMode(index=1, frequency=bad)
+    with pytest.raises(ValueError, match="finite"):
+        mm.PhotonMode(index=1, frequency=0.8, effective_mode_volume=bad)
+    with pytest.raises(ValueError, match="finite"):
+        mm.couplings_from_overlap(bad, 1.0, 0.5, reference_cyclotron=0.8)
 
 
 def test_validation_rejects_bad_inputs():
@@ -206,8 +243,8 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mm.couplings_from_overlap(-1.0, 1.0, 0.5, reference_cyclotron=0.8)
     with pytest.raises(ValueError):
-        mm.CouplingSet(n_photon=2, n_matter=2, rabi=np.zeros((2, 1)),
-                       overlap=0.5, reference_cyclotron=0.8)
+        mm.CouplingSet(rabi=np.zeros((2, 1)), overlap=0.5,
+                       reference_cyclotron=0.8)
     with pytest.raises(ValueError):
         mm.QuadraticHamiltonian(n_photon=1, n_matter=1,
                                 diag_freqs=np.array([1.0, 1.0]),

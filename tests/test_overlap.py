@@ -78,6 +78,13 @@ def test_gaussian_effective_volume():
         volume / (math.pi * w * w), rel=1e-3)
 
 
+@pytest.mark.parametrize("volume", [float("nan"), float("inf"), -1e-18])
+def test_effective_volume_rejects_bad_physical_volume(lc_profile, volume):
+    mask = mm.full_mask(lc_profile.nx, lc_profile.ny)
+    with pytest.raises(ValueError, match="finite and positive"):
+        mm.effective_mode_volume(lc_profile, mask, volume)
+
+
 def test_grid_convergence():
     w = 3.0
     coarse = mm.synthetic_profile("lc", nx=128, ny=128, dx=60.0 / 128,
