@@ -10,8 +10,7 @@ parameters from sampled near-field profiles, and fits coupling constants to
 measured peak positions.
 """
 
-from .bogoliubov import (EigenSolution, build_dynamical_matrix, diagonalize,
-                         hopfield_fractions)
+from .bogoliubov import EigenSolution, diagonalize
 from .dispersion import (DispersionFeatures, SpectrumConfig, SweepResult,
                          detect_features, spectrum_from_branches, sweep,
                          synthesize_spectrum, write_branch_csv)
@@ -40,11 +39,11 @@ __all__ = [
     "InstabilityError", "MaterialParams", "NumericalError", "PeakDataset",
     "PeakRecord", "PhotonMode", "ProfileFormatError", "QuadraticHamiltonian",
     "SpectrumConfig", "SweepResult",
-    "assemble_hamiltonian", "build_dynamical_matrix", "central_square_mask",
+    "assemble_hamiltonian", "central_square_mask",
     "couplings_from_overlap", "couplings_from_ratios", "cyclotron_frequency",
     "detect_features", "diagonalize", "diamagnetic_matrix",
     "effective_mode_volume", "field_for_cyclotron", "fit", "full_mask",
-    "hopfield_fractions", "load_mask", "load_peaks", "load_profile",
+    "load_mask", "load_peaks", "load_profile",
     "mode_volume_for_coupling", "overlap_integral", "overlap_parameter",
     "rabi_microscopic", "record_residuals", "rescale_coupling", "residual",
     "save_mask", "save_peaks", "save_profile",

@@ -20,10 +20,6 @@ p_k = sum_j X_kj c_j + Y_kj c+_j has the real Hopfield coefficients
 so the bare-mode weights |X_kj|^2 - |Y_kj|^2 = e_jk^2 sum to one branch by
 branch. normal_modes solves a whole stack of forms, such as every point of
 a bias sweep, with one eigh (or eigvalsh) call.
-
-build_dynamical_matrix gives the ladder-basis 2N x 2N dynamical matrix
-M = [[A, B], [-B, -A]], A = diag(w) + G, B = G, whose eigenvalues are the
-+/- Omega_k pairs; no solver path uses it, it is there to check one.
 """
 
 from __future__ import annotations
@@ -74,13 +70,6 @@ class EigenSolution:
     def matter_fractions(self):
         """Total matter weight of each branch."""
         return self.fractions[:, self.n_photon:].sum(axis=1)
-
-
-def build_dynamical_matrix(ham):
-    """2N x 2N dynamical matrix M = [[A, B], [-B, -A]] in rad/s."""
-    a = np.diag(ham.diag_freqs) + ham.interaction
-    b = ham.interaction
-    return np.block([[a, b], [-b, -a]])
 
 
 def _branch_order(freqs, fractions, n_photon):
@@ -163,14 +152,3 @@ def diagonalize(ham):
     y = 0.5 * (ratio - 1.0 / ratio) * vecs
     return EigenSolution(frequencies=freqs, hopfield_x=x, hopfield_y=y,
                          fractions=vecs ** 2, n_photon=ham.n_photon)
-
-
-def hopfield_fractions(solution):
-    """Per-branch bare-mode weights |X|^2 - |Y|^2; rows sum to one."""
-    fractions = (np.abs(solution.hopfield_x) ** 2
-                 - np.abs(solution.hopfield_y) ** 2)
-    sums = fractions.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise NumericalError(
-            f"symplectic normalization violated: row sums {sums}")
-    return fractions

@@ -162,13 +162,19 @@ def _load_photons(cfg, volumes=None):
 def _load_material(cfg):
     if not cfg.has("material"):
         return model.MaterialParams()
-    density_cm2 = cfg.get_float("material", "sheet_density_per_cm2", 1.25e12)
-    return model.MaterialParams(
-        effective_mass_ratio=cfg.get_float("material", "effective_mass_ratio", 0.07),
-        sheet_density=density_cm2 * 1e4,
-        qw_count=cfg.get_int("material", "qw_count", 3),
-        background_permittivity=cfg.get_float("material",
-                                              "background_permittivity", 12.9))
+    fields = {
+        "effective_mass_ratio": cfg.get_float("material", "effective_mass_ratio", 0.07),
+        "sheet_density": cfg.get_float("material", "sheet_density_per_cm2", 1.25e12) * 1e4,
+        "qw_count": cfg.get_int("material", "qw_count", 3),
+        "background_permittivity": cfg.get_float("material", "background_permittivity", 12.9)}
+    for field, value in fields.items():
+        try:  # MaterialParams checks each field on its own
+            model.MaterialParams(**{field: value})
+        except ValueError as exc:
+            key = "sheet_density_per_cm2" if field == "sheet_density" else field
+            raise _cfg_error(cfg.path, "material", key,
+                             str(exc).removeprefix(field + " ")) from exc
+    return model.MaterialParams(**fields)
 
 
 def _load_coupling(cfg):

@@ -9,10 +9,12 @@ convention the results are reported in.
 
 Parameters are searched by a bounded Levenberg-Marquardt iteration
 (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)) on the per-peak residuals,
-restarted from seeded random points inside the bounds. Each iteration
-fixes the assignment at its current point and takes a forward-difference
-Jacobian; the trial point and the parameter sets of its Jacobian are
-solved in one stacked eigensolve. The search needs numpy only.
+restarted from points that the stdlib random.Random(seed) draws inside the
+bounds. The restarts iterate in lockstep: each iteration fixes every
+running restart's assignment at its current point and takes a
+forward-difference Jacobian, and the trial points and the parameter sets of
+their Jacobians are solved in one stacked eigensolve. The search needs
+numpy only, and neither numpy.random nor numpy.ma.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 import math
+import random
 
 import numpy as np
 
@@ -84,11 +87,13 @@ class FitConfig:
     """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2, finite and
     non-negative (the frequencies are even in each coupling). eta is held
     at eta_fixed unless fit_eta is set, in which case it moves inside
-    eta_bounds, a part of [0, 1]. A restart has converged once its step
-    falls below xatol in units of each parameter's bound width; it may
-    evaluate at most max_evaluations parameter sets, at least the P + 1 of
-    its first point and Jacobian (P = 2 fitted parameters, 3 with
-    fit_eta). Invalid values raise FitConfigError."""
+    eta_bounds, a part of [0, 1]. The restarts start from points drawn by
+    random.Random(seed), seed a non-negative integer, so one seed always
+    gives the same start points. A restart has converged once its step falls
+    below xatol in units of each parameter's bound width; it may evaluate
+    at most max_evaluations parameter sets, at least the P + 1 of its first
+    point and Jacobian (P = 2 fitted parameters, 3 with fit_eta). Invalid
+    values raise FitConfigError."""
 
     ratio_11_bounds: tuple = (0.0, 1.0)
     ratio_2_bounds: tuple = (0.0, 1.0)
@@ -146,27 +151,16 @@ def _check_assignable(n_peaks, n_branches):
             f"records with more than {MAX_ASSIGNED_PEAKS} peaks are not supported")
 
 
-def _assignment_cost(peaks, freqs):
-    """Minimum sum of squared errors over injective peak-to-branch maps.
-
-    Both lists are ascending, so within any chosen branch subset the
-    order-preserving pairing is optimal; minimize over subsets."""
-    _check_assignable(len(peaks), len(freqs))
-    best = np.inf
-    for subset in combinations(range(len(freqs)), len(peaks)):
-        cost = sum((p - freqs[j]) ** 2 for p, j in zip(peaks, subset))
-        if cost < best:
-            best = cost
-    return best
-
-
 class _Misfit:
     """Peak misfit of one dataset, evaluated for a stack of parameter sets.
 
-    Records are grouped by peak count, and each group's candidate branch
-    subsets (the order-preserving maps of _assignment_cost) are indexed
-    once, so assigning the peaks of a whole stack is array arithmetic. A
-    parameter set is a row (ratio_11, ratio_2_tilde, eta).
+    A record's peaks go to the branches that minimize the sum of squared
+    errors over injective maps. Peaks and branches are both ascending, so
+    within any chosen branch subset the order-preserving pairing is optimal,
+    and the minimum runs over subsets. Records are grouped by peak count,
+    and each group's candidate subsets are indexed once, so assigning the
+    peaks of a whole stack is array arithmetic. A parameter set is a row
+    (ratio_11, ratio_2_tilde, eta).
     """
 
     def __init__(self, data, photons):
@@ -175,7 +169,7 @@ class _Misfit:
         n_branches = 2 * len(photons)  # one matter mode per photon mode
         counts = np.array([len(rec.peaks) for rec in data.records])
         self.groups = []
-        for m in np.unique(counts).tolist():
+        for m in sorted(set(counts.tolist())):
             _check_assignable(m, n_branches)
             rows = np.flatnonzero(counts == m)
             peaks = np.array([data.records[t].peaks for t in rows])
@@ -271,79 +265,100 @@ FLAT_COLUMN = 1e-6
 
 
 def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
-    """Bounded Levenberg-Marquardt from x on the per-peak residuals.
+    """Bounded Levenberg-Marquardt on the per-peak residuals, from each of
+    the R start points x (R, P), every restart in lockstep.
 
-    Every iteration evaluates a trial point together with the
-    forward-difference steps of its Jacobian, len(x) + 1 parameter sets in
-    one stack, with the assignment fixed at the trial point. The trial is
-    accepted only if its misfit (assignment re-solved, as residual()
-    computes it) falls. The run has converged once it has tried a step
-    below xatol in units of the bound widths, or once the damping
-    saturates; it stops unconverged when the next iteration would exceed
-    budget evaluations. Returns (x, rms, evaluations, converged)."""
+    Every iteration evaluates the trial point of each running restart
+    together with the forward-difference steps of its Jacobian, P + 1
+    parameter sets per restart in one stack, with the assignment fixed at
+    the trial point. A trial is accepted only if its misfit (assignment
+    re-solved, as residual() computes it) falls. A restart has converged
+    once it has tried a step below xatol in units of the bound widths, or
+    once its damping saturates; it stops unconverged when its next
+    iteration would exceed budget evaluations. The damped step is
+    elementwise arithmetic and a batched solve, so a restart's path does not
+    depend on the others in the stack. Returns (x, rms, evaluations,
+    converged), one row per restart."""
+    x = np.array(x, dtype=float)
+    n_restarts, n_params = x.shape
     span = hi - lo
     h = np.sqrt(np.finfo(float).eps) * span
+    cols = np.arange(n_params)
 
     def probe(x):
         steps = np.where(x + h > hi, -h, h)  # step inward at an upper bound
-        points = np.vstack([x, x + np.diag(steps)])
-        freqs = misfit.frequencies(param_sets(points))
-        costs, branches = misfit.assign(freqs[:1])
-        resid = misfit.peaks - freqs[:, misfit.peak_rows, branches[0]]
-        jac = (resid[1:] - resid[0]).T / steps
-        return float(misfit.rms(costs)[0]), resid[0], jac
+        points = np.repeat(x[:, None], n_params + 1, axis=1)
+        points[:, cols + 1, cols] += steps
+        freqs = misfit.frequencies(param_sets(points.reshape(-1, n_params)))
+        freqs = freqs.reshape(len(x), n_params + 1, *freqs.shape[1:])
+        costs, branches = misfit.assign(freqs[:, 0])
+        resid = misfit.peaks - freqs[np.arange(len(x))[:, None, None],
+                                     np.arange(n_params + 1)[:, None],
+                                     misfit.peak_rows, branches[:, None]]
+        jac = (resid[:, 1:] - resid[:, :1]) / steps[:, :, None]  # (A, P, M)
+        return misfit.rms(costs), resid[:, 0], jac
 
     rms, resid, jac = probe(x)
-    evaluations = len(x) + 1
-    lam = LAMBDA_START
-    while lam <= LAMBDA_MAX:
-        grad = jac.T @ resid
+    evaluations = np.full(n_restarts, n_params + 1)
+    lam = np.full(n_restarts, LAMBDA_START)
+    converged = np.zeros(n_restarts, dtype=bool)
+    live = np.arange(n_restarts)
+    while live.size:
+        xs, jl = x[live], jac[live]
+        grad = (jl * resid[live, None]).sum(axis=-1)
+        normal = (jl[:, :, None] * jl[:, None]).sum(axis=-1)
+        diagonal = normal[:, cols, cols]
         # A variable on a bound stays there if its descent direction points
         # out of the box, or if it has no slope there: the frequencies are
         # even in eta and in each coupling, so at zero the forward
         # difference holds only curvature, and a linear model built on it
         # sends the step far off the bound.
-        reach = np.linalg.norm(jac, axis=0) * span
-        flat = reach <= FLAT_COLUMN * reach.max()
-        free = ~(((x <= lo) & ((grad > 0.0) | flat))
-                 | ((x >= hi) & ((grad < 0.0) | flat)))
-        delta = np.zeros_like(x)
-        if free.any():
-            normal = (jac.T @ jac)[np.ix_(free, free)]
-            # Marquardt's scaling, floored so that a parameter with no
-            # effect (eta when Wt_2 = 0) keeps the system regular
-            scale = np.diag(normal)
-            scale = np.maximum(scale, max(1e-12 * scale.max(),
-                                          np.finfo(float).tiny))
-            delta[free] = np.linalg.solve(normal + lam * np.diag(scale),
-                                          -grad[free])
-        trial = np.clip(x + delta, lo, hi)
-        step = np.max(np.abs(trial - x) / span)
-        if step == 0.0:
-            return x, rms, evaluations, True
-        if evaluations + len(x) + 1 > budget:
-            return x, rms, evaluations, bool(step < xatol)
+        reach = np.sqrt(diagonal) * span
+        flat = reach <= FLAT_COLUMN * reach.max(axis=-1, keepdims=True)
+        free = ~(((xs <= lo) & ((grad > 0.0) | flat))
+                 | ((xs >= hi) & ((grad < 0.0) | flat)))
+        # Marquardt's scaling, floored so that a parameter with no effect
+        # (eta when Wt_2 = 0) keeps the system regular
+        scale = np.where(free, diagonal, 0.0)
+        scale = np.maximum(scale, np.maximum(
+            1e-12 * scale.max(axis=-1, keepdims=True), np.finfo(float).tiny))
+        normal[:, cols, cols] += lam[live, None] * scale
+        # an identity row and column pin each variable that is not free
+        system = np.where(free[:, :, None] & free[:, None], normal,
+                          np.eye(n_params))
+        delta = np.linalg.solve(system, np.where(free, -grad, 0.0)[:, :, None])
+        trial = np.clip(xs + delta[:, :, 0], lo, hi)
+        step = (np.abs(trial - xs) / span).max(axis=-1)
+        converged[live] = (step == 0.0) | (step < xatol)
+        go = (step > 0.0) & (evaluations[live] + n_params + 1 <= budget)
+        live, trial, small = live[go], trial[go], step[go] < xatol
+        if not live.size:
+            break
         trial_rms, trial_resid, trial_jac = probe(trial)
-        evaluations += len(x) + 1
-        if trial_rms < rms:
-            x, rms, resid, jac = trial, trial_rms, trial_resid, trial_jac
-            lam = max(lam / LAMBDA_FACTOR, LAMBDA_MIN)
-        else:
-            lam *= LAMBDA_FACTOR
-        if step < xatol:
-            return x, rms, evaluations, True
-    return x, rms, evaluations, True
+        evaluations[live] += n_params + 1
+        better = trial_rms < rms[live]
+        kept = live[better]
+        x[kept], rms[kept] = trial[better], trial_rms[better]
+        resid[kept], jac[kept] = trial_resid[better], trial_jac[better]
+        lam[kept] = np.maximum(lam[kept] / LAMBDA_FACTOR, LAMBDA_MIN)
+        lam[live[~better]] *= LAMBDA_FACTOR
+        saturated = lam[live] > LAMBDA_MAX
+        converged[live[saturated]] = True
+        live = live[~(small | saturated)]
+    return x, rms, evaluations, converged
 
 
 def fit(data, photons, config=FitConfig()):
     """Estimate (W_11, Wt_2[, eta]) by restarted, bounded Levenberg-Marquardt.
 
-    Each restart starts from a seeded random point inside the bounds and
-    may evaluate up to config.max_evaluations parameter sets, one per
-    iteration for the trial point and one per fitted parameter for its
-    Jacobian; the restarts stop early once a converged one fits below
-    1e-7 THz. n_evaluations counts the parameter sets evaluated over all
-    restarts, and the best restart gives the result."""
+    Each restart starts from a point drawn inside the bounds by the stdlib
+    random.Random(config.seed) and may evaluate up to
+    config.max_evaluations parameter sets, one per iteration for the trial
+    point and one per fitted parameter for its Jacobian. All restarts
+    iterate in lockstep, but the result is the one of running them in
+    order, stopping once the best so far has converged below 1e-7 THz: it
+    is the best restart up to that point, and n_evaluations counts the
+    parameter sets evaluated by those restarts."""
     _check_coverage(data, photons)
     misfit = _Misfit(data, photons)
     w1 = photons[0].omega
@@ -363,27 +378,26 @@ def fit(data, photons, config=FitConfig()):
             eta = np.full(len(points), config.eta_fixed)
         return np.column_stack([points[:, 0], points[:, 1], eta])
 
-    rng = np.random.default_rng(config.seed)
-    best = None
-    total_evals = 0
-    for _ in range(config.restarts):
-        x0 = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=len(lo))
-        run = _levenberg_marquardt(misfit, param_sets, x0, lo, hi,
-                                   config.xatol, config.max_evaluations)
-        total_evals += run[2]
-        if best is None or run[1] < best[1]:
-            best = run
-        if best[3] and best[1] < 1e-7:
+    draw = random.Random(config.seed)
+    starts = lo + (hi - lo) * np.array(
+        [[draw.uniform(0.2, 0.8) for _ in lo] for _ in range(config.restarts)])
+    x, rms, evaluations, converged = _levenberg_marquardt(
+        misfit, param_sets, starts, lo, hi, config.xatol,
+        config.max_evaluations)
+    best = 0
+    for k in range(config.restarts):
+        if rms[k] < rms[best]:
+            best = k
+        if converged[best] and rms[best] < 1e-7:
             break  # already at an exact-data optimum; further restarts are noise
 
-    x, rms, _, converged = best
-    eta = param_sets(x[None])[0, 2]
-    return FitResult(omega_r_11=float(x[0] * w1),
-                     omega_r_2_tilde=float(x[1] * w2),
+    eta = param_sets(x[best:best + 1])[0, 2]
+    return FitResult(omega_r_11=float(x[best, 0] * w1),
+                     omega_r_2_tilde=float(x[best, 1] * w2),
                      eta=float(eta),
-                     residual_rms=rms,
-                     n_evaluations=total_evals,
-                     converged=converged)
+                     residual_rms=float(rms[best]),
+                     n_evaluations=int(evaluations[:k + 1].sum()),
+                     converged=bool(converged[best]))
 
 
 # --- peak-list file format ---------------------------------------------------

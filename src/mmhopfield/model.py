@@ -56,14 +56,14 @@ class MaterialParams:
     background_permittivity: float = 12.9
 
     def __post_init__(self):
-        if not 0.0 < self.effective_mass_ratio:
-            raise ValueError("effective_mass_ratio must be positive")
-        if self.sheet_density < 0.0:
-            raise ValueError("sheet_density must be non-negative")
+        if not 0.0 < self.effective_mass_ratio < math.inf:
+            raise ValueError("effective_mass_ratio must be finite and positive")
+        if not 0.0 <= self.sheet_density < math.inf:
+            raise ValueError("sheet_density must be finite and non-negative")
         if self.qw_count < 1:
             raise ValueError("qw_count must be at least 1")
-        if self.background_permittivity < 1.0:
-            raise ValueError("background_permittivity must be >= 1")
+        if not 1.0 <= self.background_permittivity < math.inf:
+            raise ValueError("background_permittivity must be finite and >= 1")
 
     @property
     def effective_mass(self):

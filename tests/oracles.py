@@ -15,11 +15,19 @@ production sweep solves every step's exact assignment at once.
 The spectrum reference builds its Lorentzian dips branch-minor, as a
 (..., F, n) stack summed over its short last axis; the production spectrum
 builds them branch-major and adds whole branch rows.
+
+The ladder-basis dynamical matrix and the Hopfield weights |X|^2 - |Y|^2
+check the symplectic structure of a solution. The peak assignment here tries
+every branch subset of one record in a Python loop; the fit assigns a whole
+stack of records and parameter sets with array arithmetic.
 """
+
+from itertools import combinations
 
 import numpy as np
 
 from mmhopfield.dispersion import FRACTION_MATCH_WEIGHT
+from mmhopfield.errors import NumericalError
 
 
 def quadrature_modes(diag_freqs, interaction):
@@ -178,3 +186,35 @@ def spectrum_reference(freqs, weights, config):
     nu = config.frequency_grid[:, None]
     dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
     return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)
+
+
+def build_dynamical_matrix(ham):
+    """2N x 2N ladder-basis dynamical matrix M = [[A, B], [-B, -A]] in rad/s,
+    A = diag(w) + G, B = G; its eigenvalues are the +/- Omega_k pairs."""
+    a = np.diag(ham.diag_freqs) + ham.interaction
+    b = ham.interaction
+    return np.block([[a, b], [-b, -a]])
+
+
+def hopfield_fractions(solution):
+    """Per-branch bare-mode weights |X|^2 - |Y|^2; rows sum to one."""
+    fractions = (np.abs(solution.hopfield_x) ** 2
+                 - np.abs(solution.hopfield_y) ** 2)
+    sums = fractions.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > 1e-9):
+        raise NumericalError(
+            f"symplectic normalization violated: row sums {sums}")
+    return fractions
+
+
+def assignment_cost(peaks, freqs):
+    """Minimum sum of squared errors over injective peak-to-branch maps.
+
+    Both lists are ascending, so within any chosen branch subset the
+    order-preserving pairing is optimal; minimize over subsets."""
+    best = np.inf
+    for subset in combinations(range(len(freqs)), len(peaks)):
+        cost = sum((p - freqs[j]) ** 2 for p, j in zip(peaks, subset))
+        if cost < best:
+            best = cost
+    return best

@@ -359,6 +359,46 @@ def test_non_finite_coupling_settings_name_their_line(tmp_path, capsys, line,
     assert not (tmp_path / "branches.csv").exists()
 
 
+# the microscopic coupling route reads [material]
+MATERIAL_CFG = SWEEP_CFG.replace("ratio_11 = 0.37\nratio_2_tilde = 0.2124026\n",
+                                 "mode_volumes_m3 = 1e-17, 2e-17\n") + """
+[material]
+effective_mass_ratio = 0.07
+sheet_density_per_cm2 = 1.25e12
+qw_count = 3
+background_permittivity = 12.9
+"""
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    *[("effective_mass_ratio", v, "must be finite and positive")
+      for v in ("nan", "inf", "0")],
+    *[("sheet_density_per_cm2", v, "must be finite and non-negative")
+      for v in ("nan", "inf", "-1e12")],
+    *[("background_permittivity", v, "must be finite and >= 1")
+      for v in ("nan", "inf", "0.5")],
+    ("qw_count", "0", "must be at least 1"),
+    ("qw_count", "nan", "expected an integer, got 'nan'"),
+    ("qw_count", "inf", "expected an integer, got 'inf'"),
+])
+def test_bad_material_values_name_their_line(tmp_path, capsys, key, value,
+                                             problem):
+    old = next(ln for ln in MATERIAL_CFG.splitlines() if ln.startswith(key))
+    text = MATERIAL_CFG.replace(old, f"{key} = {value}")
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(f"{key} = {value}") + 1
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [material] {key}: {problem}\n")
+    assert not (tmp_path / "branches.csv").exists()
+
+
+def test_material_config_sweeps(tmp_path):
+    cfg = _write(tmp_path / "cfg.ini", MATERIAL_CFG)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "branches.csv").exists()
+
+
 @pytest.mark.parametrize("volumes", ["1e-18, nan", "1e-18, inf", "-1e-18, 1e-18"])
 def test_bad_physical_volumes_name_their_line(tmp_path, capsys, lc_profile,
                                               dipolar_profile, volumes):
@@ -455,11 +495,23 @@ def test_missing_config_flag_is_a_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
-# run in a fresh interpreter: the test process itself has scipy loaded
+# Run in a fresh interpreter: the test process itself has scipy loaded. No
+# command needs scipy, numpy.random or numpy.ma; numpy 1.x imports the last
+# two with numpy itself, so only what a run adds to that counts.
+_UNUSED_MODULES = """
+def unused_modules():
+    return sorted(name for name in set(sys.modules) - with_numpy
+                  if name.split(".")[0] == "scipy"
+                  or name.startswith(("numpy.random", "numpy.ma")))
+"""
+
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
+import numpy
+with_numpy = set(sys.modules)
 import mmhopfield, mmhopfield.cli
 from mmhopfield import cli, overlap
+""" + _UNUSED_MODULES + """
 cfg, out = sys.argv[1], sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
@@ -476,8 +528,7 @@ overlap.save_mask(out + "/patch.dat",
                   overlap.central_square_mask(24, 24, 2.5, 2.5, 7.5), 2.5, 2.5)
 assert cli.main(["overlap", "--profiles", out + "/lc.dat", out + "/dipolar.dat",
                  "--mask", out + "/patch.dat", "--out", out]) == 0
-print(sorted(name for name in sys.modules
-             if name == "scipy" or name.startswith("scipy.")))
+print(unused_modules())
 """
 
 
@@ -495,11 +546,13 @@ def test_non_fit_commands_do_not_import_scipy(tmp_path):
 
 _FIT_NO_SCIPY_SCRIPT = """
 import sys
+import numpy
+with_numpy = set(sys.modules)
 from mmhopfield import cli
+""" + _UNUSED_MODULES + """
 cfg, peaks, out = sys.argv[1:]
 assert cli.main(["fit", "--config", cfg, "--peaks", peaks, "--out", out]) == 0
-print(sorted(name for name in sys.modules
-             if name == "scipy" or name.startswith("scipy.")))
+print(unused_modules())
 """
 
 

@@ -8,8 +8,10 @@ import pytest
 
 import mmhopfield as mm
 from mmhopfield.bogoliubov import normal_modes
-from mmhopfield.fit import _assignment_cost, _Misfit
+from mmhopfield.fit import _levenberg_marquardt, _Misfit
 from mmhopfield.model import assemble_batch
+
+import oracles
 
 TRUE_RATIO_11 = 0.37
 TRUE_RATIO_2 = 0.2124026
@@ -39,26 +41,44 @@ def _synthetic_dataset(photon_pair, n_points=40, noise=0.0, seed=0,
     return mm.PeakDataset(records=tuple(records), source_label="synthetic")
 
 
+def _one_record_misfit(peaks, n_photons):
+    photons = [mm.PhotonMode(index=i + 1, frequency=1.0 + i)
+               for i in range(n_photons)]
+    record = mm.PeakRecord(nu_c=0.5, peaks=tuple(peaks))
+    return _Misfit(mm.PeakDataset(records=(record,)), photons)
+
+
+def _assign_one(peaks, freqs):
+    """Squared error of one record under the fit's stacked assignment,
+    checked against the subset-loop oracle."""
+    misfit = _one_record_misfit(peaks, len(freqs) // 2)
+    costs, _ = misfit.assign(np.asarray(freqs, dtype=float)[None, None])
+    cost = float(costs[0, 0])
+    assert cost == pytest.approx(oracles.assignment_cost(peaks, freqs),
+                                 rel=1e-14, abs=0.0)
+    return cost
+
+
 def test_assignment_prefers_nearest_branch():
-    assert _assignment_cost((1.0,), np.array([0.9, 2.0])) == pytest.approx(
+    assert _assign_one((1.0,), np.array([0.9, 2.0])) == pytest.approx(
         0.01, rel=1e-12)
 
 
 def test_assignment_is_order_preserving():
-    cost = _assignment_cost((1.0, 2.0), np.array([0.5, 1.1, 1.9, 3.0]))
+    cost = _assign_one((1.0, 2.0), np.array([0.5, 1.1, 1.9, 3.0]))
     assert cost == pytest.approx(0.01 + 0.01, rel=1e-12)
 
 
 def test_assignment_exact_match_costs_nothing():
     freqs = np.array([0.4, 0.9, 1.7, 2.3])
-    assert _assignment_cost((0.9, 2.3), freqs) == 0.0
+    assert _assign_one((0.9, 2.3), freqs) == 0.0
 
 
 def test_assignment_rejects_surplus_peaks():
-    with pytest.raises(ValueError, match="cannot be assigned"):
-        _assignment_cost((0.1, 0.2, 0.3), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="3 peaks cannot be assigned to 2"):
+        _one_record_misfit((0.1, 0.2, 0.3), 1)
     with pytest.raises(ValueError, match="not supported"):
-        _assignment_cost(tuple(np.linspace(0.1, 0.6, 6)), np.arange(1.0, 9.0))
+        _one_record_misfit(np.linspace(0.1, 0.6, 6), 4)
 
 
 def test_stacked_assignment_matches_scalar_rule(photon_pair):
@@ -71,7 +91,7 @@ def test_stacked_assignment_matches_scalar_rule(photon_pair):
     freqs = np.sort(rng.uniform(0.1, 3.0, size=(3, 40, 4)), axis=-1)
     costs, branches = misfit.assign(freqs)
     for k in range(3):
-        expected = [_assignment_cost(rec.peaks, freqs[k, t])
+        expected = [oracles.assignment_cost(rec.peaks, freqs[k, t])
                     for t, rec in enumerate(records)]
         np.testing.assert_allclose(costs[k], expected, rtol=1e-14, atol=0.0)
         # the assigned branches give those costs
@@ -266,6 +286,44 @@ def test_budget_that_stops_the_last_small_step_still_converges(photon_pair):
     assert cut.n_evaluations == full.n_evaluations - 3
 
 
+@pytest.mark.parametrize("fit_eta", [False, True], ids=["fixed_eta", "free_eta"])
+@pytest.mark.parametrize("ratios", [(0.37, 0.2124026, 0.15),
+                                    (0.28, 0.1351351, 0.999)],
+                         ids=["unstructured", "structured"])
+def test_lockstep_restarts_match_each_restart_alone(photon_pair, ratios,
+                                                    fit_eta):
+    # noisy peaks from a shipped config's couplings, one record in four
+    # missing a peak
+    grid = np.linspace(0.3, 2.15, 12)
+    forward = mm.sweep(photon_pair, mm.couplings_from_ratios(photon_pair,
+                                                             *ratios), grid)
+    rng = np.random.default_rng(7)
+    records = []
+    for t, nu_c in enumerate(grid):
+        peaks = np.sort(forward.branches[t] + rng.normal(0.0, 0.01, 4))
+        if t % 4 == 3:
+            peaks = np.delete(peaks, rng.integers(4))
+        records.append(mm.PeakRecord(nu_c=float(nu_c), peaks=tuple(peaks)))
+    misfit = _Misfit(mm.PeakDataset(records=tuple(records)), photon_pair)
+    n_params = 3 if fit_eta else 2
+    lo, hi = np.zeros(n_params), np.array([0.8, 0.8, 1.0][:n_params])
+
+    def param_sets(points):
+        eta = points[:, 2] if fit_eta else np.full(len(points), ratios[2])
+        return np.column_stack([points[:, 0], points[:, 1], eta])
+
+    starts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(8, n_params))
+    starts[0] = lo  # every variable on a bound
+    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi,
+                                    1e-6, 4000)
+    assert len(set(together[2].tolist())) > 1  # restarts end apart
+    for k in range(len(starts)):
+        alone = _levenberg_marquardt(misfit, param_sets, starts[k:k + 1],
+                                     lo, hi, 1e-6, 4000)
+        for stacked, single in zip(together, alone):
+            assert np.array_equal(stacked[k], single[0]), k
+
+
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         mm.FitConfig(ratio_11_bounds=(0.5, 0.5))
@@ -288,7 +346,7 @@ def test_fit_config_validation():
     (dict(max_evaluations=0), "max_evaluations"),
     (dict(max_evaluations=2), "max_evaluations"),
     (dict(max_evaluations=3, fit_eta=True), "max_evaluations"),
-    # numpy's generator takes no negative seed and would fail inside fit()
+    # the documented seed is a non-negative integer
     (dict(seed=-1), "seed"),
 ], ids=["ratio_11_count", "ratio_2_count", "eta_count", "eta_below_0",
         "eta_above_1", "budget_0", "budget_2", "budget_3_free_eta",
