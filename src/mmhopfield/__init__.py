@@ -10,43 +10,61 @@ parameters from sampled near-field profiles, and fits coupling constants to
 measured peak positions.
 """
 
-from .bogoliubov import EigenSolution, diagonalize
-from .dispersion import (DispersionFeatures, SpectrumConfig, SweepResult,
-                         detect_features, spectrum_from_branches, sweep,
-                         synthesize_spectrum, write_branch_csv)
-from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
-                     InstabilityError, NumericalError, ProfileFormatError)
-from .fit import (FitConfig, FitParams, FitResult, PeakDataset, PeakRecord,
-                  fit, load_peaks, record_residuals, residual, save_peaks)
-from .model import (CouplingSet, MaterialParams, PhotonMode,
-                    QuadraticHamiltonian, assemble_hamiltonian,
-                    couplings_from_overlap, couplings_from_ratios,
-                    cyclotron_frequency,
-                    diamagnetic_matrix, field_for_cyclotron,
-                    mode_volume_for_coupling, rabi_microscopic,
-                    rescale_coupling, single_mode_coupling)
-from .overlap import (DomainMask, FieldProfile, central_square_mask,
-                      effective_mode_volume, full_mask, load_mask,
-                      load_profile, overlap_integral, overlap_parameter,
-                      save_mask, save_profile, synthetic_profile)
+import importlib
+import sys
+import types
+
+# public name -> the submodule that defines it; each submodule loads on the
+# first use of one of its names, so a CLI call loads only what it runs
+_SOURCES = {
+    "bogoliubov": ("EigenSolution", "diagonalize"),
+    "dispersion": ("DispersionFeatures", "SpectrumConfig", "SweepResult",
+                   "detect_features", "spectrum_from_branches", "sweep",
+                   "synthesize_spectrum", "write_branch_csv"),
+    "errors": ("ConvergenceError", "DataCoverageError", "FitConfigError",
+               "InstabilityError", "NumericalError", "ProfileFormatError"),
+    "fit": ("FitConfig", "FitParams", "FitResult", "PeakDataset",
+            "PeakRecord", "fit", "load_peaks", "record_residuals",
+            "residual", "save_peaks"),
+    "model": ("CouplingSet", "MaterialParams", "PhotonMode",
+              "QuadraticHamiltonian", "assemble_hamiltonian",
+              "couplings_from_overlap", "couplings_from_ratios",
+              "cyclotron_frequency", "diamagnetic_matrix",
+              "field_for_cyclotron", "mode_volume_for_coupling",
+              "rabi_microscopic", "rescale_coupling",
+              "single_mode_coupling"),
+    "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
+                "effective_mode_volume", "full_mask", "load_mask",
+                "load_profile", "overlap_integral", "overlap_parameter",
+                "save_mask", "save_profile", "synthetic_profile"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError", "CouplingSet", "DataCoverageError",
-    "DispersionFeatures", "DomainMask", "EigenSolution", "FieldProfile",
-    "FitConfig", "FitConfigError", "FitParams", "FitResult",
-    "InstabilityError", "MaterialParams", "NumericalError", "PeakDataset",
-    "PeakRecord", "PhotonMode", "ProfileFormatError", "QuadraticHamiltonian",
-    "SpectrumConfig", "SweepResult",
-    "assemble_hamiltonian", "central_square_mask",
-    "couplings_from_overlap", "couplings_from_ratios", "cyclotron_frequency",
-    "detect_features", "diagonalize", "diamagnetic_matrix",
-    "effective_mode_volume", "field_for_cyclotron", "fit", "full_mask",
-    "load_mask", "load_peaks", "load_profile",
-    "mode_volume_for_coupling", "overlap_integral", "overlap_parameter",
-    "rabi_microscopic", "record_residuals", "rescale_coupling", "residual",
-    "save_mask", "save_peaks", "save_profile",
-    "single_mode_coupling", "spectrum_from_branches", "sweep",
-    "synthesize_spectrum", "synthetic_profile", "write_branch_csv",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """mmhopfield.fit is the fit() function, also once the submodule of that
+    name is loaded: the import system then binds the submodule on the
+    package, and the setter of this property drops that binding."""
+
+    fit = property(lambda self: __getattr__("fit"), lambda self, module: None)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -21,13 +21,9 @@ import tempfile
 
 import numpy as np
 
-from . import dispersion, model, overlap
+# each runner imports the package modules it runs, so a call loads no others
 from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
                      InstabilityError, NumericalError, ProfileFormatError)
-# "from . import fit" would pick up the fit() function re-exported by the
-# package, not the submodule, so pull the needed names in directly
-from .fit import (FitConfig, FitParams, fit as fit_couplings, load_peaks,
-                  record_residuals)
 
 
 class ConfigError(ValueError):
@@ -50,7 +46,8 @@ _KNOWN_KEYS = {
 
 
 def _key_line(path, section, key):
-    """Best-effort line number of a key inside its section."""
+    """Best-effort line number of a key inside its section. Option names
+    match as configparser reads them: stripped and lower-cased."""
     current = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -58,9 +55,10 @@ def _key_line(path, section, key):
                 s = line.strip()
                 if s.startswith("[") and s.endswith("]"):
                     current = s[1:-1].strip()
-                elif current == section and re.match(
-                        rf"{re.escape(key)}\s*[=:]", s):
-                    return lineno
+                elif current == section:
+                    option = re.match(r"(.*?)\s*[=:]", s)
+                    if option and option[1].lower() == key:
+                        return lineno
     except OSError:
         pass
     return None
@@ -141,6 +139,7 @@ class _Config:
 
 
 def _load_photons(cfg, volumes=None):
+    from . import model
     cfg.require("photon_modes")
     freqs = cfg.get_floats("photon_modes", "frequencies_thz")
     if not all(0.0 < f < math.inf for f in freqs):
@@ -160,6 +159,7 @@ def _load_photons(cfg, volumes=None):
 
 
 def _load_material(cfg):
+    from . import model
     if not cfg.has("material"):
         return model.MaterialParams()
     fields = {
@@ -179,6 +179,7 @@ def _load_material(cfg):
 
 def _load_coupling(cfg):
     """Photon modes plus coupling set from exactly one coupling spec."""
+    from . import model
     cfg.require("coupling")
     has_ratios = cfg.has("coupling", "ratio_11")
     has_micro = cfg.has("coupling", "mode_volumes_m3")
@@ -248,6 +249,7 @@ def _load_sweep_grid(cfg):
                      cfg.get_float("sweep", "step_thz"),
                      f"{cfg.path}: [sweep]")
     if all(tesla):
+        from . import model
         material = _load_material(cfg)
         # convert the endpoints once so B- and THz-specified sweeps share the
         # exact same grid arithmetic
@@ -280,6 +282,7 @@ def _json_text(obj):
 
 
 def _run_sweep(args):
+    from . import dispersion
     cfg = _Config(args.config)
     photons, coupling = _load_coupling(cfg)
     grid = _load_sweep_grid(cfg)
@@ -302,6 +305,7 @@ def _run_sweep(args):
 
 
 def _spectrum_config(cfg, n_branches):
+    from . import dispersion
     cfg.require("spectrum")
     widths = cfg.get_floats("spectrum", "linewidth_thz")
     if len(widths) not in (1, n_branches):
@@ -322,6 +326,7 @@ def _spectrum_config(cfg, n_branches):
 
 
 def _run_spectrum(args):
+    from . import dispersion
     cfg = _Config(args.config)
     photons, coupling = _load_coupling(cfg)
     grid = _load_sweep_grid(cfg)
@@ -342,6 +347,7 @@ def _run_spectrum(args):
 
 
 def _fit_config(cfg, seed):
+    from .fit import FitConfig
     cfg.require("fit")
     mode = cfg.get("fit", "eta_mode", "fixed")
     if mode not in ("fixed", "free"):
@@ -374,6 +380,10 @@ def _fit_config(cfg, seed):
 
 
 def _run_fit(args):
+    # "from . import fit" would give the package's fit() function, not the
+    # submodule, so take the names from the submodule itself
+    from . import model
+    from .fit import FitParams, fit, load_peaks, record_residuals
     cfg = _Config(args.config)
     photons = _load_photons(cfg)
     if len(photons) != 2:
@@ -384,7 +394,7 @@ def _run_fit(args):
         raise DataCoverageError(f"peaks file not found: {args.peaks}")
     data = load_peaks(args.peaks)
     fit_cfg = _fit_config(cfg, args.seed)
-    result = fit_couplings(data, photons, fit_cfg)
+    result = fit(data, photons, fit_cfg)
     if not result.converged:
         raise ConvergenceError(
             f"no restart converged (best rms {result.residual_rms:.6g} THz)")
@@ -423,6 +433,7 @@ def _run_fit(args):
 
 
 def _run_overlap(args):
+    from . import overlap
     if not args.profiles or len(args.profiles) < 2:
         raise ConfigError("overlap requires at least two --profiles files")
     for path in args.profiles:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -342,14 +341,14 @@ def csv_rows(keys, labels, *values):
     """CSV rows of a table indexed by (key, label), keys outer. The row of
     keys[t] and labels[k] reads "key,label,values[0][t, k],...", and every
     row ends in a newline. keys and the (T, K) values arrays are written as
-    "%.9g"; labels are K ready-made cells, reused for every key."""
-    chunks = []
-    blocks = zip(*(np.asarray(v, dtype=float).tolist() for v in values))
-    for key, block in zip(g9_cells(keys), blocks):
-        rows = zip(repeat(key), labels,
-                   *(map("%.9g".__mod__, r) for r in block))
-        chunks.append("\n".join(map(",".join, rows)) + "\n")
-    return "".join(chunks)
+    "%.9g"; labels are K ready-made cells, reused for every key. Each key's
+    rows are one printf template, filled by one % with that key's values."""
+    tails = [f",{label.replace('%', '%%')}" + ",%.9g" * len(values)
+             for label in labels]
+    cells = np.stack([np.asarray(v, dtype=float) for v in values], axis=-1)
+    return "".join((key + f"\n{key}".join(tails) + "\n") % tuple(row)
+                   for key, row in zip(g9_cells(keys),
+                                       cells.reshape(len(cells), -1).tolist()))
 
 
 def write_branch_csv(result, stream):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the ASCII reader of the
+input files whose errors are a ProfileFormatError."""
+
+import re
 
 
 class InstabilityError(RuntimeError):
@@ -37,3 +40,21 @@ class FitConfigError(ValueError):
 class ProfileFormatError(ValueError):
     """Malformed field-profile, mask, or peak-list file. The message names the
     offending file and line."""
+
+
+def read_ascii(path):
+    """Header line and body text of a profile, mask or peak-list file; a
+    non-ASCII byte is a ProfileFormatError naming its line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline()
+            if not header.strip():
+                raise ProfileFormatError(f"{path}:1: empty header line")
+            return header, fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        pos = re.search(rb"[\x80-\xff]", data).start()
+        lineno = data.count(b"\n", 0, pos) + 1
+        raise ProfileFormatError(
+            f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}") from None

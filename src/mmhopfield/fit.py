@@ -28,9 +28,8 @@ import numpy as np
 
 from .bogoliubov import normal_modes
 from .errors import (DataCoverageError, FitConfigError, InstabilityError,
-                     ProfileFormatError)
+                     ProfileFormatError, read_ascii)
 from .model import assemble_batch, strengths_from_ratios, two_mode_rabi
-from .overlap import read_ascii
 
 MAX_ASSIGNED_PEAKS = 5
 

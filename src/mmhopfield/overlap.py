@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import re
 
 import numpy as np
 
-from .errors import ProfileFormatError
+from .errors import ProfileFormatError, read_ascii
 
 
 @dataclass(frozen=True)
@@ -196,24 +195,6 @@ def _parse_header(path, line):
     except ValueError as exc:
         raise ProfileFormatError(f"{path}:1: bad header value: {exc}") from exc
     return nx, ny, dx, dy
-
-
-def read_ascii(path):
-    """Header line and body text of a profile, mask or peak-list file; a
-    non-ASCII byte is a ProfileFormatError naming its line."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline()
-            if not header.strip():
-                raise ProfileFormatError(f"{path}:1: empty header line")
-            return header, fh.read()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        pos = re.search(rb"[\x80-\xff]", data).start()
-        lineno = data.count(b"\n", 0, pos) + 1
-        raise ProfileFormatError(
-            f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}") from None
 
 
 def _read_tokens(body):

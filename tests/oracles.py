@@ -12,6 +12,9 @@ The branch matcher here is the greedy assignment with pairwise-swap
 refinement that sweeps once used, one grid point after the other; the
 production sweep solves every step's exact assignment at once.
 
+The CSV reference formats one cell at a time and joins each row's cells;
+the production writer fills one printf template per key.
+
 The spectrum reference builds its Lorentzian dips branch-minor, as a
 (..., F, n) stack summed over its short last axis; the production spectrum
 builds them branch-major and adds whole branch rows.
@@ -22,7 +25,7 @@ every branch subset of one record in a Python loop; the fit assigns a whole
 stack of records and parameter sets with array arithmetic.
 """
 
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -186,6 +189,19 @@ def spectrum_reference(freqs, weights, config):
     nu = config.frequency_grid[:, None]
     dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
     return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)
+
+
+def csv_rows_per_cell(keys, labels, *values):
+    """The rows of dispersion.csv_rows, "%.9g" formatted one cell at a time
+    and joined with commas, row after row."""
+    chunks = []
+    blocks = zip(*(np.asarray(v, dtype=float).tolist() for v in values))
+    for key, block in zip(map("%.9g".__mod__, np.ravel(keys).tolist()),
+                          blocks):
+        rows = zip(repeat(key), labels,
+                   *(map("%.9g".__mod__, r) for r in block))
+        chunks.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(chunks)
 
 
 def build_dynamical_matrix(ham):

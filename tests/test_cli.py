@@ -273,6 +273,19 @@ def test_unknown_config_key_exits_2_with_line(tmp_path, capsys):
     assert "bananas" in err and "unknown key" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("ETA = 1.5", "[coupling] eta: must lie in [0, 1]"),
+    ("BANANAS = 12", "[coupling] bananas: unknown key"),
+])
+def test_upper_case_keys_keep_their_line(tmp_path, capsys, line, message):
+    # configparser lower-cases option names, and so must the line lookup
+    text = SWEEP_CFG.replace("eta = 0.15", line)
+    cfg = _write(tmp_path / "upper.cfg", text)
+    lineno = text.splitlines().index(line) + 1
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
+
+
 @pytest.mark.parametrize("key", ["ratio_11", "ratio_2_tilde"])
 def test_negative_ratio_names_its_own_line(tmp_path, capsys, key):
     line = next(ln for ln in SWEEP_CFG.splitlines() if ln.startswith(key))
@@ -482,7 +495,8 @@ def test_solver_failure_exits_3(tmp_path, peaks_csv, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise mm.ConvergenceError("no simplex restart converged")
 
-    monkeypatch.setattr(cli, "fit_couplings", explode)
+    # the fit runner takes fit() from its submodule when it runs
+    monkeypatch.setattr(sys.modules["mmhopfield.fit"], "fit", explode)
     rc = cli.main(["fit", "--config", cfg, "--out", str(tmp_path),
                    "--peaks", peaks_csv])
     assert rc == 3
@@ -564,6 +578,99 @@ def test_fit_command_does_not_import_scipy(tmp_path, peaks_csv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "fit_residuals.csv").exists()
+
+
+# The package loads each submodule on first use, and each command imports
+# only the submodules it runs; errors is the one cli needs to start.
+_LOADED_MODULES_SCRIPT = """
+import sys
+from mmhopfield.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, " ".join(sorted(name for name in sys.modules
+                            if name.startswith("mmhopfield."))))
+"""
+
+_COMMAND_MODULES = {
+    "--help": "cli errors",
+    "sweep": "bogoliubov cli dispersion errors model",
+    "spectrum": "bogoliubov cli dispersion errors model",
+    "overlap": "cli errors overlap",
+    "fit": "bogoliubov cli errors fit model",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(tmp_path, peaks_csv, command):
+    spectrum = SPECTRUM_CFG[SPECTRUM_CFG.index("[spectrum]"):]
+    cfg = _write(tmp_path / "cfg.ini", FIT_CFG + "\n" + SWEEP_CFG[
+        SWEEP_CFG.index("[sweep]"):] + "\n" + spectrum)
+    profiles = []
+    for kind in ("lc", "dipolar"):
+        profiles.append(str(tmp_path / f"{kind}.dat"))
+        overlap.save_profile(profiles[-1], overlap.synthetic_profile(
+            kind, nx=24, ny=24, dx=2.5, dy=2.5))
+    argv = {"--help": ["--help"],
+            "overlap": ["overlap", "--profiles", *profiles],
+            "fit": ["fit", "--config", cfg, "--peaks", peaks_csv]}.get(
+                command, [command, "--config", cfg])
+    if command != "--help":
+        argv += ["--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES_SCRIPT,
+                           *argv], capture_output=True, text=True,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    expected = " ".join(f"mmhopfield.{name}"
+                        for name in _COMMAND_MODULES[command].split())
+    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
+
+
+_FIT_IS_THE_FUNCTION_SCRIPT = """
+import sys
+import mmhopfield as mm
+if sys.argv[1] == "submodule":
+    import mmhopfield.fit
+    from mmhopfield.fit import PeakRecord
+else:
+    from mmhopfield import cli
+    assert cli.main(["fit", "--config", sys.argv[2], "--peaks", sys.argv[3],
+                     "--out", sys.argv[4]]) == 0
+from mmhopfield import fit
+module = sys.modules["mmhopfield.fit"]
+assert mm.fit is fit is module.fit, (mm.fit, fit)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["submodule", "cli"])
+def test_package_fit_stays_the_function(tmp_path, peaks_csv, first):
+    cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
+    proc = subprocess.run([sys.executable, "-c", _FIT_IS_THE_FUNCTION_SCRIPT,
+                           first, cfg, peaks_csv, str(tmp_path)],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+_PUBLIC_NAMES_SCRIPT = """
+import sys
+import mmhopfield
+listed = set(dir(mmhopfield))
+namespace = {}
+exec("from mmhopfield import *", namespace)
+print(sorted(set(mmhopfield.__all__) - listed),
+      sorted(set(mmhopfield.__all__) - set(namespace)),
+      namespace["fit"] is sys.modules["mmhopfield.fit"].fit)
+"""
+
+
+def test_every_public_name_resolves():
+    proc = subprocess.run([sys.executable, "-c", _PUBLIC_NAMES_SCRIPT],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] [] True"
 
 
 def _declared_entry_point():

@@ -355,12 +355,15 @@ def test_g9_cells_match_per_value_format():
 
 def test_csv_rows_match_per_value_rows():
     keys = np.array(HARD_VALUES[:6])
-    labels = ["1", "a", "x"]
+    # a "%" in a label is text, not a conversion of the row template
+    labels = ["1", "a%", "%.9g%%x"]
     a = np.reshape(HARD_VALUES[:18], (6, 3))
     b = np.reshape(HARD_VALUES[9:27], (6, 3))
     expected = "".join(f"{keys[t]:.9g},{labels[k]},{a[t, k]:.9g},{b[t, k]:.9g}\n"
                        for t in range(6) for k in range(3))
     assert csv_rows(keys, labels, a, b) == expected
+    assert oracles.csv_rows_per_cell(keys, labels, a, b) == expected
+    assert csv_rows(keys, labels, a) == oracles.csv_rows_per_cell(keys, labels, a)
 
 
 def test_branch_csv_matches_per_value_rows(photon_pair, structured_coupling,
