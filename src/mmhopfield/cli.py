@@ -10,7 +10,6 @@ data. Errors print a single "ERROR <code>: ..." line on stderr.
 from __future__ import annotations
 
 import argparse
-import configparser
 import io
 import json
 import math
@@ -30,127 +29,150 @@ class ConfigError(ValueError):
     pass
 
 
-_KNOWN_KEYS = {
-    "photon_modes": {"frequencies_thz", "labels"},
-    "coupling": {"ratio_11", "ratio_2_tilde", "eta", "mode_volumes_m3"},
-    "material": {"effective_mass_ratio", "sheet_density_per_cm2", "qw_count",
-                 "background_permittivity"},
-    "sweep": {"start_thz", "stop_thz", "step_thz",
-              "start_tesla", "stop_tesla", "step_tesla"},
-    "spectrum": {"linewidth_thz", "freq_min_thz", "freq_max_thz",
-                 "freq_step_thz", "weight_mode"},
-    "fit": {"ratio_11_bounds", "ratio_2_bounds", "eta_mode", "eta_bounds",
-            "restarts"},
-    "overlap": {"physical_volumes_m3"},
+def _floats(raw):
+    return [float(c) for c in raw.split(",")]
+
+
+_EXPECTED = {float: "a number", int: "an integer",
+             _floats: "comma-separated numbers"}
+
+_GRID_KEY = (float, (math.isfinite, "start, stop and step must be finite"))
+_SWEEP_THZ = ("start_thz", "stop_thz", "step_thz")
+_SWEEP_TESLA = ("start_tesla", "stop_tesla", "step_tesla")
+_VOLUMES = (_floats, (lambda v: 0.0 < v < math.inf,
+                      "volumes must be finite and positive"))
+
+# section -> key -> (parse, *checks). parse turns the raw text into the value
+# or raises ValueError; each check is (ok, problem), and ok() must hold for
+# the value, or for every item of a list. MaterialParams, FitConfig and
+# SpectrumConfig check their own fields.
+_KEYS = {
+    "photon_modes": {
+        "frequencies_thz": (_floats, (lambda v: 0.0 < v < math.inf,
+                                      "frequencies must be finite and positive")),
+        "labels": (lambda raw: [c.strip() for c in raw.split(",")],)},
+    "coupling": {
+        **dict.fromkeys(("ratio_11", "ratio_2_tilde"), (
+            float, (lambda v: not v < 0.0, "ratios must be non-negative"),
+            (lambda v: v < math.inf, "ratios must be finite"))),
+        "eta": (float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+        "mode_volumes_m3": _VOLUMES},
+    "material": {"effective_mass_ratio": (float,),
+                 "sheet_density_per_cm2": (float,), "qw_count": (int,),
+                 "background_permittivity": (float,)},
+    "sweep": dict.fromkeys(_SWEEP_THZ + _SWEEP_TESLA, _GRID_KEY),
+    "spectrum": {"linewidth_thz": (_floats,), "weight_mode": (str,),
+                 **dict.fromkeys(("freq_min_thz", "freq_max_thz",
+                                  "freq_step_thz"), _GRID_KEY)},
+    "fit": {**dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds",
+                             "eta_bounds"), (_floats,)),
+            "eta_mode": (str, (lambda v: v in ("fixed", "free"),
+                               "must be 'fixed' or 'free'")),
+            "restarts": (int,)},
+    "overlap": {"physical_volumes_m3": _VOLUMES},
 }
 
-
-def _key_line(path, section, key):
-    """Best-effort line number of a key inside its section. Option names
-    match as configparser reads them: stripped and lower-cased."""
-    current = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                s = line.strip()
-                if s.startswith("[") and s.endswith("]"):
-                    current = s[1:-1].strip()
-                elif current == section:
-                    option = re.match(r"(.*?)\s*[=:]", s)
-                    if option and option[1].lower() == key:
-                        return lineno
-    except OSError:
-        pass
-    return None
-
-
-def _cfg_error(path, section, key, problem):
-    line = _key_line(path, section, key)
-    where = f"{path}:{line}" if line else str(path)
-    return ConfigError(f"{where}: [{section}] {key}: {problem}")
+_COMMENT = re.compile(r"(?:^|\s)[;#]")
+_HEADER = re.compile(r"\[(.+)\]")
+_KEY_LINE = re.compile(r"([^=:]+?)\s*[=:]\s*(.*)")
 
 
 class _Config:
-    """Schema-validated view of one INI config file."""
+    """One INI config file, read in one pass: [section] headers, `key = value`
+    or `key: value` lines, indented continuation lines, and `;` or `#`
+    comments at the start of a line or after whitespace. Keys are
+    lower-cased, `%` is literal, and each value is parsed and checked by
+    _KEYS when it is read."""
 
     def __init__(self, path):
-        self.path = path
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        self.path = path
+        self.sections = set()
+        self.entries = {}  # (section, key) -> [raw value, line]
+        section = entry = None  # entry: the last key's [value, line]
         try:
-            parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}: unknown section [{section}]")
-            for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
-                    raise _cfg_error(path, section, key, "unknown key")
-        self.parser = parser
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the config: "
+                              f"{exc.strerror}") from None
+        with fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = _COMMENT.split(line, 1)[0].strip()
+                if not text:
+                    continue
+                depth = len(line) - len(line.lstrip())
+                if entry and depth > indent:  # deeper than its key: continues it
+                    entry[0] += "\n" + text
+                    continue
+                indent, entry = depth, None
+                where = f"{path}:{lineno}"
+                header = _HEADER.match(text)
+                if header:
+                    section = header[1]
+                    if section not in _KEYS:
+                        raise ConfigError(f"{where}: unknown section [{section}]")
+                    if section in self.sections:
+                        raise ConfigError(f"{where}: duplicate section [{section}]")
+                    self.sections.add(section)
+                    continue
+                if section is None:
+                    raise ConfigError(f"{where}: key outside any section")
+                match = _KEY_LINE.fullmatch(text)
+                if match is None:
+                    raise ConfigError(f"{where}: expected 'key = value', "
+                                      f"got {text!r}")
+                key = match[1].lower()
+                if key not in _KEYS[section]:
+                    raise ConfigError(f"{where}: [{section}] {key}: unknown key")
+                if (section, key) in self.entries:
+                    raise ConfigError(f"{where}: [{section}] {key}: duplicate key")
+                entry = self.entries[section, key] = [match[2], lineno]
 
     def require(self, section):
-        if section not in self.parser:
+        if section not in self.sections:
             raise ConfigError(f"{self.path}: missing section [{section}]")
 
     def has(self, section, key=None):
         if key is None:
-            return section in self.parser
-        return section in self.parser and key in self.parser[section]
+            return section in self.sections
+        return (section, key) in self.entries
 
     def get(self, section, key, default=None):
-        if not self.has(section, key):
+        """The key's value, parsed and checked by _KEYS; the default, which
+        is returned as it is, when the file has no such key."""
+        if (section, key) not in self.entries:
             if default is None:
                 raise ConfigError(
                     f"{self.path}: missing key {key} in section [{section}]")
             return default
-        return self.parser[section][key].strip()
-
-    def get_float(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        if isinstance(raw, float):
-            return raw
+        raw = self.entries[section, key][0].strip()
+        parse, *checks = _KEYS[section][key]
         try:
-            return float(raw)
+            value = parse(raw)
         except ValueError:
-            raise _cfg_error(self.path, section, key,
-                             f"expected a number, got {raw!r}") from None
+            raise self.error(section, key,
+                             f"expected {_EXPECTED[parse]}, got {raw!r}") from None
+        for ok, problem in checks:
+            if not all(map(ok, value if isinstance(value, list) else [value])):
+                raise self.error(section, key, problem)
+        return value
 
-    def get_int(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        if isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError:
-            raise _cfg_error(self.path, section, key,
-                             f"expected an integer, got {raw!r}") from None
-
-    def get_floats(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return [float(c) for c in raw.split(",")]
-        except ValueError:
-            raise _cfg_error(self.path, section, key,
-                             f"expected comma-separated numbers, got {raw!r}") from None
+    def error(self, section, key, problem):
+        """ConfigError about a key, at its line when the file has it."""
+        line = self.entries.get((section, key), (None, None))[1]
+        where = f"{self.path}:{line}" if line else self.path
+        return ConfigError(f"{where}: [{section}] {key}: {problem}")
 
 
 def _load_photons(cfg, volumes=None):
     from . import model
     cfg.require("photon_modes")
-    freqs = cfg.get_floats("photon_modes", "frequencies_thz")
-    if not all(0.0 < f < math.inf for f in freqs):
-        raise _cfg_error(cfg.path, "photon_modes", "frequencies_thz",
-                         "frequencies must be finite and positive")
-    labels = [""] * len(freqs)
-    if cfg.has("photon_modes", "labels"):
-        labels = [c.strip() for c in cfg.get("photon_modes", "labels").split(",")]
-        if len(labels) != len(freqs):
-            raise _cfg_error(cfg.path, "photon_modes", "labels",
-                             f"{len(labels)} labels for {len(freqs)} modes")
+    freqs = cfg.get("photon_modes", "frequencies_thz")
+    labels = cfg.get("photon_modes", "labels", [""] * len(freqs))
+    if len(labels) != len(freqs):
+        raise cfg.error("photon_modes", "labels",
+                        f"{len(labels)} labels for {len(freqs)} modes")
     if volumes is None:
         volumes = [None] * len(freqs)
     return [model.PhotonMode(index=i + 1, frequency=f, label=lab,
@@ -163,17 +185,17 @@ def _load_material(cfg):
     if not cfg.has("material"):
         return model.MaterialParams()
     fields = {
-        "effective_mass_ratio": cfg.get_float("material", "effective_mass_ratio", 0.07),
-        "sheet_density": cfg.get_float("material", "sheet_density_per_cm2", 1.25e12) * 1e4,
-        "qw_count": cfg.get_int("material", "qw_count", 3),
-        "background_permittivity": cfg.get_float("material", "background_permittivity", 12.9)}
+        "effective_mass_ratio": cfg.get("material", "effective_mass_ratio", 0.07),
+        "sheet_density": cfg.get("material", "sheet_density_per_cm2", 1.25e12) * 1e4,
+        "qw_count": cfg.get("material", "qw_count", 3),
+        "background_permittivity": cfg.get("material", "background_permittivity", 12.9)}
     for field, value in fields.items():
         try:  # MaterialParams checks each field on its own
             model.MaterialParams(**{field: value})
         except ValueError as exc:
             key = "sheet_density_per_cm2" if field == "sheet_density" else field
-            raise _cfg_error(cfg.path, "material", key,
-                             str(exc).removeprefix(field + " ")) from exc
+            raise cfg.error("material", key,
+                            str(exc).removeprefix(field + " ")) from exc
     return model.MaterialParams(**fields)
 
 
@@ -184,82 +206,65 @@ def _load_coupling(cfg):
     has_ratios = cfg.has("coupling", "ratio_11")
     has_micro = cfg.has("coupling", "mode_volumes_m3")
     if has_ratios and has_micro:
-        raise _cfg_error(cfg.path, "coupling", "mode_volumes_m3",
-                         "give either normalized ratios or mode volumes, not both")
+        raise cfg.error("coupling", "mode_volumes_m3",
+                        "give either normalized ratios or mode volumes, not both")
     if not has_ratios and not has_micro:
         raise ConfigError(f"{cfg.path}: [coupling] needs ratio_11/ratio_2_tilde "
                           f"or mode_volumes_m3")
-    eta = cfg.get_float("coupling", "eta")
-    if not 0.0 <= eta <= 1.0:
-        raise _cfg_error(cfg.path, "coupling", "eta", "must lie in [0, 1]")
+    eta = cfg.get("coupling", "eta")
 
     if has_ratios:
         photons = _load_photons(cfg)
         if len(photons) != 2:
-            raise _cfg_error(cfg.path, "photon_modes", "frequencies_thz",
-                             "the two-mode model needs exactly two frequencies")
-        ratio_11 = cfg.get_float("coupling", "ratio_11")
-        ratio_2 = cfg.get_float("coupling", "ratio_2_tilde")
-        for key, ratio in (("ratio_11", ratio_11), ("ratio_2_tilde", ratio_2)):
-            if not 0.0 <= ratio < math.inf:
-                raise _cfg_error(cfg.path, "coupling", key,
-                                 "ratios must be non-negative" if ratio < 0.0
-                                 else "ratios must be finite")
-        return photons, model.couplings_from_ratios(photons, ratio_11, ratio_2, eta)
+            raise cfg.error("photon_modes", "frequencies_thz",
+                            "the two-mode model needs exactly two frequencies")
+        return photons, model.couplings_from_ratios(
+            photons, cfg.get("coupling", "ratio_11"),
+            cfg.get("coupling", "ratio_2_tilde"), eta)
 
-    volumes = cfg.get_floats("coupling", "mode_volumes_m3")
-    if not all(0.0 < v < math.inf for v in volumes):
-        raise _cfg_error(cfg.path, "coupling", "mode_volumes_m3",
-                         "volumes must be finite and positive")
+    volumes = cfg.get("coupling", "mode_volumes_m3")
     photons = _load_photons(cfg, volumes=volumes)
     if len(photons) != 2 or len(volumes) != 2:
-        raise _cfg_error(cfg.path, "coupling", "mode_volumes_m3",
-                         "the two-mode model needs exactly two volumes")
+        raise cfg.error("coupling", "mode_volumes_m3",
+                        "the two-mode model needs exactly two volumes")
     material = _load_material(cfg)
     ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
               for m in photons]
     return photons, model.couplings_from_ratios(photons, ratios[0], ratios[1], eta)
 
 
-def _grid(start, stop, step, what):
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError(f"{what}: start, stop and step must be finite")
-    if step <= 0.0:
-        raise ConfigError(f"{what}: step must be positive")
-    if stop <= start:
-        raise ConfigError(f"{what}: stop must exceed start")
-    if start < 0.0:
-        raise ConfigError(f"{what}: start must be non-negative")
+def _grid(cfg, section, keys, to_thz=float):
+    """start + step * arange(n) from a section's start, stop and step keys
+    (finite by _KEYS); each error names the key it is about. The checks see
+    the values as written, so to_thz only ever converts a valid grid."""
+    start, stop, step = (cfg.get(section, key) for key in keys)
+    for key, bad, problem in ((keys[2], step <= 0.0, "step must be positive"),
+                              (keys[1], stop <= start, "stop must exceed start"),
+                              (keys[0], start < 0.0, "start must be non-negative")):
+        if bad:
+            raise cfg.error(section, key, problem)
+    start, stop, step = map(to_thz, (start, stop, step))
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     if n < 2:
-        raise ConfigError(f"{what}: grid contains fewer than two points")
+        raise cfg.error(section, keys[2], "grid contains fewer than two points")
     return start + step * np.arange(n)
 
 
 def _load_sweep_grid(cfg):
     cfg.require("sweep")
-    thz = [cfg.has("sweep", k) for k in ("start_thz", "stop_thz", "step_thz")]
-    tesla = [cfg.has("sweep", k) for k in
-             ("start_tesla", "stop_tesla", "step_tesla")]
+    thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
+    tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
     if any(thz) and any(tesla):
         raise ConfigError(f"{cfg.path}: [sweep] mixes THz and tesla keys")
     if all(thz):
-        return _grid(cfg.get_float("sweep", "start_thz"),
-                     cfg.get_float("sweep", "stop_thz"),
-                     cfg.get_float("sweep", "step_thz"),
-                     f"{cfg.path}: [sweep]")
+        return _grid(cfg, "sweep", _SWEEP_THZ)
     if all(tesla):
         from . import model
         material = _load_material(cfg)
         # convert the endpoints once so B- and THz-specified sweeps share the
         # exact same grid arithmetic
-        return _grid(model.cyclotron_frequency(
-                         cfg.get_float("sweep", "start_tesla"), material),
-                     model.cyclotron_frequency(
-                         cfg.get_float("sweep", "stop_tesla"), material),
-                     model.cyclotron_frequency(
-                         cfg.get_float("sweep", "step_tesla"), material),
-                     f"{cfg.path}: [sweep]")
+        return _grid(cfg, "sweep", _SWEEP_TESLA,
+                     lambda b: model.cyclotron_frequency(b, material))
     raise ConfigError(f"{cfg.path}: [sweep] needs start/stop/step in THz or tesla")
 
 
@@ -307,14 +312,12 @@ def _run_sweep(args):
 def _spectrum_config(cfg, n_branches):
     from . import dispersion
     cfg.require("spectrum")
-    widths = cfg.get_floats("spectrum", "linewidth_thz")
+    widths = cfg.get("spectrum", "linewidth_thz")
     if len(widths) not in (1, n_branches):
-        raise _cfg_error(cfg.path, "spectrum", "linewidth_thz",
-                         f"need one linewidth or {n_branches}")
-    grid = _grid(cfg.get_float("spectrum", "freq_min_thz"),
-                 cfg.get_float("spectrum", "freq_max_thz"),
-                 cfg.get_float("spectrum", "freq_step_thz"),
-                 f"{cfg.path}: [spectrum]")
+        raise cfg.error("spectrum", "linewidth_thz",
+                        f"need one linewidth or {n_branches}")
+    grid = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
+                                   "freq_step_thz"))
     mode = cfg.get("spectrum", "weight_mode", "photon_fraction")
     try:
         return dispersion.SpectrumConfig(
@@ -349,34 +352,22 @@ def _run_spectrum(args):
 def _fit_config(cfg, seed):
     from .fit import FitConfig
     cfg.require("fit")
-    mode = cfg.get("fit", "eta_mode", "fixed")
-    if mode not in ("fixed", "free"):
-        raise _cfg_error(cfg.path, "fit", "eta_mode", "must be 'fixed' or 'free'")
-    fit_eta = mode == "free"
-    eta_fixed = 1.0
-    if not fit_eta:
-        if not cfg.has("coupling", "eta"):
-            raise ConfigError(
-                f"{cfg.path}: eta_mode = fixed needs [coupling] eta")
-        eta_fixed = cfg.get_float("coupling", "eta")
+    fit_eta = cfg.get("fit", "eta_mode", "fixed") == "free"
+    if not fit_eta and not cfg.has("coupling", "eta"):
+        raise ConfigError(f"{cfg.path}: eta_mode = fixed needs [coupling] eta")
+    bounds = {key: tuple(cfg.get("fit", key, [0.0, 1.0])) for key in
+              ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
     try:
         return FitConfig(
-            ratio_11_bounds=tuple(cfg.get_floats("fit", "ratio_11_bounds",
-                                                 [0.0, 1.0])),
-            ratio_2_bounds=tuple(cfg.get_floats("fit", "ratio_2_bounds",
-                                                [0.0, 1.0])),
-            eta_fixed=eta_fixed, fit_eta=fit_eta,
-            eta_bounds=tuple(cfg.get_floats("fit", "eta_bounds", [0.0, 1.0])),
-            restarts=cfg.get_int("fit", "restarts", 8),
-            seed=seed)
+            **bounds, fit_eta=fit_eta,
+            eta_fixed=1.0 if fit_eta else cfg.get("coupling", "eta"),
+            restarts=cfg.get("fit", "restarts", 8), seed=seed)
     except FitConfigError as exc:
         if exc.field == "seed":
             raise ConfigError(f"--seed: {exc.problem}") from exc
-        # every other field set from the file is the [fit] key of that name,
-        # but eta_fixed, which is read from [coupling] eta
-        section, key = (("coupling", "eta") if exc.field == "eta_fixed"
-                        else ("fit", exc.field))
-        raise _cfg_error(cfg.path, section, key, exc.problem) from exc
+        # every other field that FitConfig can reject is the [fit] key of
+        # that name: eta_fixed comes from [coupling] eta, which _KEYS checks
+        raise cfg.error("fit", exc.field, exc.problem) from exc
 
 
 def _run_fit(args):
@@ -450,15 +441,10 @@ def _run_overlap(args):
     volumes = [1.0] * len(profiles)
     if args.config is not None:
         cfg = _Config(args.config)
-        if cfg.has("overlap", "physical_volumes_m3"):
-            volumes = cfg.get_floats("overlap", "physical_volumes_m3")
-            if not all(0.0 < v < math.inf for v in volumes):
-                raise _cfg_error(cfg.path, "overlap", "physical_volumes_m3",
-                                 "volumes must be finite and positive")
-            if len(volumes) != len(profiles):
-                raise _cfg_error(cfg.path, "overlap", "physical_volumes_m3",
-                                 f"{len(volumes)} volumes for "
-                                 f"{len(profiles)} profiles")
+        volumes = cfg.get("overlap", "physical_volumes_m3", volumes)
+        if len(volumes) != len(profiles):
+            raise cfg.error("overlap", "physical_volumes_m3",
+                            f"{len(volumes)} volumes for {len(profiles)} profiles")
 
     n = len(profiles)
     f_matrix = [[overlap.overlap_integral(profiles[i], profiles[j], mask)

@@ -66,6 +66,13 @@ freq_step_thz = 0.01
 weight_mode = photon_fraction
 """
 
+TESLA_CFG = _HEAD + """
+[sweep]
+start_tesla = 0.125
+stop_tesla = 5.125
+step_tesla = 0.125
+"""
+
 
 def _write(path, text):
     path.write_text(text)
@@ -140,19 +147,13 @@ def test_field_sweep_matches_thz_sweep_bytewise(tmp_path):
     nu_lo = model.cyclotron_frequency(0.125)
     nu_hi = model.cyclotron_frequency(5.125)
     nu_step = model.cyclotron_frequency(0.125)
-    tesla_cfg = _HEAD + """
-[sweep]
-start_tesla = 0.125
-stop_tesla = 5.125
-step_tesla = 0.125
-"""
     thz_cfg = _HEAD + f"""
 [sweep]
 start_thz = {nu_lo!r}
 stop_thz = {nu_hi!r}
 step_thz = {nu_step!r}
 """
-    cfg_b = _write(tmp_path / "field.ini", tesla_cfg)
+    cfg_b = _write(tmp_path / "field.ini", TESLA_CFG)
     cfg_f = _write(tmp_path / "thz.ini", thz_cfg)
     out_b, out_f = tmp_path / "field", tmp_path / "thz"
     assert cli.main(["sweep", "--config", cfg_b, "--out", str(out_b)]) == 0
@@ -340,9 +341,16 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, peaks_csv):
 def test_non_finite_spectrum_settings_exit_2(tmp_path, capsys, line, message):
     key = line.split(" =")[0]
     old = next(ln for ln in SPECTRUM_CFG.splitlines() if ln.startswith(key))
-    cfg = _write(tmp_path / "cfg.ini", SPECTRUM_CFG.replace(old, line))
+    text = SPECTRUM_CFG.replace(old, line)
+    cfg = _write(tmp_path / "cfg.ini", text)
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert f"ERROR 2: {cfg}: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if key.startswith("freq_"):  # a grid error names its key and line
+        lineno = text.splitlines().index(line) + 1
+        problem = message.removeprefix("[spectrum]: ")
+        assert err == f"ERROR 2: {cfg}:{lineno}: [spectrum] {key}: {problem}\n"
+    else:
+        assert f"ERROR 2: {cfg}: {message}" in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 
@@ -458,10 +466,135 @@ def test_fit_without_peaks_flag_exits_2(tmp_path, capsys):
 
 
 def test_zero_sweep_step_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path / "cfg.ini",
-                 SWEEP_CFG.replace("step_thz = 0.05", "step_thz = 0"))
+    text = SWEEP_CFG.replace("step_thz = 0.05", "step_thz = 0")
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index("step_thz = 0") + 1
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "step" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [sweep] step_thz: step must be positive\n")
+
+_GRID_CFGS = {"thz": SWEEP_CFG, "tesla": TESLA_CFG, "spectrum": SPECTRUM_CFG}
+
+
+@pytest.mark.parametrize("grid, line, problem", [
+    ("thz", "start_thz = nan", "start, stop and step must be finite"),
+    ("thz", "stop_thz = 0.01", "stop must exceed start"),
+    ("thz", "start_thz = -0.1", "start must be non-negative"),
+    ("thz", "step_thz = 5", "grid contains fewer than two points"),
+    ("tesla", "step_tesla = -0.125", "step must be positive"),
+    ("tesla", "start_tesla = -0.125", "start must be non-negative"),
+    ("tesla", "stop_tesla = inf", "start, stop and step must be finite"),
+    ("spectrum", "freq_step_thz = 0", "step must be positive"),
+    ("spectrum", "freq_max_thz = 0.3", "stop must exceed start"),
+    ("spectrum", "freq_step_thz = 2", "grid contains fewer than two points"),
+])
+def test_grid_errors_name_their_key_and_line(tmp_path, capsys, grid, line,
+                                             problem):
+    key = line.split(" =")[0]
+    base = _GRID_CFGS[grid]
+    old = next(ln for ln in base.splitlines() if ln.startswith(key))
+    text = base.replace(old, line)
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(line) + 1
+    section = "spectrum" if grid == "spectrum" else "sweep"
+    assert cli.main([section, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [{section}] {key}: {problem}\n")
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    pytest.param(SWEEP_CFG + "[coupling]\n", 14,
+                 "duplicate section [coupling]", id="duplicate-section"),
+    pytest.param(SWEEP_CFG.replace("eta = 0.15", "eta = 0.15\nETA: 0.2"), 9,
+                 "[coupling] eta: duplicate key", id="duplicate-key"),
+    pytest.param("eta = 0.15\n" + SWEEP_CFG, 1, "key outside any section",
+                 id="key-outside-a-section"),
+    pytest.param(SWEEP_CFG.replace("ratio_11 = 0.37", "ratio_11 0.37"), 6,
+                 "expected 'key = value', got 'ratio_11 0.37'",
+                 id="no-delimiter"),
+    pytest.param("[DEFAULT]\neta = 0.15\n" + SWEEP_CFG.replace("eta = 0.15\n", ""),
+                 1, "unknown section [DEFAULT]", id="default-section"),
+    pytest.param(SWEEP_CFG + "[bananas]\n", 14, "unknown section [bananas]",
+                 id="unknown-section"),
+])
+def test_config_syntax_errors_name_their_line(tmp_path, capsys, text, lineno,
+                                              message):
+    cfg = _write(tmp_path / "cfg.ini", text)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
+    assert not (tmp_path / "branches.csv").exists()
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    folder = tmp_path / "cfg.ini"
+    folder.mkdir()
+    assert cli.main(["sweep", "--config", str(folder), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {folder}: cannot read the config: Is a directory\n")
+
+
+SHIPPED_STRUCTURED = Path(cli.__file__).parent / "configs" / "structured.cfg"
+
+# structured.cfg in the rest of the dialect the reader accepts
+STRUCTURED_DIALECT_CFG = """\
+; ':' delimiters, inline comments, a wrapped list and upper-case keys
+[photon_modes]
+FREQUENCIES_THZ: 0.8,   ; the list goes on below
+    1.6
+Labels = LC, dipolar  # inline comment
+
+[coupling]
+ratio_11: 0.28
+Ratio_2_Tilde : 0.1351351 ; near the LC ratio
+  # an indented comment line
+ETA=0.999
+
+[material]
+effective_mass_ratio: 0.07
+sheet_density_per_cm2: 1.25e12
+qw_count: 3
+background_permittivity: 12.9
+
+[sweep]
+start_thz: 0.05
+stop_thz: 2.2
+step_thz: 0.01   # 216 points
+
+[spectrum]
+linewidth_thz = 0.04
+freq_min_thz = 0.05
+freq_max_thz = 2.6
+freq_step_thz = 0.005
+WEIGHT_MODE = photon_fraction
+
+[fit]
+ratio_11_bounds = 0.0, 0.8
+ratio_2_bounds = 0.0, 0.8
+eta_mode = fixed
+restarts = 8
+"""
+
+
+def _maps(cfg, out):
+    for command in ("sweep", "spectrum"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return [(out / name).read_bytes() for name in ("branches.csv",
+                                                   "spectrum.csv")]
+
+
+def test_config_dialect_gives_the_shipped_outputs(tmp_path):
+    cfg = _write(tmp_path / "dialect.cfg", STRUCTURED_DIALECT_CFG)
+    assert _maps(cfg, tmp_path / "dialect") == _maps(SHIPPED_STRUCTURED,
+                                                     tmp_path / "shipped")
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    text = SHIPPED_STRUCTURED.read_text()
+    assert "labels = LC, dipolar" in text
+    cfg = _write(tmp_path / "percent.cfg",
+                 text.replace("labels = LC, dipolar", "labels = LC 50%, dipolar"))
+    assert _maps(cfg, tmp_path / "percent") == _maps(SHIPPED_STRUCTURED,
+                                                     tmp_path / "shipped")
 
 
 def test_missing_peaks_file_exits_4(tmp_path, capsys):
@@ -510,12 +643,13 @@ def test_missing_config_flag_is_a_usage_error(capsys):
 
 
 # Run in a fresh interpreter: the test process itself has scipy loaded. No
-# command needs scipy, numpy.random or numpy.ma; numpy 1.x imports the last
-# two with numpy itself, so only what a run adds to that counts.
+# command needs scipy, numpy.random, numpy.ma or configparser; numpy 1.x
+# imports numpy.random and numpy.ma with numpy itself, so only what a run adds
+# to that counts.
 _UNUSED_MODULES = """
 def unused_modules():
     return sorted(name for name in set(sys.modules) - with_numpy
-                  if name.split(".")[0] == "scipy"
+                  if name.split(".")[0] in ("scipy", "configparser")
                   or name.startswith(("numpy.random", "numpy.ma")))
 """
 
