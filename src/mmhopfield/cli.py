@@ -37,6 +37,7 @@ _EXPECTED = {float: "a number", int: "an integer",
              _floats: "comma-separated numbers"}
 
 _GRID_KEY = (float, (math.isfinite, "start, stop and step must be finite"))
+MAX_GRID_POINTS = 1_000_000  # per sweep or spectrum grid
 _SWEEP_THZ = ("start_thz", "stop_thz", "step_thz")
 _SWEEP_TESLA = ("start_tesla", "stop_tesla", "step_tesla")
 _VOLUMES = (_floats, (lambda v: 0.0 < v < math.inf,
@@ -45,7 +46,8 @@ _VOLUMES = (_floats, (lambda v: 0.0 < v < math.inf,
 # section -> key -> (parse, *checks). parse turns the raw text into the value
 # or raises ValueError; each check is (ok, problem), and ok() must hold for
 # the value, or for every item of a list. MaterialParams, FitConfig and
-# SpectrumConfig check their own fields.
+# SpectrumConfig check their own fields; a check here that repeats one of
+# theirs, with the same text, anchors it at the key's line.
 _KEYS = {
     "photon_modes": {
         "frequencies_thz": (_floats, (lambda v: 0.0 < v < math.inf,
@@ -61,9 +63,13 @@ _KEYS = {
                  "sheet_density_per_cm2": (float,), "qw_count": (int,),
                  "background_permittivity": (float,)},
     "sweep": dict.fromkeys(_SWEEP_THZ + _SWEEP_TESLA, _GRID_KEY),
-    "spectrum": {"linewidth_thz": (_floats,), "weight_mode": (str,),
-                 **dict.fromkeys(("freq_min_thz", "freq_max_thz",
-                                  "freq_step_thz"), _GRID_KEY)},
+    "spectrum": {
+        "linewidth_thz": (_floats, (math.isfinite, "linewidths must be finite"),
+                          (lambda v: v > 0.0, "linewidths must be positive")),
+        "weight_mode": (str, (lambda v: v in ("photon_fraction", "equal"),
+                              "must be 'photon_fraction' or 'equal'")),
+        **dict.fromkeys(("freq_min_thz", "freq_max_thz", "freq_step_thz"),
+                        _GRID_KEY)},
     "fit": {**dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds",
                              "eta_bounds"), (_floats,)),
             "eta_mode": (str, (lambda v: v in ("fixed", "free"),
@@ -236,7 +242,9 @@ def _load_coupling(cfg):
 def _grid(cfg, section, keys, to_thz=float):
     """start + step * arange(n) from a section's start, stop and step keys
     (finite by _KEYS); each error names the key it is about. The checks see
-    the values as written, so to_thz only ever converts a valid grid."""
+    the values as written, so to_thz only ever converts a valid grid. The
+    point count is checked before any array is made, and the points must
+    ascend strictly."""
     start, stop, step = (cfg.get(section, key) for key in keys)
     for key, bad, problem in ((keys[2], step <= 0.0, "step must be positive"),
                               (keys[1], stop <= start, "stop must exceed start"),
@@ -244,10 +252,18 @@ def _grid(cfg, section, keys, to_thz=float):
         if bad:
             raise cfg.error(section, key, problem)
     start, stop, step = map(to_thz, (start, stop, step))
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf for a subnormal step
+    if not span < MAX_GRID_POINTS:
+        raise cfg.error(section, keys[2],
+                        f"step gives more than {MAX_GRID_POINTS} grid points")
+    n = int(span) + 1
     if n < 2:
         raise cfg.error(section, keys[2], "grid contains fewer than two points")
-    return start + step * np.arange(n)
+    points = start + step * np.arange(n)
+    if np.any(points[1:] <= points[:-1]):
+        raise cfg.error(section, keys[2],
+                        "step is too small to separate the grid points")
+    return points
 
 
 def _load_sweep_grid(cfg):
@@ -318,14 +334,11 @@ def _spectrum_config(cfg, n_branches):
                         f"need one linewidth or {n_branches}")
     grid = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
                                    "freq_step_thz"))
-    mode = cfg.get("spectrum", "weight_mode", "photon_fraction")
-    try:
-        return dispersion.SpectrumConfig(
-            frequency_grid=grid,
-            linewidths=widths[0] if len(widths) == 1 else widths,
-            weight_mode=mode)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: [spectrum]: {exc}") from exc
+    # _KEYS has checked the linewidths and the mode, _grid the grid
+    return dispersion.SpectrumConfig(
+        frequency_grid=grid,
+        linewidths=widths[0] if len(widths) == 1 else widths,
+        weight_mode=cfg.get("spectrum", "weight_mode", "photon_fraction"))
 
 
 def _run_spectrum(args):

@@ -134,9 +134,25 @@ def _min_cost_assignment(cost):
     lexicographically smallest wins: row 0 takes the lowest column it can,
     then row 1, and so on. The members of each subset are scanned in
     ascending order and replace the running minimum only when strictly
-    lower."""
-    cost = np.moveaxis(np.asarray(cost, dtype=float), 0, -1)  # (n, n, S)
-    n, n_sets = cost.shape[1:]
+    lower.
+
+    Evident matrices skip the dynamic program: where every row's diagonal
+    entry is no larger than any other entry of its row, the answer is the
+    identity. Rounded addition is monotone, so no permutation's nested sum
+    falls below the identity's, and on a tie the identity, the
+    lexicographically first permutation, is the one the tie rule picks. A
+    NaN entry makes its matrix not evident."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[1]
+    perm = np.empty((len(cost), n), dtype=np.intp)
+    perm[:] = np.arange(n)
+    evident = np.all(np.diagonal(cost, axis1=1, axis2=2) <= cost.min(axis=2),
+                     axis=1)
+    pending = np.flatnonzero(~evident)
+    if len(pending) == 0:
+        return perm
+    cost = np.moveaxis(cost[pending], 0, -1)  # (n, n, S)
+    n_sets = len(pending)
     best = np.zeros((1 << n, n_sets))
     choice = np.zeros((1 << n, n_sets), dtype=np.intp)
     for size, (level, members, rest) in enumerate(_subset_levels(n), start=1):
@@ -149,12 +165,13 @@ def _min_cost_assignment(cost):
             pick = np.where(lower, members[:, m:m + 1], pick)
         best[level] = low
         choice[level] = pick
-    perm = np.empty((n_sets, n), dtype=np.intp)
+    picked = np.empty((n_sets, n), dtype=np.intp)
     mask = np.full(n_sets, (1 << n) - 1)
     sets = np.arange(n_sets)
     for row in range(n):
-        perm[:, row] = choice[mask, sets]
-        mask ^= 1 << perm[:, row]
+        picked[:, row] = choice[mask, sets]
+        mask ^= 1 << picked[:, row]
+    perm[pending] = picked
     return perm
 
 
@@ -163,8 +180,11 @@ def sweep(photons, coupling, nu_c_grid):
 
     Branch column k starts as the k-th lowest mode at the first point and
     follows the minimum-cost assignment between adjacent points. The
-    assignments do not depend on each other, so all are solved at once and
-    only their integer permutations are composed point by point."""
+    assignments do not depend on each other, so all are solved at once.
+    Away from crossings a step keeps the eigen-order, mostly as an evident
+    step of _min_cost_assignment. Only the steps that permute are composed,
+    in order, and every point between two of them carries the composition
+    reached so far."""
     grid = np.asarray(nu_c_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("nu_c grid must contain at least two points")
@@ -183,11 +203,16 @@ def sweep(photons, coupling, nu_c_grid):
                                entry=exc.entry) from exc
     fracs = vecs ** 2
     steps = _min_cost_assignment(_match_cost(freqs, fracs))
-    # branch column i is eigen-order column order[t, i] at point t
-    order = np.empty_like(steps, shape=freqs.shape)
-    order[0] = np.arange(freqs.shape[1])
-    for t, step in enumerate(steps, start=1):
-        order[t] = step[order[t - 1]]
+    # branch column i is eigen-order column order[t, i] at point t. Step s
+    # links points s and s + 1, so point t takes orders[k], the composition
+    # of the k permuting steps s < t
+    identity = np.arange(freqs.shape[1])
+    moving = np.flatnonzero(np.any(steps != identity, axis=1))
+    orders = np.empty_like(steps, shape=(len(moving) + 1, len(identity)))
+    orders[0] = identity
+    for k, s in enumerate(moving, start=1):
+        orders[k] = steps[s, orders[k - 1]]
+    order = orders[np.searchsorted(moving, np.arange(len(grid)))]
     branches = np.take_along_axis(freqs, order, axis=1)
     fractions = np.take_along_axis(fracs, order[..., None], axis=1)
     return SweepResult(nu_c_values=grid, branches=branches,
@@ -302,24 +327,30 @@ def spectrum_from_branches(freqs, weights, config):
     one linewidth or n, else ValueError.
 
     The dips are evaluated branch-major, as a (..., n, F) stack with the
-    probe grid contiguous, and summed by adding branch rows in order. Below
-    8 branches this equals, bit for bit, the sum over the branch axis of a
-    (..., F, n) stack; from 8 up numpy sums such a short axis pairwise, so
-    the last bits can differ (within 1e-15 for up to 12 branches)."""
+    probe grid contiguous, divided in place, and summed by adding branch
+    rows in order. Below 8 branches this equals, bit for bit, the sum over
+    the branch axis of a (..., F, n) stack; from 8 up numpy sums such a
+    short axis pairwise, so the last bits can differ (within 1e-15 for up
+    to 12 branches). Only the lower clip is applied: with the weights
+    clipped at zero every dip w gamma^2 / ((nu - nu_k)^2 + gamma^2) is >= 0,
+    so 1 - sum is <= 1 already. A NaN stays NaN."""
     freqs = np.asarray(freqs, dtype=float)
     n = freqs.shape[-1]
     widths = config.linewidths
     if len(widths) not in (1, n):
         raise ValueError(
             f"{len(widths)} linewidths for {n} branches; give one or {n}")
+    weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
+    if weights.shape != freqs.shape:  # the dips are divided in place
+        freqs, weights = np.broadcast_arrays(freqs, weights)
     width2 = (widths * widths)[:, None]
-    denom = config.frequency_grid - freqs[..., None]
-    np.multiply(denom, denom, out=denom)
-    np.add(denom, width2, out=denom)
-    weights = np.maximum(np.asarray(weights, dtype=float), 0.0)[..., None]
-    total = (weights * width2 / denom).sum(axis=-2)
+    dips = config.frequency_grid - freqs[..., None]
+    np.multiply(dips, dips, out=dips)
+    np.add(dips, width2, out=dips)  # (nu - nu_k)^2 + gamma^2
+    np.divide(weights[..., None] * width2, dips, out=dips)
+    total = dips.sum(axis=-2)
     np.subtract(1.0, total, out=total)
-    return np.clip(total, 0.0, 1.0, out=total)
+    return np.maximum(total, 0.0, out=total)
 
 
 def synthesize_spectrum(solution, config):

@@ -344,13 +344,11 @@ def test_non_finite_spectrum_settings_exit_2(tmp_path, capsys, line, message):
     text = SPECTRUM_CFG.replace(old, line)
     cfg = _write(tmp_path / "cfg.ini", text)
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    if key.startswith("freq_"):  # a grid error names its key and line
-        lineno = text.splitlines().index(line) + 1
-        problem = message.removeprefix("[spectrum]: ")
-        assert err == f"ERROR 2: {cfg}:{lineno}: [spectrum] {key}: {problem}\n"
-    else:
-        assert f"ERROR 2: {cfg}: {message}" in err
+    # every error names its key and line
+    lineno = text.splitlines().index(line) + 1
+    problem = message.removeprefix("[spectrum]: ")
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [spectrum] {key}: {problem}\n")
     assert not (tmp_path / "spectrum.csv").exists()
 
 
@@ -487,6 +485,16 @@ _GRID_CFGS = {"thz": SWEEP_CFG, "tesla": TESLA_CFG, "spectrum": SPECTRUM_CFG}
     ("spectrum", "freq_step_thz = 0", "step must be positive"),
     ("spectrum", "freq_max_thz = 0.3", "stop must exceed start"),
     ("spectrum", "freq_step_thz = 2", "grid contains fewer than two points"),
+    # an infinite and a finite point count, both refused before any array
+    # is made
+    ("thz", "step_thz = 1e-320", "step gives more than 1000000 grid points"),
+    ("thz", "step_thz = 1e-12", "step gives more than 1000000 grid points"),
+    ("tesla", "step_tesla = 1e-9", "step gives more than 1000000 grid points"),
+    ("spectrum", "freq_step_thz = 1e-12",
+     "step gives more than 1000000 grid points"),
+    # the two other [spectrum] settings that SpectrumConfig checks
+    ("spectrum", "weight_mode = Equal", "must be 'photon_fraction' or 'equal'"),
+    ("spectrum", "linewidth_thz = 0.04, -0.01", "linewidths must be positive"),
 ])
 def test_grid_errors_name_their_key_and_line(tmp_path, capsys, grid, line,
                                              problem):
@@ -500,6 +508,20 @@ def test_grid_errors_name_their_key_and_line(tmp_path, capsys, grid, line,
     assert cli.main([section, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         f"ERROR 2: {cfg}:{lineno}: [{section}] {key}: {problem}\n")
+
+
+def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
+    # 1e5 points, but at 1e10 THz neighbouring doubles are 2e-6 apart, so
+    # a 1e-8 step repeats grid values
+    text = (SWEEP_CFG.replace("start_thz = 0.05", "start_thz = 1e10")
+            .replace("stop_thz = 2.2", "stop_thz = 1.0000000000001e10")
+            .replace("step_thz = 0.05", "step_thz = 1e-8"))
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index("step_thz = 1e-8") + 1
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [sweep] step_thz: "
+        f"step is too small to separate the grid points\n")
 
 
 @pytest.mark.parametrize("text, lineno, message", [

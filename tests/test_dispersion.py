@@ -8,8 +8,9 @@ import pytest
 
 import mmhopfield as mm
 from mmhopfield.bogoliubov import normal_modes
-from mmhopfield.dispersion import (JUMP_TOL, _min_cost_assignment, csv_rows,
-                                   g9_cells)
+import mmhopfield.dispersion as dispersion
+from mmhopfield.dispersion import (JUMP_TOL, _match_cost, _min_cost_assignment,
+                                   csv_rows, g9_cells)
 from mmhopfield.model import assemble_batch
 
 import oracles
@@ -116,21 +117,75 @@ def _brute_force_assignment(cost):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("integer", [False, True], ids=["real", "integer"])
-def test_min_cost_assignment_matches_brute_force(n, integer):
+@pytest.mark.parametrize("kind", ["real", "integer", "tied-diagonal"])
+def test_min_cost_assignment_matches_brute_force(n, kind):
     rng = np.random.default_rng(100 + n)
     n_sets = 40 if n < 6 else 12
-    if integer:
+    if kind == "real":
+        cost = rng.uniform(0.0, 1.0, (n_sets, n, n))
+    else:
         # exact ties everywhere, and an all-zero matrix: pins the tie rule
         cost = rng.integers(0, 3, (n_sets, n, n)).astype(float)
         cost[0] = 0.0
-    else:
-        cost = rng.uniform(0.0, 1.0, (n_sets, n, n))
+    if kind == "tied-diagonal":
+        # each diagonal entry at or one above its row minimum: evident
+        # matrices, whose diagonals often tie an off-diagonal entry, mixed
+        # with matrices the dynamic program solves
+        rows = np.arange(n)
+        cost[1:, rows, rows] = (cost[1:].min(axis=2)
+                                + rng.integers(0, 2, (n_sets - 1, n)))
+        evident = np.all(cost[:, rows, rows] <= cost.min(axis=2), axis=1)
+        assert n == 1 or 0 < evident.sum() < n_sets
     got = _min_cost_assignment(cost)
     want = [_brute_force_assignment(c) for c in cost]
     np.testing.assert_array_equal(got, want)
-    if integer:
+    if kind != "real":
         np.testing.assert_array_equal(got[0], np.arange(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_evident_matrices_skip_the_dynamic_program(n, monkeypatch):
+    # every row's diagonal entry is its row minimum, often tied with an
+    # off-diagonal entry, and the first matrix is all zeros: the identity
+    # is the answer and the tie rule's pick without any subset table
+    rng = np.random.default_rng(300 + n)
+    cost = rng.integers(0, 3, (200, n, n)).astype(float)
+    cost[0] = 0.0
+    rows = np.arange(n)
+    cost[:, rows, rows] = cost.min(axis=2)
+    want = [_brute_force_assignment(c) for c in cost]
+    np.testing.assert_array_equal(want, np.tile(rows, (len(cost), 1)))
+
+    def no_dynamic_program(n):
+        raise AssertionError("an evident matrix reached the dynamic program")
+
+    monkeypatch.setattr(dispersion, "_subset_levels", no_dynamic_program)
+    np.testing.assert_array_equal(_min_cost_assignment(cost), want)
+
+
+@pytest.mark.parametrize("case", ["three_mode", "zero_coupling"])
+def test_sweep_composes_every_moving_step(case, photon_pair, full_grid):
+    # the dark nu = nu_c lines cross branches, so the eigen-order permutes
+    # at two grid steps; carrying the order between them must equal
+    # composing every step one point at a time
+    photons, coupling = MATCH_CASES[case](photon_pair)
+    res = mm.sweep(photons, coupling, full_grid)
+    freqs, vecs = normal_modes(
+        *assemble_batch(photons, full_grid, coupling.rabi,
+                        coupling.reference_cyclotron),
+        coupling.n_photon)
+    steps = _min_cost_assignment(_match_cost(freqs, vecs ** 2))
+    identity = np.arange(freqs.shape[1])
+    assert np.count_nonzero(np.any(steps != identity, axis=1)) >= 2
+    order = [identity]
+    for step in steps:
+        order.append(step[order[-1]])
+    order = np.array(order)
+    assert np.array_equal(res.branches,
+                          np.take_along_axis(freqs, order, axis=1))
+    assert np.array_equal(res.fractions,
+                          np.take_along_axis(vecs ** 2, order[..., None],
+                                             axis=1))
 
 
 def test_branch_columns_are_continuous(photon_pair, structured_coupling,
@@ -419,10 +474,24 @@ def test_spectrum_matches_branch_minor_reference(n):
         freqs = rng.uniform(0.0, 2.6, shape)
         # negative weights must count as zero
         weights = rng.uniform(-0.1, 1.2, shape)
+        if len(shape) > 1:
+            # a point of signed zero weights is flat at T = 1, and a point
+            # weighted 50 dips below 0, where T clips
+            weights[0] = rng.choice([-0.0, 0.0], n)
+            weights[1] = 50.0
         for cfg in configs:
             got = mm.spectrum_from_branches(freqs, weights, cfg)
             want = oracles.spectrum_reference(freqs, weights, cfg)
             assert got.shape == shape[:-1] + grid.shape
+            if len(shape) > 1:
+                assert np.all(got[0] == 1.0)
+                assert np.any(got[1] == 0.0)
+                # one set of branches under a stack of weights, and back
+                for pair in [(freqs[0], weights), (freqs, weights[0])]:
+                    assert np.array_equal(
+                        mm.spectrum_from_branches(*pair, cfg),
+                        mm.spectrum_from_branches(*np.broadcast_arrays(*pair),
+                                                  cfg))
             if n < 8:
                 assert np.array_equal(got, want)
             else:
