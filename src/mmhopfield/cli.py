@@ -18,9 +18,9 @@ import re
 import sys
 import tempfile
 
-import numpy as np
-
-# each runner imports the package modules it runs, so a call loads no others
+# numpy and the package modules a runner computes with are imported inside
+# it, after it has read its config and checked its flags and input files, so
+# a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
                      InstabilityError, NumericalError, ProfileFormatError)
 
@@ -94,7 +94,7 @@ class _Config:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         self.path = path
-        self.sections = set()
+        self.sections = {}  # section -> its header's line
         self.entries = {}  # (section, key) -> [raw value, line]
         section = entry = None  # entry: the last key's [value, line]
         try:
@@ -120,7 +120,7 @@ class _Config:
                         raise ConfigError(f"{where}: unknown section [{section}]")
                     if section in self.sections:
                         raise ConfigError(f"{where}: duplicate section [{section}]")
-                    self.sections.add(section)
+                    self.sections[section] = lineno
                     continue
                 if section is None:
                     raise ConfigError(f"{where}: key outside any section")
@@ -165,14 +165,17 @@ class _Config:
         return value
 
     def error(self, section, key, problem):
-        """ConfigError about a key, at its line when the file has it."""
-        line = self.entries.get((section, key), (None, None))[1]
+        """ConfigError about a key, or about the section when key is None:
+        at the key's line when the file has the key, else at the section's
+        header when it has the section."""
+        line = (self.entries.get((section, key), (None, None))[1]
+                or self.sections.get(section))
         where = f"{self.path}:{line}" if line else self.path
-        return ConfigError(f"{where}: [{section}] {key}: {problem}")
+        about = f"[{section}] {key}:" if key else f"[{section}]"
+        return ConfigError(f"{where}: {about} {problem}")
 
 
 def _load_photons(cfg, volumes=None):
-    from . import model
     cfg.require("photon_modes")
     freqs = cfg.get("photon_modes", "frequencies_thz")
     labels = cfg.get("photon_modes", "labels", [""] * len(freqs))
@@ -181,20 +184,23 @@ def _load_photons(cfg, volumes=None):
                         f"{len(labels)} labels for {len(freqs)} modes")
     if volumes is None:
         volumes = [None] * len(freqs)
+    elif len(volumes) != len(freqs):
+        raise cfg.error("coupling", "mode_volumes_m3",
+                        f"{len(volumes)} volumes for {len(freqs)} modes")
+    from . import model
     return [model.PhotonMode(index=i + 1, frequency=f, label=lab,
                              effective_mode_volume=vol)
             for i, (f, lab, vol) in enumerate(zip(freqs, labels, volumes))]
 
 
 def _load_material(cfg):
-    from . import model
-    if not cfg.has("material"):
-        return model.MaterialParams()
+    # the defaults are MaterialParams' own
     fields = {
         "effective_mass_ratio": cfg.get("material", "effective_mass_ratio", 0.07),
         "sheet_density": cfg.get("material", "sheet_density_per_cm2", 1.25e12) * 1e4,
         "qw_count": cfg.get("material", "qw_count", 3),
         "background_permittivity": cfg.get("material", "background_permittivity", 12.9)}
+    from . import model
     for field, value in fields.items():
         try:  # MaterialParams checks each field on its own
             model.MaterialParams(**{field: value})
@@ -207,7 +213,6 @@ def _load_material(cfg):
 
 def _load_coupling(cfg):
     """Photon modes plus coupling set from exactly one coupling spec."""
-    from . import model
     cfg.require("coupling")
     has_ratios = cfg.has("coupling", "ratio_11")
     has_micro = cfg.has("coupling", "mode_volumes_m3")
@@ -215,28 +220,26 @@ def _load_coupling(cfg):
         raise cfg.error("coupling", "mode_volumes_m3",
                         "give either normalized ratios or mode volumes, not both")
     if not has_ratios and not has_micro:
-        raise ConfigError(f"{cfg.path}: [coupling] needs ratio_11/ratio_2_tilde "
-                          f"or mode_volumes_m3")
+        raise cfg.error("coupling", None,
+                        "needs ratio_11/ratio_2_tilde or mode_volumes_m3")
     eta = cfg.get("coupling", "eta")
 
     if has_ratios:
+        ratios = [cfg.get("coupling", key)
+                  for key in ("ratio_11", "ratio_2_tilde")]
         photons = _load_photons(cfg)
-        if len(photons) != 2:
-            raise cfg.error("photon_modes", "frequencies_thz",
-                            "the two-mode model needs exactly two frequencies")
-        return photons, model.couplings_from_ratios(
-            photons, cfg.get("coupling", "ratio_11"),
-            cfg.get("coupling", "ratio_2_tilde"), eta)
-
-    volumes = cfg.get("coupling", "mode_volumes_m3")
-    photons = _load_photons(cfg, volumes=volumes)
-    if len(photons) != 2 or len(volumes) != 2:
-        raise cfg.error("coupling", "mode_volumes_m3",
-                        "the two-mode model needs exactly two volumes")
-    material = _load_material(cfg)
-    ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
-              for m in photons]
-    return photons, model.couplings_from_ratios(photons, ratios[0], ratios[1], eta)
+    else:
+        photons = _load_photons(
+            cfg, volumes=cfg.get("coupling", "mode_volumes_m3"))
+    if len(photons) != 2:
+        raise cfg.error("photon_modes", "frequencies_thz",
+                        "the two-mode model needs exactly two frequencies")
+    from . import model
+    if has_micro:
+        material = _load_material(cfg)
+        ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
+                  for m in photons]
+    return photons, model.couplings_from_ratios(photons, *ratios, eta)
 
 
 def _grid(cfg, section, keys, to_thz=float):
@@ -259,6 +262,7 @@ def _grid(cfg, section, keys, to_thz=float):
     n = int(span) + 1
     if n < 2:
         raise cfg.error(section, keys[2], "grid contains fewer than two points")
+    import numpy as np
     points = start + step * np.arange(n)
     if np.any(points[1:] <= points[:-1]):
         raise cfg.error(section, keys[2],
@@ -271,7 +275,11 @@ def _load_sweep_grid(cfg):
     thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
     tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
     if any(thz) and any(tesla):
-        raise ConfigError(f"{cfg.path}: [sweep] mixes THz and tesla keys")
+        # at the first key of the spelling that comes second in the file
+        keys = sorted((cfg.entries["sweep", k][1], k in _SWEEP_THZ, k)
+                      for k in _SWEEP_THZ + _SWEEP_TESLA if cfg.has("sweep", k))
+        key = next(k for _, is_thz, k in keys if is_thz != keys[0][1])
+        raise cfg.error("sweep", key, "mixes THz and tesla keys")
     if all(thz):
         return _grid(cfg, "sweep", _SWEEP_THZ)
     if all(tesla):
@@ -281,7 +289,7 @@ def _load_sweep_grid(cfg):
         # exact same grid arithmetic
         return _grid(cfg, "sweep", _SWEEP_TESLA,
                      lambda b: model.cyclotron_frequency(b, material))
-    raise ConfigError(f"{cfg.path}: [sweep] needs start/stop/step in THz or tesla")
+    raise cfg.error("sweep", None, "needs start/stop/step in THz or tesla")
 
 
 def _atomic_write(path, text):
@@ -303,10 +311,10 @@ def _json_text(obj):
 
 
 def _run_sweep(args):
-    from . import dispersion
     cfg = _Config(args.config)
     photons, coupling = _load_coupling(cfg)
     grid = _load_sweep_grid(cfg)
+    from . import dispersion
     result = dispersion.sweep(photons, coupling, grid)
     features = dispersion.detect_features(result, photons)
 
@@ -342,16 +350,17 @@ def _spectrum_config(cfg, n_branches):
 
 
 def _run_spectrum(args):
-    from . import dispersion
     cfg = _Config(args.config)
     photons, coupling = _load_coupling(cfg)
     grid = _load_sweep_grid(cfg)
+    from . import dispersion
     result = dispersion.sweep(photons, coupling, grid)
     spec_cfg = _spectrum_config(cfg, result.n_branches)
 
     if spec_cfg.weight_mode == "photon_fraction":
         weights = result.photon_fractions()
     else:
+        import numpy as np
         weights = np.full(result.branches.shape, 1.0 / result.n_branches)
 
     trans = dispersion.spectrum_from_branches(result.branches, weights, spec_cfg)
@@ -363,18 +372,18 @@ def _run_spectrum(args):
 
 
 def _fit_config(cfg, seed):
-    from .fit import FitConfig
     cfg.require("fit")
     fit_eta = cfg.get("fit", "eta_mode", "fixed") == "free"
     if not fit_eta and not cfg.has("coupling", "eta"):
-        raise ConfigError(f"{cfg.path}: eta_mode = fixed needs [coupling] eta")
+        raise cfg.error("fit", "eta_mode", "fixed needs [coupling] eta")
     bounds = {key: tuple(cfg.get("fit", key, [0.0, 1.0])) for key in
               ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
+    eta_fixed = 1.0 if fit_eta else cfg.get("coupling", "eta")
+    restarts = cfg.get("fit", "restarts", 8)
+    from .fit import FitConfig
     try:
-        return FitConfig(
-            **bounds, fit_eta=fit_eta,
-            eta_fixed=1.0 if fit_eta else cfg.get("coupling", "eta"),
-            restarts=cfg.get("fit", "restarts", 8), seed=seed)
+        return FitConfig(**bounds, fit_eta=fit_eta, eta_fixed=eta_fixed,
+                         restarts=restarts, seed=seed)
     except FitConfigError as exc:
         if exc.field == "seed":
             raise ConfigError(f"--seed: {exc.problem}") from exc
@@ -384,18 +393,18 @@ def _fit_config(cfg, seed):
 
 
 def _run_fit(args):
-    # "from . import fit" would give the package's fit() function, not the
-    # submodule, so take the names from the submodule itself
-    from . import model
-    from .fit import FitParams, fit, load_peaks, record_residuals
     cfg = _Config(args.config)
-    photons = _load_photons(cfg)
-    if len(photons) != 2:
-        raise ConfigError(f"{cfg.path}: the fit needs exactly two photon modes")
     if args.peaks is None:
         raise ConfigError("fit requires --peaks PATH")
     if not os.path.exists(args.peaks):
         raise DataCoverageError(f"peaks file not found: {args.peaks}")
+    photons = _load_photons(cfg)
+    if len(photons) != 2:
+        raise ConfigError(f"{cfg.path}: the fit needs exactly two photon modes")
+    # "from . import fit" would give the package's fit() function, not the
+    # submodule, so take the names from the submodule itself
+    from . import model
+    from .fit import FitParams, fit, load_peaks, record_residuals
     data = load_peaks(args.peaks)
     fit_cfg = _fit_config(cfg, args.seed)
     result = fit(data, photons, fit_cfg)
@@ -437,29 +446,29 @@ def _run_fit(args):
 
 
 def _run_overlap(args):
-    from . import overlap
     if not args.profiles or len(args.profiles) < 2:
         raise ConfigError("overlap requires at least two --profiles files")
+    n = len(args.profiles)
     for path in args.profiles:
         if not os.path.exists(path):
             raise DataCoverageError(f"profile file not found: {path}")
+    if args.mask is not None and not os.path.exists(args.mask):
+        raise DataCoverageError(f"mask file not found: {args.mask}")
+    volumes = [1.0] * n
+    if args.config is not None:
+        cfg = _Config(args.config)
+        volumes = cfg.get("overlap", "physical_volumes_m3", volumes)
+        if len(volumes) != n:
+            raise cfg.error("overlap", "physical_volumes_m3",
+                            f"{len(volumes)} volumes for {n} profiles")
+
+    from . import overlap
     profiles = [overlap.load_profile(p) for p in args.profiles]
     if args.mask is not None:
-        if not os.path.exists(args.mask):
-            raise DataCoverageError(f"mask file not found: {args.mask}")
         mask = overlap.load_mask(args.mask)
     else:
         mask = overlap.full_mask(profiles[0].nx, profiles[0].ny)
 
-    volumes = [1.0] * len(profiles)
-    if args.config is not None:
-        cfg = _Config(args.config)
-        volumes = cfg.get("overlap", "physical_volumes_m3", volumes)
-        if len(volumes) != len(profiles):
-            raise cfg.error("overlap", "physical_volumes_m3",
-                            f"{len(volumes)} volumes for {len(profiles)} profiles")
-
-    n = len(profiles)
     f_matrix = [[overlap.overlap_integral(profiles[i], profiles[j], mask)
                  for j in range(n)] for i in range(n)]
     eta_matrix = [[overlap.overlap_parameter(profiles[i], profiles[j], mask)

@@ -272,9 +272,13 @@ def save_profile(path, profile):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{profile.nx} {profile.ny} "
                  f"{float(profile.dx)!r} {float(profile.dy)!r}\n")
-        for row in profile.values:
-            fh.write(" ".join(f"{float(v.real)!r},{float(v.imag)!r}"
-                              for v in row) + "\n")
+        # one template per row over its interleaved real and imaginary parts
+        # (a row-major copy when the values are not), a row at a time so no
+        # more than a row of Python floats is alive; %r of a float is its
+        # repr, the shortest exact form
+        template = " ".join(["%r,%r"] * profile.ny) + "\n"
+        for row in np.ascontiguousarray(profile.values).view(float):
+            fh.write(template % tuple(row.tolist()))
 
 
 def _scan_mask(path, body, size):
@@ -318,5 +322,5 @@ def save_mask(path, mask, dx=1.0, dy=1.0):
     """Write a DomainMask in the plain-text format."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{mask.nx} {mask.ny} {float(dx)!r} {float(dy)!r}\n")
-        for row in mask.inside:
-            fh.write(" ".join("1" if v else "0" for v in row) + "\n")
+        for row in np.where(mask.inside, "1", "0"):
+            fh.write(" ".join(row.tolist()) + "\n")

@@ -15,6 +15,9 @@ production sweep solves every step's exact assignment at once.
 The CSV reference formats one cell at a time and joins each row's cells;
 the production writer fills one printf template per key.
 
+The profile and mask references write one value at a time; the production
+writers fill one row at a time.
+
 The spectrum reference builds its Lorentzian dips branch-minor, as a
 (..., F, n) stack summed over its short last axis; the production spectrum
 builds them branch-major and adds whole branch rows.
@@ -202,6 +205,25 @@ def csv_rows_per_cell(keys, labels, *values):
                    *(map("%.9g".__mod__, r) for r in block))
         chunks.append("\n".join(map(",".join, rows)) + "\n")
     return "".join(chunks)
+
+
+def save_profile_per_value(path, profile):
+    """The plain-text profile format, each value written as
+    f"{float(v.real)!r},{float(v.imag)!r}" and each row joined by spaces."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{profile.nx} {profile.ny} "
+                 f"{float(profile.dx)!r} {float(profile.dy)!r}\n")
+        for row in profile.values:
+            fh.write(" ".join(f"{float(v.real)!r},{float(v.imag)!r}"
+                              for v in row) + "\n")
+
+
+def save_mask_per_cell(path, mask, dx=1.0, dy=1.0):
+    """The plain-text mask format, one "1" or "0" per cell."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{mask.nx} {mask.ny} {float(dx)!r} {float(dy)!r}\n")
+        for row in mask.inside:
+            fh.write(" ".join("1" if v else "0" for v in row) + "\n")
 
 
 def build_dynamical_matrix(ham):

@@ -413,9 +413,38 @@ def test_bad_material_values_name_their_line(tmp_path, capsys, key, value,
 
 
 def test_material_config_sweeps(tmp_path):
-    cfg = _write(tmp_path / "cfg.ini", MATERIAL_CFG)
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "branches.csv").exists()
+    # MATERIAL_CFG spells out the defaults, so leaving [material] out
+    # changes nothing
+    outputs = []
+    without = MATERIAL_CFG[:MATERIAL_CFG.index("[material]")]
+    for name, text in (("given", MATERIAL_CFG), ("default", without)):
+        cfg = _write(tmp_path / f"{name}.ini", text)
+        assert cli.main(["sweep", "--config", cfg, "--out",
+                         str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "branches.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("freqs, volumes, line, message", [
+    ("0.8, 1.6, 2.4", "1e-17, 2e-17", "mode_volumes_m3 = 1e-17, 2e-17",
+     "[coupling] mode_volumes_m3: 2 volumes for 3 modes"),
+    ("0.8, 1.6", "1e-17, 2e-17, 3e-17", "mode_volumes_m3 = 1e-17, 2e-17, 3e-17",
+     "[coupling] mode_volumes_m3: 3 volumes for 2 modes"),
+    ("0.8, 1.6, 2.4", "1e-17, 2e-17, 3e-17", "frequencies_thz = 0.8, 1.6, 2.4",
+     "[photon_modes] frequencies_thz: "
+     "the two-mode model needs exactly two frequencies"),
+])
+def test_mode_volumes_must_match_the_modes(tmp_path, capsys, freqs, volumes,
+                                           line, message):
+    text = (MATERIAL_CFG.replace("frequencies_thz = 0.8, 1.6",
+                                 f"frequencies_thz = {freqs}")
+            .replace("labels = LC, dipolar\n", "")
+            .replace("mode_volumes_m3 = 1e-17, 2e-17",
+                     f"mode_volumes_m3 = {volumes}"))
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(line) + 1
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
 
 
 @pytest.mark.parametrize("volumes", ["1e-18, nan", "1e-18, inf", "-1e-18, 1e-18"])
@@ -522,6 +551,41 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"ERROR 2: {cfg}:{lineno}: [sweep] step_thz: "
         f"step is too small to separate the grid points\n")
+
+
+@pytest.mark.parametrize("command, text, line, message", [
+    pytest.param("sweep", SWEEP_CFG + "step_tesla = 0.125\n",
+                 "step_tesla = 0.125",
+                 "[sweep] step_tesla: mixes THz and tesla keys",
+                 id="tesla-key-after-thz-keys"),
+    pytest.param("sweep", TESLA_CFG + "start_thz = 0.05\n", "start_thz = 0.05",
+                 "[sweep] start_thz: mixes THz and tesla keys",
+                 id="thz-key-after-tesla-keys"),
+    pytest.param("sweep", SWEEP_CFG.replace("step_thz = 0.05\n", ""), "[sweep]",
+                 "[sweep] needs start/stop/step in THz or tesla",
+                 id="incomplete-grid"),
+    pytest.param("sweep", SWEEP_CFG.replace("ratio_11 = 0.37\n", "").replace(
+                     "ratio_2_tilde = 0.2124026\n", ""), "[coupling]",
+                 "[coupling] needs ratio_11/ratio_2_tilde or mode_volumes_m3",
+                 id="no-coupling-spec"),
+    pytest.param("fit", FIT_CFG.replace("eta = 0.15\n", ""), "eta_mode = fixed",
+                 "[fit] eta_mode: fixed needs [coupling] eta",
+                 id="fixed-eta-without-eta"),
+    # eta_mode defaults to fixed; the error then sits at the [fit] header
+    pytest.param("fit", FIT_CFG.replace("eta = 0.15\n", "").replace(
+                     "eta_mode = fixed\n", ""), "[fit]",
+                 "[fit] eta_mode: fixed needs [coupling] eta",
+                 id="default-eta-mode-without-eta"),
+])
+def test_cross_key_errors_name_their_line(tmp_path, capsys, peaks_csv, command,
+                                          text, line, message):
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(line) + 1
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    if command == "fit":
+        argv += ["--peaks", peaks_csv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
 
 
 @pytest.mark.parametrize("text, lineno, message", [
@@ -737,7 +801,8 @@ def test_fit_command_does_not_import_scipy(tmp_path, peaks_csv):
 
 
 # The package loads each submodule on first use, and each command imports
-# only the submodules it runs; errors is the one cli needs to start.
+# only the submodules it runs; errors is the one cli needs to start. numpy
+# loads only once a command computes.
 _LOADED_MODULES_SCRIPT = """
 import sys
 from mmhopfield.cli import main
@@ -745,16 +810,17 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, " ".join(sorted(name for name in sys.modules
-                            if name.startswith("mmhopfield."))))
+print(code, "numpy" in sys.modules,
+      " ".join(sorted(name for name in sys.modules
+                      if name.startswith("mmhopfield."))))
 """
 
 _COMMAND_MODULES = {
-    "--help": "cli errors",
-    "sweep": "bogoliubov cli dispersion errors model",
-    "spectrum": "bogoliubov cli dispersion errors model",
-    "overlap": "cli errors overlap",
-    "fit": "bogoliubov cli errors fit model",
+    "--help": (False, "cli errors"),
+    "sweep": (True, "bogoliubov cli dispersion errors model"),
+    "spectrum": (True, "bogoliubov cli dispersion errors model"),
+    "overlap": (True, "cli errors overlap"),
+    "fit": (True, "bogoliubov cli errors fit model"),
 }
 
 
@@ -778,9 +844,56 @@ def test_each_command_loads_only_its_modules(tmp_path, peaks_csv, command):
                            *argv], capture_output=True, text=True,
                           env=_package_env())
     assert proc.returncode == 0, proc.stderr
-    expected = " ".join(f"mmhopfield.{name}"
-                        for name in _COMMAND_MODULES[command].split())
-    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
+    numpy, names = _COMMAND_MODULES[command]
+    expected = " ".join(f"mmhopfield.{name}" for name in names.split())
+    assert proc.stdout.splitlines()[-1] == f"0 {numpy} {expected}"
+
+
+# With None in sys.modules["numpy"], any import of numpy raises ImportError,
+# which main() does not catch: a call that reaches numpy fails with a
+# traceback instead of its exit code and message.
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+from mmhopfield.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    pytest.param("--help", None, 0, "", id="help"),
+    pytest.param("bananas", None, 2, "invalid choice: 'bananas'",
+                 id="unknown-command"),
+    pytest.param("sweep --config {missing}", None, 2,
+                 "ERROR 2: config file not found: {missing}\n",
+                 id="missing-config"),
+    pytest.param("sweep --config {cfg}", SWEEP_CFG + "[bananas]\n", 2,
+                 "ERROR 2: {cfg}:14: unknown section [bananas]\n",
+                 id="unknown-section"),
+    pytest.param("sweep --config {cfg}",
+                 SWEEP_CFG.replace("eta = 0.15", "eta = 0.15\neta = 0.2"), 2,
+                 "ERROR 2: {cfg}:9: [coupling] eta: duplicate key\n",
+                 id="duplicate-key"),
+    pytest.param("fit --config {cfg} --peaks {missing}", FIT_CFG, 4,
+                 "ERROR 4: peaks file not found: {missing}\n",
+                 id="missing-peaks"),
+    pytest.param("overlap --profiles {missing} {missing}", None, 4,
+                 "ERROR 4: profile file not found: {missing}\n",
+                 id="missing-profile"),
+])
+def test_front_end_exits_without_numpy(tmp_path, argv, text, code, message):
+    paths = {"cfg": str(tmp_path / "cfg.ini"),
+             "missing": str(tmp_path / "missing")}
+    if text is not None:
+        _write(tmp_path / "cfg.ini", text)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT,
+         *(arg.format(**paths) for arg in argv.split())],
+        capture_output=True, text=True, cwd=tmp_path, env=_package_env())
+    assert proc.returncode == code, proc.stderr
+    assert message.format(**paths) in proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("usage: mmhopfield")
 
 
 _FIT_IS_THE_FUNCTION_SCRIPT = """

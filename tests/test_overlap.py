@@ -8,6 +8,7 @@ import pytest
 from scipy import optimize
 
 import mmhopfield as mm
+import oracles
 
 
 def _random_profile(rng, nx=16, ny=16, dx=0.5, dy=0.5):
@@ -152,6 +153,48 @@ def test_mask_round_trip(tmp_path):
     mm.save_mask(path, mask)
     back = mm.load_mask(path)
     assert np.array_equal(back.inside, mask.inside)
+
+
+def _edge_profile():
+    """7 x 5 and stored column-major, with signed zeros, the smallest
+    subnormal, 1e308 and negative or tiny imaginary parts."""
+    values = np.empty((5, 7), dtype=complex)
+    values.real = np.resize([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1,
+                             -1 / 3, 2.5e-8], values.shape)
+    values.imag = np.resize([-0.0, -5e-324, 1e-300, -1e308, -0.1, 7.0,
+                             -2.2250738585072014e-308, 0.0], values.shape)
+    return mm.FieldProfile(nx=7, ny=5, dx=0.1, dy=1 / 3, values=values.T)
+
+
+@pytest.mark.parametrize("kind", ["lc", "dipolar", "edge"])
+def test_profile_writer_keeps_the_per_value_bytes(tmp_path, kind, lc_profile,
+                                                   dipolar_profile):
+    profile = {"lc": lc_profile, "dipolar": dipolar_profile,
+               "edge": _edge_profile()}[kind]
+    rows, per_value = tmp_path / "rows.dat", tmp_path / "per_value.dat"
+    mm.save_profile(rows, profile)
+    oracles.save_profile_per_value(per_value, profile)
+    assert rows.read_bytes() == per_value.read_bytes()
+    # bit for bit, so the signs of the zeros count too
+    back = mm.load_profile(rows)
+    assert back.values.tobytes() == np.ascontiguousarray(
+        profile.values).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["square", "edge"])
+def test_mask_writer_keeps_the_per_cell_bytes(tmp_path, kind):
+    if kind == "square":
+        dx = dy = 0.25
+        mask = mm.central_square_mask(192, 192, dx, dy, half_width=7.5)
+    else:  # 7 x 5, stored column-major
+        dx, dy = 0.1, 1 / 3
+        inside = np.resize([True, False, False, True, True, True], (5, 7)).T
+        mask = mm.DomainMask(nx=7, ny=5, inside=inside)
+    rows, per_cell = tmp_path / "rows.dat", tmp_path / "per_cell.dat"
+    mm.save_mask(rows, mask, dx, dy)
+    oracles.save_mask_per_cell(per_cell, mask, dx, dy)
+    assert rows.read_bytes() == per_cell.read_bytes()
+    assert np.array_equal(mm.load_mask(rows).inside, mask.inside)
 
 
 def test_bad_header_reports_line(tmp_path):
