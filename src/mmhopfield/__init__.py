@@ -22,7 +22,8 @@ _SOURCES = {
                    "detect_features", "spectrum_from_branches", "sweep",
                    "synthesize_spectrum", "write_branch_csv"),
     "errors": ("ConvergenceError", "DataCoverageError", "FitConfigError",
-               "InstabilityError", "NumericalError", "ProfileFormatError"),
+               "InstabilityError", "NumericalError", "OverlapError",
+               "ProfileFormatError"),
     "fit": ("FitConfig", "FitParams", "FitResult", "PeakDataset",
             "PeakRecord", "fit", "load_peaks", "record_residuals",
             "residual", "save_peaks"),
@@ -34,9 +35,9 @@ _SOURCES = {
               "rabi_microscopic", "rescale_coupling",
               "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
-                "effective_mode_volume", "full_mask", "load_mask",
-                "load_profile", "overlap_integral", "overlap_parameter",
-                "save_mask", "save_profile", "synthetic_profile"),
+                "effective_mode_volumes", "full_mask", "gram", "load_mask",
+                "load_profile", "overlap_parameters", "save_mask",
+                "save_profile", "synthetic_profile"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}

@@ -22,7 +22,7 @@ import tempfile
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
-                     InstabilityError, NumericalError, ProfileFormatError)
+                     InstabilityError, NumericalError, OverlapError)
 
 
 class ConfigError(ValueError):
@@ -353,9 +353,9 @@ def _run_spectrum(args):
     cfg = _Config(args.config)
     photons, coupling = _load_coupling(cfg)
     grid = _load_sweep_grid(cfg)
+    spec_cfg = _spectrum_config(cfg, 2 * len(photons))
     from . import dispersion
     result = dispersion.sweep(photons, coupling, grid)
-    spec_cfg = _spectrum_config(cfg, result.n_branches)
 
     if spec_cfg.weight_mode == "photon_fraction":
         weights = result.photon_fractions()
@@ -400,7 +400,8 @@ def _run_fit(args):
         raise DataCoverageError(f"peaks file not found: {args.peaks}")
     photons = _load_photons(cfg)
     if len(photons) != 2:
-        raise ConfigError(f"{cfg.path}: the fit needs exactly two photon modes")
+        raise cfg.error("photon_modes", "frequencies_thz",
+                        "the fit needs exactly two photon modes")
     # "from . import fit" would give the package's fit() function, not the
     # submodule, so take the names from the submodule itself
     from . import model
@@ -469,20 +470,20 @@ def _run_overlap(args):
     else:
         mask = overlap.full_mask(profiles[0].nx, profiles[0].ny)
 
-    f_matrix = [[overlap.overlap_integral(profiles[i], profiles[j], mask)
-                 for j in range(n)] for i in range(n)]
-    eta_matrix = [[overlap.overlap_parameter(profiles[i], profiles[j], mask)
-                   for j in range(n)] for i in range(n)]
-    eff_volumes = [overlap.effective_mode_volume(profiles[i], mask, volumes[i])
-                   for i in range(n)]
+    try:
+        gram = overlap.gram(profiles, mask)
+        eta = overlap.overlap_parameters(gram)
+        eff_volumes = overlap.effective_mode_volumes(gram, volumes)
+    except OverlapError as exc:  # name the file at fault
+        path = args.mask if exc.entry is None else args.profiles[exc.entry]
+        raise OverlapError(f"{path}: {exc}", exc.entry) from exc
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "overlap.json"), _json_text({
         "profiles": list(args.profiles),
-        "overlap_integrals_um2": [[[v.real, v.imag] for v in row]
-                                  for row in f_matrix],
-        "overlap_parameters": eta_matrix,
-        "effective_mode_volumes_m3": eff_volumes,
+        "overlap_integrals_um2": gram.view(float).reshape(n, n, 2).tolist(),
+        "overlap_parameters": eta.tolist(),
+        "effective_mode_volumes_m3": eff_volumes.tolist(),
     }))
     return 0
 
@@ -530,12 +531,10 @@ def main(argv=None):
         return _RUNNERS[args.command](args)
     except DataCoverageError as exc:
         return _fail(4, exc)
-    except (ConfigError, ProfileFormatError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ProfileFormatError among them
         return _fail(2, exc)
     except (InstabilityError, NumericalError, ConvergenceError) as exc:
         return _fail(3, exc)
-    except FileNotFoundError as exc:
-        return _fail(4, exc)
     except OSError as exc:
         return _fail(4, exc)
 

@@ -37,6 +37,14 @@ class FitConfigError(ValueError):
         self.problem = problem
 
 
+class OverlapError(ValueError):
+    """Undefined overlaps; entry indexes the profile at fault, None the mask."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
+
+
 class ProfileFormatError(ValueError):
     """Malformed field-profile, mask, or peak-list file. The message names the
     offending file and line."""

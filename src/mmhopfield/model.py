@@ -104,12 +104,9 @@ class CouplingSet:
 
     W is square. In the canonical basis it is lower triangular: the second
     matter mode is constructed orthogonal to the first, so W[0, 1] = 0.
-    overlap is the spatial overlap parameter eta that splits the second-row
-    coupling.
     """
 
     rabi: np.ndarray
-    overlap: float
     reference_cyclotron: float
 
     def __post_init__(self):
@@ -120,8 +117,6 @@ class CouplingSet:
             raise ValueError("rabi entries must be finite")
         if np.any(rabi < 0.0):
             raise ValueError("rabi entries must be non-negative")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
         if not np.isfinite(self.reference_cyclotron) or self.reference_cyclotron < 0.0:
             raise ValueError("reference_cyclotron must be non-negative")
 
@@ -224,7 +219,7 @@ def couplings_from_overlap(omega_r_11, omega_r_2_tilde, eta, reference_cyclotron
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     return CouplingSet(rabi=two_mode_rabi([omega_r_11, omega_r_2_tilde], eta),
-                       overlap=eta, reference_cyclotron=reference_cyclotron)
+                       reference_cyclotron=reference_cyclotron)
 
 
 def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
@@ -237,7 +232,7 @@ def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
 
 def single_mode_coupling(photon, ratio):
     """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency."""
-    return CouplingSet(rabi=[[ratio * photon.omega]], overlap=1.0,
+    return CouplingSet(rabi=[[ratio * photon.omega]],
                        reference_cyclotron=photon.frequency)
 
 
@@ -276,18 +271,14 @@ def mode_volume_for_coupling(mode, material, nu_c, omega_r):
 
 
 def rescale_coupling(coupling, nu_c):
-    """Coupling set re-quoted at cyclotron frequency nu_c (THz).
-
-    Every Rabi entry scales as sqrt(nu_c / reference_cyclotron); the overlap
-    is a geometric property and stays put.
-    """
+    """Coupling set re-quoted at cyclotron frequency nu_c (THz): every Rabi
+    entry scales as sqrt(nu_c / reference_cyclotron)."""
     if nu_c < 0.0:
         raise ValueError("nu_c must be non-negative")
     if coupling.reference_cyclotron <= 0.0:
         raise ValueError("coupling set has no positive reference cyclotron frequency")
     factor = math.sqrt(nu_c / coupling.reference_cyclotron)
-    return CouplingSet(rabi=coupling.rabi * factor, overlap=coupling.overlap,
-                       reference_cyclotron=nu_c)
+    return CouplingSet(rabi=coupling.rabi * factor, reference_cyclotron=nu_c)
 
 
 def _gram(rabi, w_c):

@@ -1,10 +1,10 @@
 """Spatial overlap of resonator near-field profiles.
 
-The overlap integral F_fg = int_S conj(f) g dA is evaluated by the midpoint
-rule on a uniform grid (cell area dx*dy, lengths in micrometers). The
-normalized overlap parameter
+The overlap integrals F_ij = int_S conj(f_i) f_j dA of n profiles form their
+Gram matrix, evaluated by the midpoint rule on a uniform grid (cell area
+dx*dy, lengths in micrometers). The normalized overlap parameter
 
-    eta = |F_fg| / sqrt(F_ff * F_gg)
+    eta_ij = |F_ij| / sqrt(F_ii * F_jj)
 
 is bounded by 1 through Cauchy-Schwarz and measures how much of one mode's
 matter excitation lives inside the other's.
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ProfileFormatError, read_ascii
+from .errors import OverlapError, ProfileFormatError, read_ascii
 
 
 @dataclass(frozen=True)
@@ -67,51 +67,51 @@ class DomainMask:
         object.__setattr__(self, "inside", inside)
 
 
-def _check_grids(f, g, mask):
-    if (f.nx, f.ny) != (g.nx, g.ny) or (f.nx, f.ny) != (mask.nx, mask.ny):
-        raise ValueError(
-            f"grid dimensions differ: {(f.nx, f.ny)} vs {(g.nx, g.ny)} vs "
-            f"{(mask.nx, mask.ny)}")
-    if f.dx != g.dx or f.dy != g.dy:
-        raise ValueError(
-            f"grid spacings differ: ({f.dx}, {f.dy}) vs ({g.dx}, {g.dy})")
+def gram(profiles, mask):
+    """Overlap Gram matrix F_ij = int_S conj(f_i) f_j dA (um^2, complex) of
+    the profiles over the mask; an OverlapError names a profile whose grid is
+    not the first one's by its index, or the mask."""
+    first = profiles[0]
+    grid = (first.nx, first.ny, first.dx, first.dy)
+    for i, p in enumerate(profiles):
+        if (p.nx, p.ny, p.dx, p.dy) != grid:
+            raise OverlapError(f"grid (nx, ny, dx, dy) = {(p.nx, p.ny, p.dx, p.dy)}"
+                               f" differs from the first profile's {grid}", i)
+    if (mask.nx, mask.ny) != grid[:2]:
+        raise OverlapError(f"mask grid (nx, ny) = {(mask.nx, mask.ny)} differs "
+                           f"from the profiles' {grid[:2]}")
+    stack = np.stack([p.values[mask.inside] for p in profiles])
+    # each entry sums its pair's products in the order np.sum takes for that
+    # pair alone, so F has the bits of the integrals taken pair by pair
+    return (np.conj(stack)[:, None] * stack).sum(axis=-1) * first.dx * first.dy
 
 
-def overlap_integral(f, g, mask):
-    """Midpoint-rule overlap integral F_fg (complex, units um^2)."""
-    _check_grids(f, g, mask)
-    return complex(np.sum(np.conj(f.values[mask.inside]) * g.values[mask.inside])
-                   * f.dx * f.dy)
+def _self_overlaps(gram, undefined):
+    """Real F_ii; an OverlapError names the first profile that vanishes."""
+    diag = np.asarray(gram).diagonal().real
+    if np.any(diag <= 0.0):
+        raise OverlapError(f"profile vanishes on the mask; {undefined} "
+                           "undefined", int(np.argmax(diag <= 0.0)))
+    return diag
 
 
-def overlap_parameter(f, g, mask):
-    """Normalized overlap |F_fg| / sqrt(F_ff F_gg), in [0, 1]."""
-    if f is g:
-        # the ratio is identically one; skip the rounding of the quadratures
-        _check_grids(f, g, mask)
-        if not np.any(np.abs(f.values[mask.inside]) > 0.0):
-            raise ValueError("profile vanishes on the mask; overlap undefined")
-        return 1.0
-    f_self = overlap_integral(f, f, mask).real
-    g_self = overlap_integral(g, g, mask).real
-    if f_self <= 0.0 or g_self <= 0.0:
-        raise ValueError("profile vanishes on the mask; overlap undefined")
-    eta = abs(overlap_integral(f, g, mask)) / (math.sqrt(f_self) * math.sqrt(g_self))
-    return min(eta, 1.0)
+def overlap_parameters(gram):
+    """Normalized overlaps eta_ij = |F_ij| / sqrt(F_ii F_jj), in [0, 1], of a
+    Gram matrix; the diagonal is exactly one. |F_ij| is np.hypot of its parts,
+    rounded as abs() of one complex is, which np.abs need not be."""
+    root = np.sqrt(_self_overlaps(gram, "overlap"))
+    eta = np.minimum(np.hypot(gram.real, gram.imag) / (root[:, None] * root), 1.0)
+    np.fill_diagonal(eta, 1.0)
+    return eta
 
 
-def effective_mode_volume(f, mask, physical_volume):
-    """Effective volume V / F_ff steering the microscopic coupling strength.
-
-    The self-overlap is taken in the same units the profile is normalized
-    in; a profile with unit self-overlap returns physical_volume unchanged.
-    """
-    if not 0.0 < physical_volume < math.inf:
+def effective_mode_volumes(gram, physical_volumes):
+    """Effective volumes V_i / F_ii steering the microscopic coupling
+    strength; a profile of unit self-overlap keeps its physical volume."""
+    volumes = np.asarray(physical_volumes, dtype=float)
+    if not np.all((0.0 < volumes) & (volumes < math.inf)):
         raise ValueError("physical volume must be finite and positive")
-    f_self = overlap_integral(f, f, mask).real
-    if f_self <= 0.0:
-        raise ValueError("profile vanishes on the mask; mode volume undefined")
-    return physical_volume / f_self
+    return volumes / _self_overlaps(gram, "mode volume")
 
 
 def full_mask(nx, ny):

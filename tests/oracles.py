@@ -18,6 +18,12 @@ the production writer fills one printf template per key.
 The profile and mask references write one value at a time; the production
 writers fill one row at a time.
 
+The overlap references integrate one profile pair at a time, gathering both
+profiles under the mask again for every integral; the production overlap
+stacks the masked profiles once and takes the whole Gram matrix in one
+product. The overlap.json reference builds the subcommand's output from
+these per-pair integrals.
+
 The spectrum reference builds its Lorentzian dips branch-minor, as a
 (..., F, n) stack summed over its short last axis; the production spectrum
 builds them branch-major and adds whole branch rows.
@@ -29,6 +35,8 @@ stack of records and parameter sets with array arithmetic.
 """
 
 from itertools import combinations, repeat
+import json
+import math
 
 import numpy as np
 
@@ -224,6 +232,69 @@ def save_mask_per_cell(path, mask, dx=1.0, dy=1.0):
         fh.write(f"{mask.nx} {mask.ny} {float(dx)!r} {float(dy)!r}\n")
         for row in mask.inside:
             fh.write(" ".join("1" if v else "0" for v in row) + "\n")
+
+
+def _check_grids(f, g, mask):
+    if (f.nx, f.ny) != (g.nx, g.ny) or (f.nx, f.ny) != (mask.nx, mask.ny):
+        raise ValueError(
+            f"grid dimensions differ: {(f.nx, f.ny)} vs {(g.nx, g.ny)} vs "
+            f"{(mask.nx, mask.ny)}")
+    if f.dx != g.dx or f.dy != g.dy:
+        raise ValueError(
+            f"grid spacings differ: ({f.dx}, {f.dy}) vs ({g.dx}, {g.dy})")
+
+
+def overlap_integral(f, g, mask):
+    """Midpoint-rule overlap integral F_fg (complex, units um^2)."""
+    _check_grids(f, g, mask)
+    return complex(np.sum(np.conj(f.values[mask.inside]) * g.values[mask.inside])
+                   * f.dx * f.dy)
+
+
+def overlap_parameter(f, g, mask):
+    """Normalized overlap |F_fg| / sqrt(F_ff F_gg), in [0, 1]; exactly one
+    for a profile with itself."""
+    if f is g:
+        _check_grids(f, g, mask)
+        if not np.any(np.abs(f.values[mask.inside]) > 0.0):
+            raise ValueError("profile vanishes on the mask; overlap undefined")
+        return 1.0
+    f_self = overlap_integral(f, f, mask).real
+    g_self = overlap_integral(g, g, mask).real
+    if f_self <= 0.0 or g_self <= 0.0:
+        raise ValueError("profile vanishes on the mask; overlap undefined")
+    eta = abs(overlap_integral(f, g, mask)) / (math.sqrt(f_self) * math.sqrt(g_self))
+    return min(eta, 1.0)
+
+
+def effective_mode_volume(f, mask, physical_volume):
+    """Effective volume V / F_ff of one profile."""
+    if not 0.0 < physical_volume < math.inf:
+        raise ValueError("physical volume must be finite and positive")
+    f_self = overlap_integral(f, f, mask).real
+    if f_self <= 0.0:
+        raise ValueError("profile vanishes on the mask; mode volume undefined")
+    return physical_volume / f_self
+
+
+def overlap_json_per_pair(paths, profiles, mask, volumes):
+    """The text of overlap.json for the profiles read from paths, from the
+    per-pair integrals, parameters and volumes."""
+    n = len(profiles)
+    doc = {
+        "profiles": list(paths),
+        "overlap_integrals_um2": [
+            [[v.real, v.imag] for v in
+             (overlap_integral(profiles[i], profiles[j], mask)
+              for j in range(n))] for i in range(n)],
+        "overlap_parameters": [
+            [overlap_parameter(profiles[i], profiles[j], mask)
+             for j in range(n)] for i in range(n)],
+        "effective_mode_volumes_m3": [
+            effective_mode_volume(profiles[i], mask, volumes[i])
+            for i in range(n)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def build_dynamical_matrix(ham):

@@ -160,8 +160,8 @@ def test_criterion_07_overlap_limits(lc_profile, dipolar_profile):
         if abs(c) < 1e-3:
             continue
         g = mm.FieldProfile(nx=16, ny=16, dx=0.5, dy=0.5, values=c * values)
-        worst_scale = max(worst_scale,
-                          abs(mm.overlap_parameter(f, g, mask) - 1.0))
+        eta = mm.overlap_parameters(mm.gram([f, g], mask))[0, 1]
+        worst_scale = max(worst_scale, abs(eta - 1.0))
 
     worst_raw = 0.0
     for _ in range(1000):
@@ -171,18 +171,17 @@ def test_criterion_07_overlap_limits(lc_profile, dipolar_profile):
         g = mm.FieldProfile(nx=16, ny=16, dx=0.5, dy=0.5,
                             values=rng.normal(size=(16, 16))
                             + 1j * rng.normal(size=(16, 16)))
-        f_self = mm.overlap_integral(f, f, mask).real
-        g_self = mm.overlap_integral(g, g, mask).real
-        raw = abs(mm.overlap_integral(f, g, mask)) / np.sqrt(f_self * g_self)
+        gram = mm.gram([f, g], mask)
+        raw = abs(gram[0, 1]) / np.sqrt(gram[0, 0].real * gram[1, 1].real)
         worst_raw = max(worst_raw, raw)
 
     patch = mm.central_square_mask(lc_profile.nx, lc_profile.ny,
                                    lc_profile.dx, lc_profile.dy,
                                    half_width=7.5)
-    eta_patch = mm.overlap_parameter(lc_profile, dipolar_profile, patch)
-    eta_plane = mm.overlap_parameter(
-        lc_profile, dipolar_profile,
-        mm.full_mask(lc_profile.nx, lc_profile.ny))
+    pair = [lc_profile, dipolar_profile]
+    eta_patch = mm.overlap_parameters(mm.gram(pair, patch))[0, 1]
+    eta_plane = mm.overlap_parameters(mm.gram(
+        pair, mm.full_mask(lc_profile.nx, lc_profile.ny)))[0, 1]
     ok = (worst_scale < 1e-12 and worst_raw <= 1.0 + 1e-12
           and eta_patch > 0.99 and eta_plane < 0.3)
     _check(7, ok,

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import mmhopfield as mm
-from mmhopfield import cli, model, overlap
+import oracles
+from mmhopfield import cli, dispersion, model, overlap
 
 TRUE_RATIO_11 = 0.37
 TRUE_RATIO_2 = 0.2124026
@@ -263,6 +264,74 @@ def test_overlap_outputs_matrices(tmp_path, lc_profile, dipolar_profile):
     assert got[1] == pytest.approx(2.0e-16 * base[1], rel=1e-12)
 
 
+def _save_profiles(folder, profiles):
+    paths = [str(folder / f"p{i}.dat") for i in range(len(profiles))]
+    for path, profile in zip(paths, profiles):
+        overlap.save_profile(path, profile)
+    return paths
+
+
+@pytest.mark.parametrize("profiles, masked", [(2, True), (2, False),
+                                              (3, True), (3, False)])
+def test_overlap_json_keeps_the_per_pair_bytes(tmp_path, lc_profile,
+                                               dipolar_profile, profiles,
+                                               masked):
+    # a third profile with seeded phases, a thousandth of the dipolar one
+    phases = np.exp(2j * np.pi * np.random.default_rng(8).random(
+        dipolar_profile.values.shape))
+    third = mm.FieldProfile(nx=dipolar_profile.nx, ny=dipolar_profile.ny,
+                            dx=dipolar_profile.dx, dy=dipolar_profile.dy,
+                            values=1e-3 * phases * dipolar_profile.values)
+    paths = _save_profiles(tmp_path, [lc_profile, dipolar_profile,
+                                      third][:profiles])
+    volumes = [1.3e-16, 2.7e-17, 5.1e-16][:profiles]
+    cfg = _write(tmp_path / "cfg.ini", "[overlap]\nphysical_volumes_m3 = "
+                 + ", ".join(map(repr, volumes)) + "\n")
+    argv = ["overlap", "--config", cfg, "--profiles", *paths,
+            "--out", str(tmp_path / "out")]
+    f = lc_profile
+    mask = overlap.full_mask(f.nx, f.ny)
+    if masked:
+        mask = overlap.central_square_mask(f.nx, f.ny, f.dx, f.dy, 7.5)
+        overlap.save_mask(str(tmp_path / "mask.dat"), mask, f.dx, f.dy)
+        argv += ["--mask", str(tmp_path / "mask.dat")]
+    assert cli.main(argv) == 0
+    expected = oracles.overlap_json_per_pair(
+        paths, [overlap.load_profile(p) for p in paths], mask, volumes)
+    assert (tmp_path / "out" / "overlap.json").read_bytes() == \
+        expected.encode("ascii")
+
+
+_GOOD = dict(nx=8, ny=8, dx=2.5, dy=2.5)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("zero", "profile vanishes on the mask; overlap undefined"),
+    ("shape", "grid (nx, ny, dx, dy) = (6, 8, 2.5, 2.5) differs from the "
+              "first profile's (8, 8, 2.5, 2.5)"),
+    ("spacing", "grid (nx, ny, dx, dy) = (8, 8, 2.0, 2.5) differs from the "
+                "first profile's (8, 8, 2.5, 2.5)"),
+    ("mask", "mask grid (nx, ny) = (8, 6) differs from the profiles' (8, 8)"),
+], ids=["zero", "shape", "spacing", "mask"])
+def test_overlap_errors_name_the_file_at_fault(tmp_path, capsys, fault,
+                                               message):
+    good = overlap.synthetic_profile("lc", **_GOOD)
+    second = {"zero": mm.FieldProfile(**_GOOD, values=np.zeros((8, 8))),
+              "shape": overlap.synthetic_profile("lc", **{**_GOOD, "nx": 6}),
+              "spacing": overlap.synthetic_profile("lc", **{**_GOOD, "dx": 2.0}),
+              "mask": good}[fault]
+    paths = _save_profiles(tmp_path, [good, second, good])
+    argv = ["overlap", "--profiles", *paths, "--out", str(tmp_path)]
+    culprit = paths[1]
+    if fault == "mask":
+        culprit = str(tmp_path / "mask.dat")
+        overlap.save_mask(culprit, overlap.full_mask(8, 6), 2.5, 2.5)
+        argv += ["--mask", culprit]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"ERROR 2: {culprit}: {message}\n"
+    assert not (tmp_path / "overlap.json").exists()
+
+
 def test_unknown_config_key_exits_2_with_line(tmp_path, capsys):
     text = SWEEP_CFG.replace("[sweep]", "[sweep]\nbananas = 12")
     cfg = _write(tmp_path / "cfg.ini", text)
@@ -330,6 +399,21 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, peaks_csv):
                      "--peaks", peaks_csv, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err == "ERROR 2: --seed: must be a non-negative integer\n"
+
+
+def test_spectrum_settings_are_checked_before_the_sweep(tmp_path, capsys,
+                                                       monkeypatch):
+    def explode(*args, **kwargs):
+        raise AssertionError("the sweep ran before the [spectrum] check")
+
+    monkeypatch.setattr(dispersion, "sweep", explode)
+    text = SPECTRUM_CFG.replace("freq_step_thz = 0.01", "freq_step_thz = 0")
+    cfg = _write(tmp_path / "cfg.ini", text)
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    lineno = text.splitlines().index("freq_step_thz = 0") + 1
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [spectrum] freq_step_thz: "
+        f"step must be positive\n")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -568,6 +652,11 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                      "ratio_2_tilde = 0.2124026\n", ""), "[coupling]",
                  "[coupling] needs ratio_11/ratio_2_tilde or mode_volumes_m3",
                  id="no-coupling-spec"),
+    pytest.param("fit", FIT_CFG.replace("labels = LC, dipolar\n", "").replace(
+                     "0.8, 1.6", "0.8, 1.6, 2.4"),
+                 "frequencies_thz = 0.8, 1.6, 2.4",
+                 "[photon_modes] frequencies_thz: the fit needs exactly two "
+                 "photon modes", id="three-mode-fit"),
     pytest.param("fit", FIT_CFG.replace("eta = 0.15\n", ""), "eta_mode = fixed",
                  "[fit] eta_mode: fixed needs [coupling] eta",
                  id="fixed-eta-without-eta"),

@@ -68,8 +68,7 @@ def _three_mode_set(pair):
     omegas = np.array([m.omega for m in photons])
     rabi = np.tril(rng.uniform(0.0, 0.5, (3, 3))) * omegas[:, None]
     rabi[:, 2] = 0.0  # a dark nu = nu_c line crosses every branch
-    return photons, mm.CouplingSet(rabi=rabi, overlap=1.0,
-                                   reference_cyclotron=1.0)
+    return photons, mm.CouplingSet(rabi=rabi, reference_cyclotron=1.0)
 
 
 MATCH_CASES = {

@@ -88,7 +88,6 @@ def test_rescale_quadrupled_bias_doubles_entries(photon_pair):
     scaled = mm.rescale_coupling(c, 4.0 * c.reference_cyclotron)
     assert np.array_equal(scaled.rabi, 2.0 * c.rabi)
     assert scaled.reference_cyclotron == 4.0 * c.reference_cyclotron
-    assert scaled.overlap == c.overlap
 
 
 def test_rescale_to_zero_field(photon_pair):
@@ -99,7 +98,7 @@ def test_rescale_to_zero_field(photon_pair):
 def test_diamagnetic_shared_matter_mode_cross_term():
     a, b = 1.3e12, 0.4e12
     rabi = np.array([[a, 0.0], [b, 0.0]])
-    c = mm.CouplingSet(rabi=rabi, overlap=1.0, reference_cyclotron=0.9)
+    c = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.9)
     h = mm.diamagnetic_matrix(c, 0.9)
     w_c = 0.9 * RAD_PER_SEC_PER_THZ
     assert h[0, 1] == pytest.approx(a * b / w_c, rel=1e-14)
@@ -184,7 +183,7 @@ def test_assemble_photon_order_permutation(photon_pair):
 
     swapped_photons = [mm.PhotonMode(index=1, frequency=1.6),
                        mm.PhotonMode(index=2, frequency=0.8)]
-    swapped = mm.CouplingSet(rabi=c.rabi[::-1].copy(), overlap=c.overlap,
+    swapped = mm.CouplingSet(rabi=c.rabi[::-1].copy(),
                              reference_cyclotron=c.reference_cyclotron)
     ham_swapped = mm.assemble_hamiltonian(swapped_photons, 0.9, swapped)
 
@@ -216,11 +215,9 @@ def test_two_mode_rabi_equals_scalar_formula(photon_pair):
 
 
 def test_coupling_set_derives_its_mode_count():
-    assert mm.CouplingSet(rabi=np.eye(3), overlap=1.0,
-                          reference_cyclotron=1.0).n_photon == 3
+    assert mm.CouplingSet(rabi=np.eye(3), reference_cyclotron=1.0).n_photon == 3
     with pytest.raises(ValueError, match="square"):
-        mm.CouplingSet(rabi=np.zeros((2, 2, 2)), overlap=1.0,
-                       reference_cyclotron=1.0)
+        mm.CouplingSet(rabi=np.zeros((2, 2, 2)), reference_cyclotron=1.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -243,8 +240,7 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mm.couplings_from_overlap(-1.0, 1.0, 0.5, reference_cyclotron=0.8)
     with pytest.raises(ValueError):
-        mm.CouplingSet(rabi=np.zeros((2, 1)), overlap=0.5,
-                       reference_cyclotron=0.8)
+        mm.CouplingSet(rabi=np.zeros((2, 1)), reference_cyclotron=0.8)
     with pytest.raises(ValueError):
         mm.QuadraticHamiltonian(n_photon=1, n_matter=1,
                                 diag_freqs=np.array([1.0, 1.0]),

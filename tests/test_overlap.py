@@ -5,7 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 import mmhopfield as mm
 import oracles
@@ -16,11 +15,17 @@ def _random_profile(rng, nx=16, ny=16, dx=0.5, dy=0.5):
     return mm.FieldProfile(nx=nx, ny=ny, dx=dx, dy=dy, values=values)
 
 
+def _eta(f, g, mask):
+    return mm.overlap_parameters(mm.gram([f, g], mask))[0, 1]
+
+
 def test_self_overlap_is_exactly_one():
     rng = np.random.default_rng(1)
     f = _random_profile(rng)
+    g = _random_profile(rng)
     mask = mm.full_mask(f.nx, f.ny)
-    assert mm.overlap_parameter(f, f, mask) == 1.0
+    eta = mm.overlap_parameters(mm.gram([f, g, f], mask))
+    assert np.all(np.diag(eta) == 1.0)
 
 
 def test_scaled_copy_overlap_is_one():
@@ -33,7 +38,7 @@ def test_scaled_copy_overlap_is_one():
         g = mm.FieldProfile(nx=f.nx, ny=f.ny, dx=f.dx, dy=f.dy,
                             values=scale * np.asarray(f.values))
         mask = mm.full_mask(f.nx, f.ny)
-        assert abs(mm.overlap_parameter(f, g, mask) - 1.0) < 1e-12
+        assert abs(_eta(f, g, mask) - 1.0) < 1e-12
 
 
 def test_cauchy_schwarz_bound():
@@ -42,11 +47,10 @@ def test_cauchy_schwarz_bound():
     for _ in range(1000):
         f = _random_profile(rng)
         g = _random_profile(rng)
-        f_self = mm.overlap_integral(f, f, mask).real
-        g_self = mm.overlap_integral(g, g, mask).real
-        raw = abs(mm.overlap_integral(f, g, mask)) / math.sqrt(f_self * g_self)
+        gram = mm.gram([f, g], mask)
+        raw = abs(gram[0, 1]) / math.sqrt(gram[0, 0].real * gram[1, 1].real)
         assert raw <= 1.0 + 1e-12
-        assert 0.0 <= mm.overlap_parameter(f, g, mask) <= 1.0
+        assert 0.0 <= mm.overlap_parameters(gram)[0, 1] <= 1.0
 
 
 def test_overlap_integral_conjugate_symmetry():
@@ -54,46 +58,41 @@ def test_overlap_integral_conjugate_symmetry():
     f = _random_profile(rng)
     g = _random_profile(rng)
     mask = mm.full_mask(f.nx, f.ny)
-    fg = mm.overlap_integral(f, g, mask)
-    gf = mm.overlap_integral(g, f, mask)
-    assert fg == pytest.approx(gf.conjugate(), rel=1e-12)
+    gram = mm.gram([f, g], mask)
+    assert gram[0, 1] == pytest.approx(gram[1, 0].conjugate(), rel=1e-12)
+
+
+def _lc_self_overlap(nx, w):
+    f = mm.synthetic_profile("lc", nx=nx, ny=nx, dx=60.0 / nx, dy=60.0 / nx,
+                             center_width=w)
+    return mm.gram([f], mm.full_mask(nx, nx))
 
 
 def test_gaussian_self_overlap_analytic():
     # int exp(-r^2/w^2) d2r = pi w^2; domain much larger than w
     w = 3.0
-    f = mm.synthetic_profile("lc", nx=256, ny=256, dx=60.0 / 256,
-                             dy=60.0 / 256, center_width=w)
-    mask = mm.full_mask(f.nx, f.ny)
-    f_self = mm.overlap_integral(f, f, mask).real
+    f_self = _lc_self_overlap(256, w)[0, 0].real
     assert f_self == pytest.approx(math.pi * w * w, rel=1e-3)
 
 
 def test_gaussian_effective_volume():
     w = 3.0
-    f = mm.synthetic_profile("lc", nx=256, ny=256, dx=60.0 / 256,
-                             dy=60.0 / 256, center_width=w)
-    mask = mm.full_mask(f.nx, f.ny)
     volume = 2.5e-17
-    assert mm.effective_mode_volume(f, mask, volume) == pytest.approx(
-        volume / (math.pi * w * w), rel=1e-3)
+    got = mm.effective_mode_volumes(_lc_self_overlap(256, w), [volume])
+    assert got[0] == pytest.approx(volume / (math.pi * w * w), rel=1e-3)
 
 
 @pytest.mark.parametrize("volume", [float("nan"), float("inf"), -1e-18])
 def test_effective_volume_rejects_bad_physical_volume(lc_profile, volume):
     mask = mm.full_mask(lc_profile.nx, lc_profile.ny)
     with pytest.raises(ValueError, match="finite and positive"):
-        mm.effective_mode_volume(lc_profile, mask, volume)
+        mm.effective_mode_volumes(mm.gram([lc_profile], mask), [volume])
 
 
 def test_grid_convergence():
     w = 3.0
-    coarse = mm.synthetic_profile("lc", nx=128, ny=128, dx=60.0 / 128,
-                                  dy=60.0 / 128, center_width=w)
-    fine = mm.synthetic_profile("lc", nx=256, ny=256, dx=60.0 / 256,
-                                dy=60.0 / 256, center_width=w)
-    a = mm.overlap_integral(coarse, coarse, mm.full_mask(128, 128)).real
-    b = mm.overlap_integral(fine, fine, mm.full_mask(256, 256)).real
+    a = _lc_self_overlap(128, w)[0, 0].real
+    b = _lc_self_overlap(256, w)[0, 0].real
     assert a == pytest.approx(b, rel=1e-3)
 
 
@@ -104,8 +103,8 @@ def test_fixture_pair_central_versus_full(lc_profile, dipolar_profile):
                                      lc_profile.dx, lc_profile.dy,
                                      half_width=7.5)
     plane = mm.full_mask(lc_profile.nx, lc_profile.ny)
-    assert mm.overlap_parameter(lc_profile, dipolar_profile, central) > 0.99
-    eta_full = mm.overlap_parameter(lc_profile, dipolar_profile, plane)
+    assert _eta(lc_profile, dipolar_profile, central) > 0.99
+    eta_full = _eta(lc_profile, dipolar_profile, plane)
     assert eta_full < 0.3
     assert eta_full > 0.01
 
@@ -117,24 +116,85 @@ def test_fixture_overlap_shrinks_monotonically(lc_profile, dipolar_profile):
         mask = mm.central_square_mask(lc_profile.nx, lc_profile.ny,
                                       lc_profile.dx, lc_profile.dy,
                                       half_width=hw)
-        etas.append(mm.overlap_parameter(lc_profile, dipolar_profile, mask))
+        etas.append(_eta(lc_profile, dipolar_profile, mask))
     assert np.all(np.diff(etas) > 0.0)
     assert etas[-1] > 0.999
 
 
 def test_corner_amplitude_tunes_full_plane_overlap_to_zero(lc_profile):
+    optimize = pytest.importorskip("scipy.optimize")
     # the signed full-plane integral crosses zero at some corner amplitude
     plane = mm.full_mask(lc_profile.nx, lc_profile.ny)
 
     def signed(amplitude):
         dp = mm.synthetic_profile("dipolar", corner_amplitude=amplitude)
-        return mm.overlap_integral(lc_profile, dp, plane).real
+        return mm.gram([lc_profile, dp], plane)[0, 1].real
 
     assert signed(2.0) > 0.0
     assert signed(20.0) < 0.0
     root = optimize.brentq(signed, 2.0, 20.0, xtol=1e-10)
     tuned = mm.synthetic_profile("dipolar", corner_amplitude=root)
-    assert mm.overlap_parameter(lc_profile, tuned, plane) < 1e-6
+    assert _eta(lc_profile, tuned, plane) < 1e-6
+
+
+def _assert_per_pair_bits(profiles, mask, volumes):
+    """gram, overlap_parameters and effective_mode_volumes against the
+    per-pair reference, bit for bit (signed zeros included)."""
+    n = len(profiles)
+    gram = mm.gram(profiles, mask)
+    pairs = [[(profiles[i], profiles[j]) for j in range(n)] for i in range(n)]
+    expected = np.array([[oracles.overlap_integral(f, g, mask)
+                          for f, g in row] for row in pairs])
+    assert gram.dtype == complex and gram.tobytes() == expected.tobytes()
+    expected = np.array([[oracles.overlap_parameter(f, g, mask)
+                          for f, g in row] for row in pairs])
+    assert mm.overlap_parameters(gram).tobytes() == expected.tobytes()
+    expected = np.array([oracles.effective_mode_volume(f, mask, v)
+                         for f, v in zip(profiles, volumes)])
+    assert mm.effective_mode_volumes(gram, volumes).tobytes() == \
+        expected.tobytes()
+
+
+def test_gram_keeps_the_per_pair_bits():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        nx, ny = (int(k) for k in rng.integers(1, 40, 2))
+        dx, dy = rng.uniform(0.1, 2.0, 2)
+        profiles = []
+        for _ in range(n):
+            # magnitudes from 1e-5 to 1e5, some profiles real
+            values = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-5, 5)
+            if rng.random() < 0.7:
+                values = values + 1j * rng.normal(size=(nx, ny))
+            profiles.append(mm.FieldProfile(nx=nx, ny=ny, dx=dx, dy=dy,
+                                            values=values))
+        inside = rng.random((nx, ny)) < rng.uniform(0.1, 1.0)
+        inside.flat[rng.integers(nx * ny)] = True
+        mask = mm.DomainMask(nx=nx, ny=ny, inside=inside)
+        _assert_per_pair_bits(profiles, mask,
+                              10.0 ** rng.uniform(-20, -14, n))
+
+
+def test_gram_keeps_the_bits_of_a_repeated_profile():
+    # a copy of a profile takes the reference's general route, not its
+    # exact one for a profile with itself
+    rng = np.random.default_rng(15)
+    f = _random_profile(rng)
+    copy = mm.FieldProfile(nx=f.nx, ny=f.ny, dx=f.dx, dy=f.dy, values=f.values)
+    g = _random_profile(rng)
+    mask = mm.full_mask(f.nx, f.ny)
+    _assert_per_pair_bits([f, copy, g], mask, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("domain", ["patch", "plane"])
+def test_gram_keeps_the_bits_of_the_fixture_pair(lc_profile, dipolar_profile,
+                                                 domain):
+    f = lc_profile
+    mask = (mm.central_square_mask(f.nx, f.ny, f.dx, f.dy, half_width=7.5)
+            if domain == "patch" else mm.full_mask(f.nx, f.ny))
+    _assert_per_pair_bits([lc_profile, dipolar_profile], mask,
+                          [1.0e-16, 2.0e-16])
 
 
 def test_profile_round_trip(tmp_path, dipolar_profile):
@@ -301,12 +361,18 @@ def test_mask_bulk_and_line_errors(tmp_path):
 def test_grid_mismatch_rejected():
     rng = np.random.default_rng(5)
     f = _random_profile(rng, nx=8, ny=8)
+    mask = mm.full_mask(8, 8)
     g = _random_profile(rng, nx=8, ny=8, dx=0.7)
-    with pytest.raises(ValueError, match="spacing"):
-        mm.overlap_integral(f, g, mm.full_mask(8, 8))
+    with pytest.raises(mm.OverlapError, match="grid") as err:
+        mm.gram([f, f, g], mask)
+    assert err.value.entry == 2
     h = _random_profile(rng, nx=4, ny=8)
-    with pytest.raises(ValueError, match="dimensions"):
-        mm.overlap_integral(f, h, mm.full_mask(8, 8))
+    with pytest.raises(mm.OverlapError, match="grid") as err:
+        mm.gram([f, h], mask)
+    assert err.value.entry == 1
+    with pytest.raises(mm.OverlapError, match="mask grid") as err:
+        mm.gram([h, h], mask)
+    assert err.value.entry is None
 
 
 def test_empty_mask_rejected():
@@ -315,8 +381,14 @@ def test_empty_mask_rejected():
 
 
 def test_vanishing_profile_rejected():
+    rng = np.random.default_rng(6)
     f = mm.FieldProfile(nx=4, ny=4, dx=1.0, dy=1.0,
                         values=np.zeros((4, 4)))
-    mask = mm.full_mask(4, 4)
-    with pytest.raises(ValueError, match="vanishes"):
-        mm.overlap_parameter(f, f, mask)
+    g = _random_profile(rng, nx=4, ny=4, dx=1.0, dy=1.0)
+    gram = mm.gram([g, f], mm.full_mask(4, 4))
+    with pytest.raises(mm.OverlapError, match="vanishes") as err:
+        mm.overlap_parameters(gram)
+    assert err.value.entry == 1
+    with pytest.raises(mm.OverlapError, match="vanishes") as err:
+        mm.effective_mode_volumes(gram, [1.0, 1.0])
+    assert err.value.entry == 1
