@@ -17,22 +17,20 @@ import types
 # public name -> the submodule that defines it; each submodule loads on the
 # first use of one of its names, so a CLI call loads only what it runs
 _SOURCES = {
-    "bogoliubov": ("EigenSolution", "diagonalize"),
+    "bogoliubov": ("hopfield_coefficients", "normal_modes"),
     "dispersion": ("DispersionFeatures", "SpectrumConfig", "SweepResult",
                    "detect_features", "spectrum_from_branches", "sweep",
-                   "synthesize_spectrum", "write_branch_csv"),
+                   "write_branch_csv"),
     "errors": ("ConvergenceError", "DataCoverageError", "FitConfigError",
                "InstabilityError", "NumericalError", "OverlapError",
                "ProfileFormatError"),
     "fit": ("FitConfig", "FitParams", "FitResult", "PeakDataset",
             "PeakRecord", "fit", "load_peaks", "record_residuals",
             "residual", "save_peaks"),
-    "model": ("CouplingSet", "MaterialParams", "PhotonMode",
-              "QuadraticHamiltonian", "assemble_hamiltonian",
+    "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
               "couplings_from_overlap", "couplings_from_ratios",
-              "cyclotron_frequency", "diamagnetic_matrix",
-              "field_for_cyclotron", "mode_volume_for_coupling",
-              "rabi_microscopic", "rescale_coupling",
+              "cyclotron_frequency", "field_for_cyclotron",
+              "mode_volume_for_coupling", "rabi_microscopic",
               "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
                 "effective_mode_volumes", "full_mask", "gram", "load_mask",

@@ -1,7 +1,7 @@
 """Bosonic Bogoliubov diagonalization of the quadratic form.
 
 The Hamiltonian H = sum_i w_i (x_i^2 + p_i^2)/2 + sum_ij G_ij x_i x_j of
-QuadraticHamiltonian couples the modes through their x quadratures only.
+model.assemble_batch couples the modes through their x quadratures only.
 Its equations of motion xdot = D p, pdot = -(D + 2G) x with D = diag(w)
 make the squared polariton frequencies the eigenvalues of the real
 symmetric matrix
@@ -19,12 +19,12 @@ p_k = sum_j X_kj c_j + Y_kj c+_j has the real Hopfield coefficients
 
 so the bare-mode weights |X_kj|^2 - |Y_kj|^2 = e_jk^2 sum to one branch by
 branch. normal_modes solves a whole stack of forms, such as every point of
-a bias sweep, with one eigh (or eigvalsh) call.
+a bias sweep, with one eigh (or eigvalsh) call, and hopfield_coefficients
+turns its output into the stacked X and Y; a single operating point is the
+stack of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,43 +33,6 @@ from .model import RAD_PER_SEC_PER_THZ
 
 # relative frequency window treated as degenerate when ordering branches
 DEGENERACY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EigenSolution:
-    """Positive-frequency normal modes of one quadratic form.
-
-    frequencies are in THz, ascending; rows of hopfield_x / hopfield_y hold
-    the real annihilation / creation coefficients of one polariton branch,
-    and fractions[k, j] = X_kj^2 - Y_kj^2 is the weight of bare mode j in
-    branch k (photon modes first).
-    """
-
-    frequencies: np.ndarray
-    hopfield_x: np.ndarray
-    hopfield_y: np.ndarray
-    fractions: np.ndarray
-    n_photon: int
-
-    def __post_init__(self):
-        for name in ("frequencies", "hopfield_x", "hopfield_y", "fractions"):
-            arr = np.array(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_modes(self):
-        return len(self.frequencies)
-
-    @property
-    def photon_fractions(self):
-        """Total photon weight of each branch."""
-        return self.fractions[:, :self.n_photon].sum(axis=1)
-
-    @property
-    def matter_fractions(self):
-        """Total matter weight of each branch."""
-        return self.fractions[:, self.n_photon:].sum(axis=1)
 
 
 def _branch_order(freqs, fractions, n_photon):
@@ -96,7 +59,10 @@ def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
     """Polariton modes of a stack of quadratic forms.
 
     diag_freqs (T, n) and interaction (..., T, n, n) are in rad/s, laid out
-    as in QuadraticHamiltonian; leading axes stack several forms per point.
+    as model.assemble_batch returns them; leading axes stack several forms
+    per point. Only the lower triangle of interaction is read, and no
+    symmetry or finiteness check is made: every form the package builds is
+    exactly symmetric, and a NaN fails the stability test below.
     Returns (frequencies, vecs): frequencies (..., T, n) in THz, ascending
     per row, and vecs[..., t, k] the unit eigenvector e_k of S at
     frequencies[..., t, k], so vecs ** 2 are the bare-mode fractions. With
@@ -142,13 +108,14 @@ def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
     return freqs, vecs
 
 
-def diagonalize(ham):
-    """Diagonalize a stable quadratic form into its polariton modes."""
-    freqs, vecs = normal_modes(ham.diag_freqs[None], ham.interaction[None],
-                               ham.n_photon)
-    freqs, vecs = freqs[0], vecs[0]
-    ratio = np.sqrt(freqs[:, None] * RAD_PER_SEC_PER_THZ / ham.diag_freqs)
+def hopfield_coefficients(diag_freqs, freqs, vecs):
+    """Real Hopfield coefficients (X, Y), each of shape (..., T, n, n), of
+    the modes normal_modes returns for the bare angular frequencies
+    diag_freqs (T, n): X[..., t, k, j] and Y[..., t, k, j] weigh the bare
+    annihilation and creation operators of mode j in branch k, and
+    X^2 - Y^2 = vecs ** 2."""
+    ratio = np.sqrt(freqs[..., :, None] * RAD_PER_SEC_PER_THZ
+                    / diag_freqs[..., None, :])
     x = 0.5 * (ratio + 1.0 / ratio) * vecs
     y = 0.5 * (ratio - 1.0 / ratio) * vecs
-    return EigenSolution(frequencies=freqs, hopfield_x=x, hopfield_y=y,
-                         fractions=vecs ** 2, n_photon=ham.n_photon)
+    return x, y

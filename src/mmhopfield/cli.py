@@ -175,7 +175,9 @@ class _Config:
         return ConfigError(f"{where}: {about} {problem}")
 
 
-def _load_photons(cfg, volumes=None):
+def _read_photons(cfg, volumes=None):
+    """The [photon_modes] keys, checked without numpy: the PhotonMode
+    fields of each mode."""
     cfg.require("photon_modes")
     freqs = cfg.get("photon_modes", "frequencies_thz")
     labels = cfg.get("photon_modes", "labels", [""] * len(freqs))
@@ -187,9 +189,8 @@ def _load_photons(cfg, volumes=None):
     elif len(volumes) != len(freqs):
         raise cfg.error("coupling", "mode_volumes_m3",
                         f"{len(volumes)} volumes for {len(freqs)} modes")
-    from . import model
-    return [model.PhotonMode(index=i + 1, frequency=f, label=lab,
-                             effective_mode_volume=vol)
+    return [dict(index=i + 1, frequency=f, label=lab,
+                 effective_mode_volume=vol)
             for i, (f, lab, vol) in enumerate(zip(freqs, labels, volumes))]
 
 
@@ -211,8 +212,9 @@ def _load_material(cfg):
     return model.MaterialParams(**fields)
 
 
-def _load_coupling(cfg):
-    """Photon modes plus coupling set from exactly one coupling spec."""
+def _read_coupling(cfg):
+    """Exactly one two-mode coupling spec, checked without numpy: (modes of
+    _read_photons, the two ratios or None for mode volumes, eta)."""
     cfg.require("coupling")
     has_ratios = cfg.has("coupling", "ratio_11")
     has_micro = cfg.has("coupling", "mode_volumes_m3")
@@ -227,15 +229,23 @@ def _load_coupling(cfg):
     if has_ratios:
         ratios = [cfg.get("coupling", key)
                   for key in ("ratio_11", "ratio_2_tilde")]
-        photons = _load_photons(cfg)
+        modes = _read_photons(cfg)
     else:
-        photons = _load_photons(
+        ratios = None
+        modes = _read_photons(
             cfg, volumes=cfg.get("coupling", "mode_volumes_m3"))
-    if len(photons) != 2:
+    if len(modes) != 2:
         raise cfg.error("photon_modes", "frequencies_thz",
                         "the two-mode model needs exactly two frequencies")
+    return modes, ratios, eta
+
+
+def _load_coupling(cfg, modes, ratios, eta):
+    """Photon modes plus coupling set of a _read_coupling spec; mode volumes
+    take the [material] section."""
     from . import model
-    if has_micro:
+    photons = [model.PhotonMode(**mode) for mode in modes]
+    if ratios is None:
         material = _load_material(cfg)
         ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
                   for m in photons]
@@ -243,11 +253,11 @@ def _load_coupling(cfg):
 
 
 def _grid(cfg, section, keys, to_thz=float):
-    """start + step * arange(n) from a section's start, stop and step keys
-    (finite by _KEYS); each error names the key it is about. The checks see
-    the values as written, so to_thz only ever converts a valid grid. The
-    point count is checked before any array is made, and the points must
-    ascend strictly."""
+    """The grid start + step * arange(n) of a section's start, stop and step
+    keys (finite by _KEYS) as (section, step key, start, step, n), checked
+    without numpy; each error names the key it is about. The checks see the
+    values as written, so to_thz only ever converts a valid grid. The point
+    count is checked before _points makes any array."""
     start, stop, step = (cfg.get(section, key) for key in keys)
     for key, bad, problem in ((keys[2], step <= 0.0, "step must be positive"),
                               (keys[1], stop <= start, "stop must exceed start"),
@@ -262,15 +272,23 @@ def _grid(cfg, section, keys, to_thz=float):
     n = int(span) + 1
     if n < 2:
         raise cfg.error(section, keys[2], "grid contains fewer than two points")
+    return section, keys[2], start, step, n
+
+
+def _points(cfg, grid):
+    """The points of a _grid, which must ascend strictly."""
+    section, step_key, start, step, n = grid
     import numpy as np
     points = start + step * np.arange(n)
     if np.any(points[1:] <= points[:-1]):
-        raise cfg.error(section, keys[2],
+        raise cfg.error(section, step_key,
                         "step is too small to separate the grid points")
     return points
 
 
 def _load_sweep_grid(cfg):
+    """The [sweep] grid as a _grid; a THz grid is checked without numpy, a
+    tesla grid loads model to convert its endpoints."""
     cfg.require("sweep")
     thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
     tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
@@ -312,8 +330,10 @@ def _json_text(obj):
 
 def _run_sweep(args):
     cfg = _Config(args.config)
-    photons, coupling = _load_coupling(cfg)
+    modes, ratios, eta = _read_coupling(cfg)
     grid = _load_sweep_grid(cfg)
+    photons, coupling = _load_coupling(cfg, modes, ratios, eta)
+    grid = _points(cfg, grid)
     from . import dispersion
     result = dispersion.sweep(photons, coupling, grid)
     features = dispersion.detect_features(result, photons)
@@ -333,8 +353,9 @@ def _run_sweep(args):
     return 0
 
 
-def _spectrum_config(cfg, n_branches):
-    from . import dispersion
+def _read_spectrum(cfg, n_branches):
+    """The [spectrum] keys, checked without numpy (_KEYS checks the
+    linewidths and the mode): (linewidths, probe _grid, weight mode)."""
     cfg.require("spectrum")
     widths = cfg.get("spectrum", "linewidth_thz")
     if len(widths) not in (1, n_branches):
@@ -342,19 +363,21 @@ def _spectrum_config(cfg, n_branches):
                         f"need one linewidth or {n_branches}")
     grid = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
                                    "freq_step_thz"))
-    # _KEYS has checked the linewidths and the mode, _grid the grid
-    return dispersion.SpectrumConfig(
-        frequency_grid=grid,
-        linewidths=widths[0] if len(widths) == 1 else widths,
-        weight_mode=cfg.get("spectrum", "weight_mode", "photon_fraction"))
+    return widths, grid, cfg.get("spectrum", "weight_mode", "photon_fraction")
 
 
 def _run_spectrum(args):
     cfg = _Config(args.config)
-    photons, coupling = _load_coupling(cfg)
+    modes, ratios, eta = _read_coupling(cfg)
     grid = _load_sweep_grid(cfg)
-    spec_cfg = _spectrum_config(cfg, 2 * len(photons))
+    widths, probe, weight_mode = _read_spectrum(cfg, 2 * len(modes))
+    photons, coupling = _load_coupling(cfg, modes, ratios, eta)
+    grid = _points(cfg, grid)
     from . import dispersion
+    spec_cfg = dispersion.SpectrumConfig(
+        frequency_grid=_points(cfg, probe),
+        linewidths=widths[0] if len(widths) == 1 else widths,
+        weight_mode=weight_mode)
     result = dispersion.sweep(photons, coupling, grid)
 
     if spec_cfg.weight_mode == "photon_fraction":
@@ -398,14 +421,15 @@ def _run_fit(args):
         raise ConfigError("fit requires --peaks PATH")
     if not os.path.exists(args.peaks):
         raise DataCoverageError(f"peaks file not found: {args.peaks}")
-    photons = _load_photons(cfg)
-    if len(photons) != 2:
+    modes = _read_photons(cfg)
+    if len(modes) != 2:
         raise cfg.error("photon_modes", "frequencies_thz",
                         "the fit needs exactly two photon modes")
     # "from . import fit" would give the package's fit() function, not the
     # submodule, so take the names from the submodule itself
     from . import model
     from .fit import FitParams, fit, load_peaks, record_residuals
+    photons = [model.PhotonMode(**mode) for mode in modes]
     data = load_peaks(args.peaks)
     fit_cfg = _fit_config(cfg, args.seed)
     result = fit(data, photons, fit_cfg)

@@ -353,15 +353,6 @@ def spectrum_from_branches(freqs, weights, config):
     return np.maximum(total, 0.0, out=total)
 
 
-def synthesize_spectrum(solution, config):
-    """Transmission proxy of one diagonalized operating point."""
-    if config.weight_mode == "photon_fraction":
-        weights = solution.photon_fractions
-    else:
-        weights = np.full(solution.n_modes, 1.0 / solution.n_modes)
-    return spectrum_from_branches(solution.frequencies, weights, config)
-
-
 def g9_cells(values):
     """Each number of values, row-major, as "%.9g" text: the same text that
     f"{x:.9g}" gives for every float, at a fraction of the cost."""

@@ -126,44 +126,6 @@ class CouplingSet:
         return self.rabi.shape[0]
 
 
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """Bosonic quadratic form in the quadrature convention.
-
-    diag_freqs are the bare angular frequencies (photon modes first, then
-    matter modes). interaction is the symmetric matrix G in
-
-        H = sum_i w_i (x_i^2 + p_i^2)/2 + sum_{ij} G_ij x_i x_j,
-
-    i.e. G[nu, N_ph + mu] = W[nu, mu] and G[nu, mu] = 2 h[nu, mu] on the
-    photon block; the matter block vanishes.
-    """
-
-    n_photon: int
-    n_matter: int
-    diag_freqs: np.ndarray
-    interaction: np.ndarray
-
-    def __post_init__(self):
-        freqs = _frozen_array(self, "diag_freqs", self.diag_freqs)
-        inter = _frozen_array(self, "interaction", self.interaction)
-        n = self.n_photon + self.n_matter
-        if freqs.shape != (n,):
-            raise ValueError(f"diag_freqs must have length {n}")
-        if np.any(freqs <= 0.0) or not np.all(np.isfinite(freqs)):
-            raise ValueError("diagonal frequencies must be positive and finite")
-        if inter.shape != (n, n):
-            raise ValueError(f"interaction must be {n}x{n}")
-        if not np.all(np.isfinite(inter)):
-            raise ValueError("interaction entries must be finite")
-        if not np.array_equal(inter, inter.T):
-            raise ValueError("interaction matrix must be symmetric")
-
-    @property
-    def n_modes(self):
-        return self.n_photon + self.n_matter
-
-
 def cyclotron_frequency(field_tesla, material=MaterialParams()):
     """Cyclotron frequency nu_c = e B / (2 pi m*) in THz."""
     if field_tesla < 0.0:
@@ -270,35 +232,11 @@ def mode_volume_for_coupling(mode, material, nu_c, omega_r):
     return num / den / omega_r ** 2
 
 
-def rescale_coupling(coupling, nu_c):
-    """Coupling set re-quoted at cyclotron frequency nu_c (THz): every Rabi
-    entry scales as sqrt(nu_c / reference_cyclotron)."""
-    if nu_c < 0.0:
-        raise ValueError("nu_c must be non-negative")
-    if coupling.reference_cyclotron <= 0.0:
-        raise ValueError("coupling set has no positive reference cyclotron frequency")
-    factor = math.sqrt(nu_c / coupling.reference_cyclotron)
-    return CouplingSet(rabi=coupling.rabi * factor, reference_cyclotron=nu_c)
-
-
 def _gram(rabi, w_c):
     """W W^T / w_c of each matrix in a stack of Rabi matrices (..., N, N)."""
     gram = rabi @ np.swapaxes(rabi, -1, -2) / w_c
     # BLAS products are not bit-exactly symmetric; the assembled form must be
     return 0.5 * (gram + np.swapaxes(gram, -1, -2))
-
-
-def diamagnetic_matrix(coupling, nu_c):
-    """Diamagnetic (A^2) matrix h = W W^T / w_c in rad/s, with the couplings
-    of the given set interpreted at cyclotron frequency nu_c (THz).
-
-    Under the sqrt(w_c) rescaling of the couplings this matrix is the same
-    for every nu_c > 0, which is how the zero-field limit stays finite.
-    """
-    if nu_c <= 0.0:
-        raise ValueError("nu_c must be positive; use the reference-quoted "
-                         "couplings for the zero-field limit")
-    return _gram(coupling.rabi, nu_c * RAD_PER_SEC_PER_THZ)
 
 
 def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
@@ -308,9 +246,16 @@ def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
     rabi (..., N, N) holds Rabi matrices W (rad/s) quoted at
     reference_cyclotron (THz), as CouplingSet.rabi, with N the number of
     photon modes; each is rescaled from the reference by sqrt(w_c). Returns
-    the bare angular frequencies, shape (T, n), shared by every matrix of
-    the stack, and the interaction matrices G, shape (..., T, n, n), in the
-    layout of QuadraticHamiltonian, for n = 2 N and T grid points.
+    the bare angular frequencies w, shape (T, n), photon modes first, then
+    matter modes, shared by every matrix of the stack, and the symmetric
+    interaction matrices G, shape (..., T, n, n), for n = 2 N and T grid
+    points, of the quadrature form
+
+        H = sum_i w_i (x_i^2 + p_i^2)/2 + sum_{ij} G_ij x_i x_j,
+
+    i.e. G[nu, N + mu] = W[nu, mu] and G[nu, mu] = 2 h[nu, mu] on the
+    photon block; the matter block vanishes. A single operating point is
+    the grid [nu_c], T = 1.
 
     The diamagnetic block is evaluated in its nu_c-independent closed form
     from the reference-quoted couplings, so nu_c = 0 is legal: the matter
@@ -346,12 +291,3 @@ def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
     inter[..., n_ph:, :n_ph] = np.swapaxes(scaled, -1, -2)
     return freqs, inter
 
-
-def assemble_hamiltonian(photons, nu_c, coupling):
-    """Quadratic Hamiltonian of the coupled system at one cyclotron
-    frequency nu_c (THz); the single-point case of assemble_batch."""
-    freqs, inter = assemble_batch(photons, [nu_c], coupling.rabi,
-                                  coupling.reference_cyclotron)
-    return QuadraticHamiltonian(n_photon=coupling.n_photon,
-                                n_matter=coupling.n_photon,
-                                diag_freqs=freqs[0], interaction=inter[0])

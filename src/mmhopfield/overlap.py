@@ -20,6 +20,13 @@ import numpy as np
 from .errors import OverlapError, ProfileFormatError, read_ascii
 
 
+def _check_grid(nx, ny, dx, dy):
+    if nx < 1 or ny < 1:
+        raise ValueError("grid must contain at least one cell per axis")
+    if not (0.0 < dx < math.inf and 0.0 < dy < math.inf):
+        raise ValueError("grid spacing must be finite and positive")
+
+
 @dataclass(frozen=True)
 class FieldProfile:
     """Complex in-plane mode profile sampled on a uniform nx x ny grid.
@@ -34,10 +41,7 @@ class FieldProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must contain at least one cell per axis")
-        if self.dx <= 0.0 or self.dy <= 0.0:
-            raise ValueError("grid spacing must be positive")
+        _check_grid(self.nx, self.ny, self.dx, self.dy)
         values = np.array(self.values, dtype=complex)
         if values.shape != (self.nx, self.ny):
             raise ValueError(
@@ -50,11 +54,14 @@ class FieldProfile:
 
 @dataclass(frozen=True)
 class DomainMask:
-    """Boolean integration domain on the same grid as a profile."""
+    """Boolean integration domain on the same grid as a profile; dx, dy, if
+    given, are the cell sizes (um) that gram requires the profiles to have."""
 
     nx: int
     ny: int
     inside: np.ndarray
+    dx: float | None = None
+    dy: float | None = None
 
     def __post_init__(self):
         inside = np.array(self.inside, dtype=bool)
@@ -70,7 +77,8 @@ class DomainMask:
 def gram(profiles, mask):
     """Overlap Gram matrix F_ij = int_S conj(f_i) f_j dA (um^2, complex) of
     the profiles over the mask; an OverlapError names a profile whose grid is
-    not the first one's by its index, or the mask."""
+    not the first one's by its index, or the mask (entry None) when its
+    shape, or its spacing if it has one, is not the profiles'."""
     first = profiles[0]
     grid = (first.nx, first.ny, first.dx, first.dy)
     for i, p in enumerate(profiles):
@@ -80,6 +88,9 @@ def gram(profiles, mask):
     if (mask.nx, mask.ny) != grid[:2]:
         raise OverlapError(f"mask grid (nx, ny) = {(mask.nx, mask.ny)} differs "
                            f"from the profiles' {grid[:2]}")
+    if mask.dx is not None and (mask.dx, mask.dy) != grid[2:]:
+        raise OverlapError(f"mask spacing (dx, dy) = {(mask.dx, mask.dy)} "
+                           f"differs from the profiles' {grid[2:]}")
     stack = np.stack([p.values[mask.inside] for p in profiles])
     # each entry sums its pair's products in the order np.sum takes for that
     # pair alone, so F has the bits of the integrals taken pair by pair
@@ -128,7 +139,7 @@ def central_square_mask(nx, ny, dx, dy, half_width):
     inside = (np.abs(x)[:, None] <= half_width) & (np.abs(y)[None, :] <= half_width)
     if not inside.any():
         raise ValueError("half_width smaller than one grid cell")
-    return DomainMask(nx=nx, ny=ny, inside=inside)
+    return DomainMask(nx=nx, ny=ny, inside=inside, dx=dx, dy=dy)
 
 
 # Synthetic near-field fixtures. The lc profile is the single positive lobe
@@ -192,6 +203,7 @@ def _parse_header(path, line):
     try:
         nx, ny = int(parts[0]), int(parts[1])
         dx, dy = float(parts[2]), float(parts[3])
+        _check_grid(nx, ny, dx, dy)
     except ValueError as exc:
         raise ProfileFormatError(f"{path}:1: bad header value: {exc}") from exc
     return nx, ny, dx, dy
@@ -302,9 +314,10 @@ def _scan_mask(path, body, size):
 
 
 def load_mask(path):
-    """Read a DomainMask from the plain-text format (entries 0 or 1)."""
+    """Read a DomainMask, with the spacing of its header, from the
+    plain-text format (entries 0 or 1)."""
     header, body = read_ascii(path)
-    nx, ny, _, _ = _parse_header(path, header)
+    nx, ny, dx, dy = _parse_header(path, header)
     tokens = body.split()
     digits = "".join(tokens)
     # nx*ny tokens of one character each, every one of them 0 or 1
@@ -313,7 +326,8 @@ def load_mask(path):
     else:
         flat = _scan_mask(path, body, nx * ny)
     try:
-        return DomainMask(nx=nx, ny=ny, inside=flat.reshape(nx, ny))
+        return DomainMask(nx=nx, ny=ny, inside=flat.reshape(nx, ny),
+                          dx=dx, dy=dy)
     except ValueError as exc:
         raise ProfileFormatError(f"{path}: {exc}") from exc
 

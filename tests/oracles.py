@@ -29,9 +29,13 @@ The spectrum reference builds its Lorentzian dips branch-minor, as a
 builds them branch-major and adds whole branch rows.
 
 The ladder-basis dynamical matrix and the Hopfield weights |X|^2 - |Y|^2
-check the symplectic structure of a solution. The peak assignment here tries
-every branch subset of one record in a Python loop; the fit assigns a whole
-stack of records and parameter sets with array arithmetic.
+check the symplectic structure of a solution. The coupling references
+re-quote a Rabi matrix at another cyclotron frequency and form its
+diamagnetic matrix one entry at a time, with math.fsum; the production
+assembly takes both for a whole grid and a stack of matrices at once. The
+peak assignment here tries every branch subset of one record in a Python
+loop; the fit assigns a whole stack of records and parameter sets with
+array arithmetic.
 """
 
 from itertools import combinations, repeat
@@ -297,23 +301,39 @@ def overlap_json_per_pair(paths, profiles, mask, volumes):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def build_dynamical_matrix(ham):
+def build_dynamical_matrix(diag_freqs, interaction):
     """2N x 2N ladder-basis dynamical matrix M = [[A, B], [-B, -A]] in rad/s,
     A = diag(w) + G, B = G; its eigenvalues are the +/- Omega_k pairs."""
-    a = np.diag(ham.diag_freqs) + ham.interaction
-    b = ham.interaction
+    a = np.diag(diag_freqs) + interaction
+    b = interaction
     return np.block([[a, b], [-b, -a]])
 
 
-def hopfield_fractions(solution):
+def hopfield_fractions(hopfield_x, hopfield_y):
     """Per-branch bare-mode weights |X|^2 - |Y|^2; rows sum to one."""
-    fractions = (np.abs(solution.hopfield_x) ** 2
-                 - np.abs(solution.hopfield_y) ** 2)
+    fractions = np.abs(hopfield_x) ** 2 - np.abs(hopfield_y) ** 2
     sums = fractions.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise NumericalError(
             f"symplectic normalization violated: row sums {sums}")
     return fractions
+
+
+def rabi_at(rabi, nu_c, reference_cyclotron):
+    """Rabi matrix quoted at reference_cyclotron, re-quoted at nu_c (both
+    THz): every entry times sqrt(nu_c / reference_cyclotron)."""
+    factor = math.sqrt(nu_c / reference_cyclotron)
+    return np.array([[w * factor for w in row]
+                     for row in np.asarray(rabi).tolist()])
+
+
+def diamagnetic_reference(rabi, nu_c):
+    """Diamagnetic matrix h = W W^T / w_c (rad/s) of a Rabi matrix quoted at
+    nu_c (THz), one entry at a time: h_ij = sum_mu W_i,mu W_j,mu / w_c."""
+    rows = np.asarray(rabi).tolist()
+    w_c = nu_c * 2.0 * math.pi * 1e12
+    return np.array([[math.fsum(a * b for a, b in zip(ri, rj)) / w_c
+                      for rj in rows] for ri in rows])
 
 
 def assignment_cost(peaks, freqs):

@@ -14,20 +14,38 @@ import numpy as np
 import pytest
 
 import mmhopfield as mm
-from mmhopfield.bogoliubov import normal_modes
-from mmhopfield.model import RAD_PER_SEC_PER_THZ
+from mmhopfield.bogoliubov import hopfield_coefficients, normal_modes
+from mmhopfield.model import (MATTER_FREQ_FLOOR_THZ, RAD_PER_SEC_PER_THZ,
+                              assemble_batch)
 
 import oracles
 
 
-def _ham_from_quadrature(d, g):
+def _from_quadrature(d, g):
     # oracle systems are unit-agnostic; scale into rad/s so the THz output
     # of the production solver comes back in the oracle's numbers
-    return mm.QuadraticHamiltonian(
-        n_photon=d.size, n_matter=0,
-        diag_freqs=d * RAD_PER_SEC_PER_THZ,
-        interaction=0.5 * ((g * RAD_PER_SEC_PER_THZ)
-                           + (g * RAD_PER_SEC_PER_THZ).T))
+    return (d * RAD_PER_SEC_PER_THZ,
+            0.5 * ((g * RAD_PER_SEC_PER_THZ) + (g * RAD_PER_SEC_PER_THZ).T))
+
+
+def _at(photons, nu_c, coupling):
+    """Bare frequencies and interaction of one operating point."""
+    diag, inter = assemble_batch(photons, [nu_c], coupling.rabi,
+                                 coupling.reference_cyclotron)
+    return diag[0], inter[0]
+
+
+def _solve(diag, inter, n_photon):
+    """One operating point as the stack of one: frequencies (THz), bare-mode
+    fractions, and the Hopfield X and Y."""
+    diag = diag[None]
+    freqs, vecs = normal_modes(diag, inter[None], n_photon)
+    x, y = hopfield_coefficients(diag, freqs, vecs)
+    return freqs[0], vecs[0] ** 2, x[0], y[0]
+
+
+def _photon_weight(fracs, n_photon):
+    return fracs[:, :n_photon].sum(axis=1)
 
 
 def test_oracle_agreement_random_ensemble():
@@ -35,12 +53,11 @@ def test_oracle_agreement_random_ensemble():
     for trial in range(500):
         n = int(rng.integers(2, 5))
         d, g = oracles.random_stable_system(rng, n)
-        ham = _ham_from_quadrature(d, g)
-        sol = mm.diagonalize(ham)
+        freqs, fracs, _, _ = _solve(*_from_quadrature(d, g), n)
         ref_freqs, ref_fracs = oracles.quadrature_modes(d, g)
-        np.testing.assert_allclose(sol.frequencies, ref_freqs, rtol=1e-8,
+        np.testing.assert_allclose(freqs, ref_freqs, rtol=1e-8,
                                    err_msg=f"trial {trial}")
-        np.testing.assert_allclose(sol.fractions, ref_fracs, atol=1e-7,
+        np.testing.assert_allclose(fracs, ref_fracs, atol=1e-7,
                                    err_msg=f"trial {trial}")
 
 
@@ -49,13 +66,12 @@ def test_symplectic_norms_and_pairing():
     for _ in range(50):
         n = int(rng.integers(2, 5))
         d, g = oracles.random_stable_system(rng, n)
-        ham = _ham_from_quadrature(d, g)
-        sol = mm.diagonalize(ham)
-        norms = (np.abs(sol.hopfield_x) ** 2
-                 - np.abs(sol.hopfield_y) ** 2).sum(axis=1)
+        diag, inter = _from_quadrature(d, g)
+        _, _, x, y = _solve(diag, inter, n)
+        norms = (np.abs(x) ** 2 - np.abs(y) ** 2).sum(axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
-        evals = np.linalg.eigvals(oracles.build_dynamical_matrix(ham))
+        evals = np.linalg.eigvals(oracles.build_dynamical_matrix(diag, inter))
         assert np.max(np.abs(evals.imag)) < 1e-9 * np.max(np.abs(evals.real))
         pos = np.sort(evals.real[evals.real > 0.0])
         neg = np.sort(-evals.real[evals.real < 0.0])
@@ -63,11 +79,11 @@ def test_symplectic_norms_and_pairing():
 
 
 def test_dynamical_matrix_block_structure(photon_pair, unstructured_coupling):
-    ham = mm.assemble_hamiltonian(photon_pair, 0.8, unstructured_coupling)
-    m = oracles.build_dynamical_matrix(ham)
-    n = ham.n_modes
-    a = np.diag(ham.diag_freqs) + ham.interaction
-    b = ham.interaction
+    diag, inter = _at(photon_pair, 0.8, unstructured_coupling)
+    m = oracles.build_dynamical_matrix(diag, inter)
+    n = len(diag)
+    a = np.diag(diag) + inter
+    b = inter
     np.testing.assert_array_equal(m[:n, :n], a)
     np.testing.assert_array_equal(m[:n, n:], b)
     np.testing.assert_array_equal(m[n:, :n], -b)
@@ -75,27 +91,23 @@ def test_dynamical_matrix_block_structure(photon_pair, unstructured_coupling):
 
 
 def test_free_hamiltonian_is_trivial():
-    freqs = np.array([0.5, 1.0, 2.0]) * RAD_PER_SEC_PER_THZ
-    ham = mm.QuadraticHamiltonian(n_photon=3, n_matter=0, diag_freqs=freqs,
-                                  interaction=np.zeros((3, 3)))
-    sol = mm.diagonalize(ham)
-    np.testing.assert_allclose(sol.frequencies, [0.5, 1.0, 2.0], rtol=1e-12)
-    np.testing.assert_allclose(sol.fractions, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(np.abs(sol.hopfield_y), 0.0, atol=1e-12)
+    diag = np.array([0.5, 1.0, 2.0]) * RAD_PER_SEC_PER_THZ
+    freqs, fracs, _, y = _solve(diag, np.zeros((3, 3)), 3)
+    np.testing.assert_allclose(freqs, [0.5, 1.0, 2.0], rtol=1e-12)
+    np.testing.assert_allclose(fracs, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(np.abs(y), 0.0, atol=1e-12)
 
 
 def test_resonant_two_mode_against_secular_roots():
     photon = mm.PhotonMode(index=1, frequency=0.8)
     for ratio in (0.05, 0.1, 0.37, 0.6):
-        ham = mm.assemble_hamiltonian([photon], 0.8,
-                                      mm.single_mode_coupling(photon, ratio))
-        sol = mm.diagonalize(ham)
+        freqs, _, _, _ = _solve(
+            *_at([photon], 0.8, mm.single_mode_coupling(photon, ratio)), 1)
         lower, upper = oracles.two_mode_secular(0.8, 0.8, ratio * 0.8)
-        np.testing.assert_allclose(sol.frequencies, [lower, upper],
-                                   rtol=1e-12)
+        np.testing.assert_allclose(freqs, [lower, upper], rtol=1e-12)
         # with the diamagnetic term the polariton product equals the bare
         # product at any coupling
-        assert sol.frequencies.prod() == pytest.approx(0.8 * 0.8, rel=1e-10)
+        assert freqs.prod() == pytest.approx(0.8 * 0.8, rel=1e-10)
 
 
 def test_deep_strong_low_field_single_mode_against_secular_roots():
@@ -117,48 +129,46 @@ def test_resonant_fraction_balance_moderate_coupling():
     # regime the A^2 term skews the balance (checked against the oracle in
     # test_oracle_agreement_random_ensemble and below)
     photon = mm.PhotonMode(index=1, frequency=0.8)
-    ham = mm.assemble_hamiltonian([photon], 0.8,
-                                  mm.single_mode_coupling(photon, 0.1))
-    sol = mm.diagonalize(ham)
-    assert abs(sol.photon_fractions[0] - 0.5) < 0.05
-    assert abs(sol.photon_fractions[1] - 0.5) < 0.05
+    _, fracs, _, _ = _solve(
+        *_at([photon], 0.8, mm.single_mode_coupling(photon, 0.1)), 1)
+    photon_weight = _photon_weight(fracs, 1)
+    assert abs(photon_weight[0] - 0.5) < 0.05
+    assert abs(photon_weight[1] - 0.5) < 0.05
 
 
 def test_resonant_fraction_ultrastrong_matches_oracle():
     photon = mm.PhotonMode(index=1, frequency=0.8)
-    ham = mm.assemble_hamiltonian([photon], 0.8,
-                                  mm.single_mode_coupling(photon, 0.37))
-    sol = mm.diagonalize(ham)
-    at_field = mm.rescale_coupling(mm.single_mode_coupling(photon, 0.37), 0.8)
-    g = oracles.hamiltonian_interaction([photon.omega], at_field.rabi,
+    coupling = mm.single_mode_coupling(photon, 0.37)
+    _, fracs, _, _ = _solve(*_at([photon], 0.8, coupling), 1)
+    at_field = oracles.rabi_at(coupling.rabi, 0.8,
+                               coupling.reference_cyclotron)
+    g = oracles.hamiltonian_interaction([photon.omega], at_field,
                                         0.8 * RAD_PER_SEC_PER_THZ)
     ref_freqs, ref_fracs = oracles.quadrature_modes(
         np.array([photon.omega, 0.8 * RAD_PER_SEC_PER_THZ]),
         g)
-    np.testing.assert_allclose(sol.fractions, ref_fracs, atol=1e-10)
+    np.testing.assert_allclose(fracs, ref_fracs, atol=1e-10)
     # the skew is real: lower branch goes matter-heavy
-    assert sol.photon_fractions[0] < 0.4
-    assert sol.photon_fractions[1] > 0.6
+    photon_weight = _photon_weight(fracs, 1)
+    assert photon_weight[0] < 0.4
+    assert photon_weight[1] > 0.6
 
 
 def test_far_detuned_branch_is_pure():
     photon = mm.PhotonMode(index=1, frequency=0.8)
     coupling = mm.single_mode_coupling(photon, 0.37)
-    ham = mm.assemble_hamiltonian([photon], 8.0, coupling)
-    sol = mm.diagonalize(ham)
-    assert sol.photon_fractions[0] > 0.99
-    assert sol.matter_fractions[1] > 0.99
+    _, fracs, _, _ = _solve(*_at([photon], 8.0, coupling), 1)
+    assert _photon_weight(fracs, 1)[0] > 0.99
+    assert fracs[1, 1:].sum() > 0.99
 
 
 def test_uniform_scaling():
     rng = np.random.default_rng(17)
     d, g = oracles.random_stable_system(rng, 3)
-    base = _ham_from_quadrature(d, g)
-    scaled = _ham_from_quadrature(3.0 * d, 3.0 * g)
-    a = mm.diagonalize(base)
-    b = mm.diagonalize(scaled)
-    np.testing.assert_allclose(b.frequencies, 3.0 * a.frequencies, rtol=1e-10)
-    np.testing.assert_allclose(b.fractions, a.fractions, atol=1e-9)
+    a_freqs, a_fracs, _, _ = _solve(*_from_quadrature(d, g), 3)
+    b_freqs, b_fracs, _, _ = _solve(*_from_quadrature(3.0 * d, 3.0 * g), 3)
+    np.testing.assert_allclose(b_freqs, 3.0 * a_freqs, rtol=1e-10)
+    np.testing.assert_allclose(b_fracs, a_fracs, atol=1e-9)
 
 
 def test_instability_raises():
@@ -166,54 +176,65 @@ def test_instability_raises():
     # eigenvalue -0.6 THz^2; the error reports it and, in a batch, the entry
     d = np.array([1.0, 1.0]) * RAD_PER_SEC_PER_THZ
     g = np.array([[0.0, -0.8], [-0.8, 0.0]]) * RAD_PER_SEC_PER_THZ
-    ham = mm.QuadraticHamiltonian(n_photon=2, n_matter=0, diag_freqs=d,
-                                  interaction=g)
     with pytest.raises(mm.InstabilityError) as excinfo:
-        mm.diagonalize(ham)
+        _solve(d, g, 2)
     reported = re.search(r"smallest squared frequency (\S+) THz\^2",
                          str(excinfo.value))
     assert reported is not None, str(excinfo.value)
     assert float(reported.group(1)) == pytest.approx(-0.6, rel=1e-6)
 
-    stable = mm.QuadraticHamiltonian(n_photon=2, n_matter=0, diag_freqs=d,
-                                     interaction=0.25 * g)
-    batch = [stable, ham, stable]
     with pytest.raises(mm.InstabilityError) as excinfo:
-        normal_modes(np.stack([h.diag_freqs for h in batch]),
-                     np.stack([h.interaction for h in batch]), 2, vectors=False)
+        normal_modes(np.stack([d] * 3), np.stack([0.25 * g, g, 0.25 * g]), 2,
+                     vectors=False)
     assert excinfo.value.entry == 1
+
+    # normal_modes makes no finiteness check: a NaN fails the stability test
+    with pytest.raises(mm.InstabilityError, match="nan THz"):
+        _solve(d, np.where(g != 0.0, np.nan, 0.0), 2)
 
 
 def test_fraction_rows_sum_to_one(photon_pair, structured_coupling):
-    ham = mm.assemble_hamiltonian(photon_pair, 1.3, structured_coupling)
-    sol = mm.diagonalize(ham)
-    np.testing.assert_allclose(sol.fractions.sum(axis=1), 1.0, atol=1e-9)
+    _, fracs, x, y = _solve(*_at(photon_pair, 1.3, structured_coupling), 2)
+    np.testing.assert_allclose(fracs.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(
-        sol.photon_fractions + sol.matter_fractions, 1.0, atol=1e-9)
-    assert np.all(oracles.hopfield_fractions(sol) >= -1e-12)
+        _photon_weight(fracs, 2) + fracs[:, 2:].sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(oracles.hopfield_fractions(x, y) >= -1e-12)
 
 
 def test_degenerate_photon_ordering_is_deterministic():
     # two identical uncoupled photons: output must be reproducible and the
     # fraction rows must still be a valid resolution of identity
-    freqs = np.array([1.0, 1.0]) * RAD_PER_SEC_PER_THZ
-    ham = mm.QuadraticHamiltonian(n_photon=2, n_matter=0, diag_freqs=freqs,
-                                  interaction=np.zeros((2, 2)))
-    first = mm.diagonalize(ham)
-    second = mm.diagonalize(ham)
-    np.testing.assert_array_equal(first.frequencies, second.frequencies)
-    np.testing.assert_array_equal(first.fractions, second.fractions)
-    np.testing.assert_allclose(first.fractions.sum(axis=0), 1.0, atol=1e-9)
+    diag = np.array([1.0, 1.0]) * RAD_PER_SEC_PER_THZ
+    first_freqs, first_fracs, _, _ = _solve(diag, np.zeros((2, 2)), 2)
+    second_freqs, second_fracs, _, _ = _solve(diag, np.zeros((2, 2)), 2)
+    np.testing.assert_array_equal(first_freqs, second_freqs)
+    np.testing.assert_array_equal(first_fracs, second_fracs)
+    np.testing.assert_allclose(first_fracs.sum(axis=0), 1.0, atol=1e-9)
 
 
-def test_batch_frequencies_match_single_path(photon_pair,
-                                             unstructured_coupling):
-    grid = [0.1, 0.4, 0.8, 1.5, 2.0]
-    hams = [mm.assemble_hamiltonian(photon_pair, nu, unstructured_coupling)
-            for nu in grid]
-    batch, _ = normal_modes(np.stack([h.diag_freqs for h in hams]),
-                            np.stack([h.interaction for h in hams]),
-                            2, vectors=False)
-    for row, ham in zip(batch, hams):
-        np.testing.assert_allclose(row, mm.diagonalize(ham).frequencies,
-                                   rtol=1e-10)
+def test_hopfield_coefficients_on_a_stacked_sweep(photon_pair,
+                                                  unstructured_coupling,
+                                                  structured_coupling):
+    # two Rabi matrices on one grid from nu_c = 0, where the matter modes sit
+    # at MATTER_FREQ_FLOOR_THZ, to 2.2 THz: X and Y of the whole (2, T)
+    # stack in one call
+    grid = np.linspace(0.0, 2.2, 45)
+    rabi = np.stack([unstructured_coupling.rabi, structured_coupling.rabi])
+    diag, inter = assemble_batch(photon_pair, grid, rabi,
+                                 unstructured_coupling.reference_cyclotron)
+    assert np.all(diag[0, 2:] == MATTER_FREQ_FLOOR_THZ * RAD_PER_SEC_PER_THZ)
+    freqs, vecs = normal_modes(diag, inter, 2)
+    x, y = hopfield_coefficients(diag, freqs, vecs)
+    assert x.shape == y.shape == (2, len(grid), 4, 4)
+
+    for s in range(2):
+        for t in range(len(grid)):
+            ratio = np.sqrt(freqs[s, t][:, None] * RAD_PER_SEC_PER_THZ
+                            / diag[t])
+            np.testing.assert_array_equal(
+                x[s, t], 0.5 * (ratio + 1.0 / ratio) * vecs[s, t])
+            np.testing.assert_array_equal(
+                y[s, t], 0.5 * (ratio - 1.0 / ratio) * vecs[s, t])
+    weights = x ** 2 - y ** 2
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(weights, vecs ** 2, atol=1e-9)

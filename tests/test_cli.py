@@ -312,24 +312,48 @@ _GOOD = dict(nx=8, ny=8, dx=2.5, dy=2.5)
     ("spacing", "grid (nx, ny, dx, dy) = (8, 8, 2.0, 2.5) differs from the "
                 "first profile's (8, 8, 2.5, 2.5)"),
     ("mask", "mask grid (nx, ny) = (8, 6) differs from the profiles' (8, 8)"),
-], ids=["zero", "shape", "spacing", "mask"])
+    ("mask_spacing", "mask spacing (dx, dy) = (1.0, 1.0) differs from the "
+                     "profiles' (2.5, 2.5)"),
+], ids=["zero", "shape", "spacing", "mask", "mask_spacing"])
 def test_overlap_errors_name_the_file_at_fault(tmp_path, capsys, fault,
                                                message):
     good = overlap.synthetic_profile("lc", **_GOOD)
     second = {"zero": mm.FieldProfile(**_GOOD, values=np.zeros((8, 8))),
               "shape": overlap.synthetic_profile("lc", **{**_GOOD, "nx": 6}),
               "spacing": overlap.synthetic_profile("lc", **{**_GOOD, "dx": 2.0}),
-              "mask": good}[fault]
+              "mask": good, "mask_spacing": good}[fault]
     paths = _save_profiles(tmp_path, [good, second, good])
     argv = ["overlap", "--profiles", *paths, "--out", str(tmp_path)]
     culprit = paths[1]
-    if fault == "mask":
+    if fault.startswith("mask"):
+        # a mask on an 8 x 6 grid, or on the profiles' 8 x 8 cells but with
+        # the default header spacing 1.0 1.0
         culprit = str(tmp_path / "mask.dat")
-        overlap.save_mask(culprit, overlap.full_mask(8, 6), 2.5, 2.5)
+        if fault == "mask":
+            overlap.save_mask(culprit, overlap.full_mask(8, 6), 2.5, 2.5)
+        else:
+            overlap.save_mask(culprit, overlap.full_mask(8, 8))
         argv += ["--mask", culprit]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"ERROR 2: {culprit}: {message}\n"
     assert not (tmp_path / "overlap.json").exists()
+
+
+@pytest.mark.parametrize("spacing", ["inf", "nan"])
+def test_overlap_rejects_a_non_finite_spacing_at_the_header(tmp_path, capsys,
+                                                            spacing):
+    paths = _save_profiles(tmp_path, [overlap.synthetic_profile("lc", **_GOOD),
+                                      overlap.synthetic_profile("dipolar",
+                                                                **_GOOD)])
+    header = f"8 8 {spacing} {spacing}"
+    for path in map(Path, paths):
+        path.write_text(path.read_text().replace("8 8 2.5 2.5", header, 1))
+    out = tmp_path / "out"
+    assert cli.main(["overlap", "--profiles", *paths, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {paths[0]}:1: bad header value: grid spacing must be "
+        "finite and positive\n")
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_2_with_line(tmp_path, capsys):
@@ -969,6 +993,38 @@ sys.exit(main(sys.argv[1:]))
     pytest.param("overlap --profiles {missing} {missing}", None, 4,
                  "ERROR 4: profile file not found: {missing}\n",
                  id="missing-profile"),
+    # every scalar check of [photon_modes], [coupling], a THz [sweep] and
+    # [spectrum] runs before numpy loads
+    pytest.param("sweep --config {cfg}",
+                 SWEEP_CFG.replace("eta = 0.15", "eta = 2"), 2,
+                 "ERROR 2: {cfg}:8: [coupling] eta: must lie in [0, 1]\n",
+                 id="eta"),
+    pytest.param("sweep --config {cfg}",
+                 SWEEP_CFG.replace("0.8, 1.6", "0.8, 1.6, 2.4"), 2,
+                 "ERROR 2: {cfg}:3: [photon_modes] labels: 2 labels for 3 "
+                 "modes\n", id="label-count"),
+    pytest.param("sweep --config {cfg}",
+                 SWEEP_CFG.replace("step_thz = 0.05", "step_thz = 0"), 2,
+                 "ERROR 2: {cfg}:13: [sweep] step_thz: step must be "
+                 "positive\n", id="sweep-step"),
+    pytest.param("sweep --config {cfg}",
+                 SWEEP_CFG.replace("step_thz = 0.05", "step_thz = 1e-320"), 2,
+                 "ERROR 2: {cfg}:13: [sweep] step_thz: step gives more than "
+                 "1000000 grid points\n", id="sweep-point-count"),
+    pytest.param("spectrum --config {cfg}",
+                 SPECTRUM_CFG.replace("step_thz = 0.05", "step_thz = 0"), 2,
+                 "ERROR 2: {cfg}:13: [sweep] step_thz: step must be "
+                 "positive\n", id="spectrum-sweep-step"),
+    pytest.param("spectrum --config {cfg}",
+                 SPECTRUM_CFG.replace("freq_step_thz = 0.01",
+                                      "freq_step_thz = 0"), 2,
+                 "ERROR 2: {cfg}:19: [spectrum] freq_step_thz: step must be "
+                 "positive\n", id="spectrum-step"),
+    pytest.param("spectrum --config {cfg}",
+                 SPECTRUM_CFG.replace("linewidth_thz = 0.04",
+                                      "linewidth_thz = 0.04, 0.05"), 2,
+                 "ERROR 2: {cfg}:16: [spectrum] linewidth_thz: need one "
+                 "linewidth or 4\n", id="linewidth-count"),
 ])
 def test_front_end_exits_without_numpy(tmp_path, argv, text, code, message):
     paths = {"cfg": str(tmp_path / "cfg.ini"),

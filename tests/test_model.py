@@ -72,46 +72,68 @@ def test_unit_overlap_kills_second_diagonal_coupling():
     assert c.rabi[1, 0] == 2.0
 
 
+def _at(photons, nu_c, coupling):
+    """Bare frequencies and interaction of one operating point."""
+    diag, inter = mm.assemble_batch(photons, [nu_c], coupling.rabi,
+                                    coupling.reference_cyclotron)
+    return diag[0], inter[0]
+
+
 def test_ratio_constructor_reference_quoting(photon_pair):
     # each ratio is quoted at its own mode's resonance; the stored set lives
     # at nu_1, so re-quoting at nu_2 must reproduce ratio_2_tilde exactly
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
     assert c.reference_cyclotron == photon_pair[0].frequency
     assert c.rabi[0, 0] == pytest.approx(0.37 * photon_pair[0].omega, rel=1e-15)
-    at_nu2 = mm.rescale_coupling(c, photon_pair[1].frequency)
-    wt2 = math.hypot(at_nu2.rabi[1, 0], at_nu2.rabi[1, 1])
+    _, inter = _at(photon_pair, photon_pair[1].frequency, c)
+    wt2 = math.hypot(inter[1, 2], inter[1, 3])
     assert wt2 == pytest.approx(0.21 * photon_pair[1].omega, rel=1e-12)
 
 
 def test_rescale_quadrupled_bias_doubles_entries(photon_pair):
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
-    scaled = mm.rescale_coupling(c, 4.0 * c.reference_cyclotron)
-    assert np.array_equal(scaled.rabi, 2.0 * c.rabi)
-    assert scaled.reference_cyclotron == 4.0 * c.reference_cyclotron
+    nu_c = 4.0 * c.reference_cyclotron
+    _, inter = _at(photon_pair, nu_c, c)
+    assert np.array_equal(inter[:2, 2:], 2.0 * c.rabi)
+    np.testing.assert_allclose(
+        inter[:2, 2:], oracles.rabi_at(c.rabi, nu_c, c.reference_cyclotron),
+        rtol=1e-15)
 
 
 def test_rescale_to_zero_field(photon_pair):
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
-    assert np.all(mm.rescale_coupling(c, 0.0).rabi == 0.0)
+    _, inter = _at(photon_pair, 0.0, c)
+    assert np.all(inter[:2, 2:] == 0.0)
+    assert np.all(inter[2:, :2] == 0.0)
 
 
 def test_diamagnetic_shared_matter_mode_cross_term():
     a, b = 1.3e12, 0.4e12
     rabi = np.array([[a, 0.0], [b, 0.0]])
-    c = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.9)
-    h = mm.diamagnetic_matrix(c, 0.9)
+    photons = [mm.PhotonMode(index=1, frequency=0.8),
+               mm.PhotonMode(index=2, frequency=1.6)]
+    _, inter = mm.assemble_batch(photons, [0.9], rabi, 0.9)
+    h = 0.5 * inter[0, :2, :2]
     w_c = 0.9 * RAD_PER_SEC_PER_THZ
     assert h[0, 1] == pytest.approx(a * b / w_c, rel=1e-14)
     assert h[1, 0] == h[0, 1]
+    np.testing.assert_allclose(h, oracles.diamagnetic_reference(rabi, 0.9),
+                               rtol=1e-14)
 
 
 def test_diamagnetic_bias_independence(photon_pair):
-    # sqrt(w_c) coupling scaling cancels the 1/w_c prefactor exactly
+    # sqrt(w_c) coupling scaling cancels the 1/w_c prefactor exactly: the
+    # blue shift W W^T / w_c of the couplings re-quoted at each nu_c is the
+    # one the assembly puts on the photon block at every bias
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
-    ref = mm.diamagnetic_matrix(c, c.reference_cyclotron)
-    for nu_c in (0.05, 0.3, 0.8, 1.6, 2.2):
-        h = mm.diamagnetic_matrix(mm.rescale_coupling(c, nu_c), nu_c)
-        np.testing.assert_allclose(h, ref, rtol=1e-12)
+    grid = [0.05, 0.3, 0.8, 1.6, 2.2]
+    _, inter = mm.assemble_batch(photon_pair, grid, c.rabi,
+                                 c.reference_cyclotron)
+    for nu_c, g in zip(grid, inter):
+        h = oracles.diamagnetic_reference(
+            oracles.rabi_at(c.rabi, nu_c, c.reference_cyclotron), nu_c)
+        np.testing.assert_allclose(g[:2, :2], 2.0 * h, rtol=1e-12)
+        assert np.array_equal(g[:2, :2], inter[0, :2, :2])
 
 
 def test_mode_volume_round_trip():
@@ -140,58 +162,58 @@ def test_rabi_microscopic_requires_volume():
 
 def test_assemble_block_structure(photon_pair, unstructured_coupling):
     nu_c = 1.1
-    ham = mm.assemble_hamiltonian(photon_pair, nu_c, unstructured_coupling)
-    assert ham.n_photon == ham.n_matter == 2
+    diag, g = _at(photon_pair, nu_c, unstructured_coupling)
     np.testing.assert_allclose(
-        ham.diag_freqs,
+        diag,
         [m.omega for m in photon_pair] + [nu_c * RAD_PER_SEC_PER_THZ] * 2,
         rtol=1e-15)
-    g = ham.interaction
+    assert g.shape == (4, 4)
     assert np.array_equal(g, g.T)
     assert np.all(g[2:, 2:] == 0.0)
-    at_field = mm.rescale_coupling(unstructured_coupling, nu_c)
-    np.testing.assert_allclose(g[:2, 2:], at_field.rabi, rtol=1e-12)
+    at_field = oracles.rabi_at(unstructured_coupling.rabi, nu_c,
+                               unstructured_coupling.reference_cyclotron)
+    np.testing.assert_allclose(g[:2, 2:], at_field, rtol=1e-12)
     np.testing.assert_allclose(
-        g[:2, :2], 2.0 * mm.diamagnetic_matrix(at_field, nu_c), rtol=1e-12)
+        g[:2, :2], 2.0 * oracles.diamagnetic_reference(at_field, nu_c),
+        rtol=1e-12)
 
 
 def test_assemble_matches_quadrature_oracle_form(photon_pair,
                                                  unstructured_coupling):
     # same G as the independent oracle assembly used throughout the tests
     nu_c = 0.7
-    ham = mm.assemble_hamiltonian(photon_pair, nu_c, unstructured_coupling)
-    at_field = mm.rescale_coupling(unstructured_coupling, nu_c)
+    _, inter = _at(photon_pair, nu_c, unstructured_coupling)
+    at_field = oracles.rabi_at(unstructured_coupling.rabi, nu_c,
+                               unstructured_coupling.reference_cyclotron)
     g = oracles.hamiltonian_interaction(
-        [m.omega for m in photon_pair], at_field.rabi,
-        nu_c * RAD_PER_SEC_PER_THZ)
-    np.testing.assert_allclose(ham.interaction, g, rtol=1e-12, atol=1e-3)
+        [m.omega for m in photon_pair], at_field, nu_c * RAD_PER_SEC_PER_THZ)
+    np.testing.assert_allclose(inter, g, rtol=1e-12, atol=1e-3)
 
 
 def test_assemble_zero_field_keeps_blueshift(photon_pair,
                                              unstructured_coupling):
-    ham = mm.assemble_hamiltonian(photon_pair, 0.0, unstructured_coupling)
-    assert np.all(ham.diag_freqs > 0.0)
-    assert np.all(ham.interaction[:2, 2:] == 0.0)
-    ref = mm.diamagnetic_matrix(unstructured_coupling,
-                                unstructured_coupling.reference_cyclotron)
-    np.testing.assert_allclose(ham.interaction[:2, :2], 2.0 * ref, rtol=1e-12)
+    diag, inter = _at(photon_pair, 0.0, unstructured_coupling)
+    assert np.all(diag > 0.0)
+    assert np.all(inter[:2, 2:] == 0.0)
+    ref = oracles.diamagnetic_reference(
+        unstructured_coupling.rabi, unstructured_coupling.reference_cyclotron)
+    np.testing.assert_allclose(inter[:2, :2], 2.0 * ref, rtol=1e-12)
 
 
 def test_assemble_photon_order_permutation(photon_pair):
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
-    ham = mm.assemble_hamiltonian(photon_pair, 0.9, c)
+    diag, inter = _at(photon_pair, 0.9, c)
 
     swapped_photons = [mm.PhotonMode(index=1, frequency=1.6),
                        mm.PhotonMode(index=2, frequency=0.8)]
     swapped = mm.CouplingSet(rabi=c.rabi[::-1].copy(),
                              reference_cyclotron=c.reference_cyclotron)
-    ham_swapped = mm.assemble_hamiltonian(swapped_photons, 0.9, swapped)
+    diag_swapped, inter_swapped = _at(swapped_photons, 0.9, swapped)
 
     perm = np.array([1, 0, 2, 3])
-    np.testing.assert_allclose(ham_swapped.diag_freqs,
-                               ham.diag_freqs[perm], rtol=1e-15)
-    np.testing.assert_allclose(ham_swapped.interaction,
-                               ham.interaction[np.ix_(perm, perm)], rtol=1e-12)
+    np.testing.assert_allclose(diag_swapped, diag[perm], rtol=1e-15)
+    np.testing.assert_allclose(inter_swapped, inter[np.ix_(perm, perm)],
+                               rtol=1e-12)
 
 
 def test_two_mode_rabi_equals_scalar_formula(photon_pair):
@@ -241,8 +263,3 @@ def test_validation_rejects_bad_inputs():
         mm.couplings_from_overlap(-1.0, 1.0, 0.5, reference_cyclotron=0.8)
     with pytest.raises(ValueError):
         mm.CouplingSet(rabi=np.zeros((2, 1)), reference_cyclotron=0.8)
-    with pytest.raises(ValueError):
-        mm.QuadraticHamiltonian(n_photon=1, n_matter=1,
-                                diag_freqs=np.array([1.0, 1.0]),
-                                interaction=np.array([[0.0, 0.1],
-                                                      [0.2, 0.0]]))

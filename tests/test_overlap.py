@@ -265,6 +265,22 @@ def test_bad_header_reports_line(tmp_path):
     assert f"{path}:1" in str(err.value)
 
 
+@pytest.mark.parametrize("spacing", ["inf", "nan", "0", "-1"])
+def test_non_finite_or_non_positive_spacing_rejected_at_the_header(tmp_path,
+                                                                   spacing):
+    path = tmp_path / "spacing.dat"
+    path.write_text(f"2 2 0.5 {spacing}\n1,0 2,0\n3,0 4,0\n")
+    message = "bad header value: grid spacing must be finite and positive"
+    with _raises_at(path, 1, message):
+        mm.load_profile(path)
+    path.write_text(f"2 2 {spacing} 0.5\n1 0\n0 1\n")
+    with _raises_at(path, 1, message):
+        mm.load_mask(path)
+    with pytest.raises(ValueError, match="finite and positive"):
+        mm.FieldProfile(nx=2, ny=2, dx=0.5, dy=float(spacing),
+                        values=np.ones((2, 2)))
+
+
 def test_truncated_profile_reports_count(tmp_path):
     path = tmp_path / "short.dat"
     path.write_text("2 2 0.5 0.5\n1,0 2,0 3,0\n")
@@ -373,6 +389,23 @@ def test_grid_mismatch_rejected():
     with pytest.raises(mm.OverlapError, match="mask grid") as err:
         mm.gram([h, h], mask)
     assert err.value.entry is None
+
+
+def test_mask_spacing_must_match(tmp_path):
+    rng = np.random.default_rng(7)
+    f = _random_profile(rng, nx=8, ny=8, dx=2.5, dy=2.5)
+    path = tmp_path / "mask.dat"
+    mm.save_mask(path, mm.full_mask(8, 8))  # header spacing 1.0 1.0
+    loaded = mm.load_mask(path)
+    assert (loaded.dx, loaded.dy) == (1.0, 1.0)
+    for mask in (loaded, mm.central_square_mask(8, 8, 2.5, 2.0, 5.0)):
+        with pytest.raises(mm.OverlapError, match="mask spacing") as err:
+            mm.gram([f, f], mask)
+        assert err.value.entry is None
+    mm.save_mask(path, mm.full_mask(8, 8), 2.5, 2.5)
+    for mask in (mm.load_mask(path), mm.full_mask(8, 8),
+                 mm.central_square_mask(8, 8, 2.5, 2.5, 5.0)):
+        assert mm.gram([f, f], mask).shape == (2, 2)
 
 
 def test_empty_mask_rejected():
