@@ -21,8 +21,8 @@ import tempfile
 # numpy and the package modules a runner computes with are imported inside
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
-from .errors import (ConvergenceError, DataCoverageError, FitConfigError,
-                     InstabilityError, NumericalError, OverlapError)
+from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
+                     NumericalError, OverlapError)
 
 
 class ConfigError(ValueError):
@@ -33,8 +33,12 @@ def _floats(raw):
     return [float(c) for c in raw.split(",")]
 
 
+def _bounds(raw):
+    return tuple(_floats(raw))
+
+
 _EXPECTED = {float: "a number", int: "an integer",
-             _floats: "comma-separated numbers"}
+             _floats: "comma-separated numbers", _bounds: "comma-separated numbers"}
 
 _GRID_KEY = (float, (math.isfinite, "start, stop and step must be finite"))
 MAX_GRID_POINTS = 1_000_000  # per sweep or spectrum grid
@@ -42,12 +46,17 @@ _SWEEP_THZ = ("start_thz", "stop_thz", "step_thz")
 _SWEEP_TESLA = ("start_tesla", "stop_tesla", "step_tesla")
 _VOLUMES = (_floats, (lambda v: 0.0 < v < math.inf,
                       "volumes must be finite and positive"))
+_PER_CM2 = 1e4  # m^-2 in a cm^-2
+_BOUNDS = (_bounds, (lambda v: len(v) == 2,
+                     lambda v: f"needs exactly two values, got {len(v)}"),
+           (lambda v: v[0] < v[1], "must satisfy lo < hi"))
 
 # section -> key -> (parse, *checks). parse turns the raw text into the value
 # or raises ValueError; each check is (ok, problem), and ok() must hold for
-# the value, or for every item of a list. MaterialParams, FitConfig and
-# SpectrumConfig check their own fields; a check here that repeats one of
-# theirs, with the same text, anchors it at the key's line.
+# the value, or for every item of a list (a tuple is checked whole). problem
+# is the text, or gives it from the value. These are the CLI's only value
+# checks; MaterialParams, FitConfig and SpectrumConfig repeat theirs, with
+# the same texts, for library callers.
 _KEYS = {
     "photon_modes": {
         "frequencies_thz": (_floats, (lambda v: 0.0 < v < math.inf,
@@ -59,9 +68,15 @@ _KEYS = {
             (lambda v: v < math.inf, "ratios must be finite"))),
         "eta": (float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
         "mode_volumes_m3": _VOLUMES},
-    "material": {"effective_mass_ratio": (float,),
-                 "sheet_density_per_cm2": (float,), "qw_count": (int,),
-                 "background_permittivity": (float,)},
+    "material": {
+        "effective_mass_ratio": (float, (lambda v: 0.0 < v < math.inf,
+                                         "must be finite and positive")),
+        # MaterialParams sees the density in m^-2
+        "sheet_density_per_cm2": (float, (lambda v: 0.0 <= v * _PER_CM2 < math.inf,
+                                          "must be finite and non-negative")),
+        "qw_count": (int, (lambda v: v >= 1, "must be at least 1")),
+        "background_permittivity": (float, (lambda v: 1.0 <= v < math.inf,
+                                            "must be finite and >= 1"))},
     "sweep": dict.fromkeys(_SWEEP_THZ + _SWEEP_TESLA, _GRID_KEY),
     "spectrum": {
         "linewidth_thz": (_floats, (math.isfinite, "linewidths must be finite"),
@@ -70,11 +85,15 @@ _KEYS = {
                               "must be 'photon_fraction' or 'equal'")),
         **dict.fromkeys(("freq_min_thz", "freq_max_thz", "freq_step_thz"),
                         _GRID_KEY)},
-    "fit": {**dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds",
-                             "eta_bounds"), (_floats,)),
-            "eta_mode": (str, (lambda v: v in ("fixed", "free"),
-                               "must be 'fixed' or 'free'")),
-            "restarts": (int,)},
+    "fit": {
+        **dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds"), _BOUNDS + (
+            (lambda v: 0.0 <= v[0] and v[1] < math.inf,
+             "must be finite and non-negative"),)),
+        "eta_bounds": _BOUNDS + ((lambda v: 0.0 <= v[0] and v[1] <= 1.0,
+                                  "must lie within [0, 1]"),),
+        "eta_mode": (str, (lambda v: v in ("fixed", "free"),
+                           "must be 'fixed' or 'free'")),
+        "restarts": (int, (lambda v: v >= 1, "need at least one restart"))},
     "overlap": {"physical_volumes_m3": _VOLUMES},
 }
 
@@ -139,9 +158,7 @@ class _Config:
         if section not in self.sections:
             raise ConfigError(f"{self.path}: missing section [{section}]")
 
-    def has(self, section, key=None):
-        if key is None:
-            return section in self.sections
+    def has(self, section, key):
         return (section, key) in self.entries
 
     def get(self, section, key, default=None):
@@ -161,7 +178,8 @@ class _Config:
                              f"expected {_EXPECTED[parse]}, got {raw!r}") from None
         for ok, problem in checks:
             if not all(map(ok, value if isinstance(value, list) else [value])):
-                raise self.error(section, key, problem)
+                raise self.error(section, key, problem(value)
+                                 if callable(problem) else problem)
         return value
 
     def error(self, section, key, problem):
@@ -194,27 +212,22 @@ def _read_photons(cfg, volumes=None):
             for i, (f, lab, vol) in enumerate(zip(freqs, labels, volumes))]
 
 
-def _load_material(cfg):
-    # the defaults are MaterialParams' own
-    fields = {
+def _material(cfg):
+    """The MaterialParams fields of [material], checked without numpy; the
+    defaults are MaterialParams' own."""
+    return {
         "effective_mass_ratio": cfg.get("material", "effective_mass_ratio", 0.07),
-        "sheet_density": cfg.get("material", "sheet_density_per_cm2", 1.25e12) * 1e4,
+        "sheet_density": cfg.get("material", "sheet_density_per_cm2",
+                                 1.25e12) * _PER_CM2,
         "qw_count": cfg.get("material", "qw_count", 3),
-        "background_permittivity": cfg.get("material", "background_permittivity", 12.9)}
-    from . import model
-    for field, value in fields.items():
-        try:  # MaterialParams checks each field on its own
-            model.MaterialParams(**{field: value})
-        except ValueError as exc:
-            key = "sheet_density_per_cm2" if field == "sheet_density" else field
-            raise cfg.error("material", key,
-                            str(exc).removeprefix(field + " ")) from exc
-    return model.MaterialParams(**fields)
+        "background_permittivity": cfg.get("material", "background_permittivity",
+                                           12.9)}
 
 
 def _read_coupling(cfg):
     """Exactly one two-mode coupling spec, checked without numpy: (modes of
-    _read_photons, the two ratios or None for mode volumes, eta)."""
+    _read_photons, the two ratios or None for mode volumes, eta). Mode
+    volumes check [material] too."""
     cfg.require("coupling")
     has_ratios = cfg.has("coupling", "ratio_11")
     has_micro = cfg.has("coupling", "mode_volumes_m3")
@@ -234,22 +247,11 @@ def _read_coupling(cfg):
         ratios = None
         modes = _read_photons(
             cfg, volumes=cfg.get("coupling", "mode_volumes_m3"))
+        _material(cfg)
     if len(modes) != 2:
         raise cfg.error("photon_modes", "frequencies_thz",
                         "the two-mode model needs exactly two frequencies")
     return modes, ratios, eta
-
-
-def _load_coupling(cfg, modes, ratios, eta):
-    """Photon modes plus coupling set of a _read_coupling spec; mode volumes
-    take the [material] section."""
-    from . import model
-    photons = [model.PhotonMode(**mode) for mode in modes]
-    if ratios is None:
-        material = _load_material(cfg)
-        ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
-                  for m in photons]
-    return photons, model.couplings_from_ratios(photons, *ratios, eta)
 
 
 def _grid(cfg, section, keys, to_thz=float):
@@ -286,9 +288,10 @@ def _points(cfg, grid):
     return points
 
 
-def _load_sweep_grid(cfg):
-    """The [sweep] grid as a _grid; a THz grid is checked without numpy, a
-    tesla grid loads model to convert its endpoints."""
+def _sweep_grid(cfg):
+    """The [sweep] grid as a _grid. It is checked without numpy, and so is
+    the [material] of a tesla grid, which loads model only to convert its
+    endpoints."""
     cfg.require("sweep")
     thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
     tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
@@ -301,118 +304,101 @@ def _load_sweep_grid(cfg):
     if all(thz):
         return _grid(cfg, "sweep", _SWEEP_THZ)
     if all(tesla):
-        from . import model
-        material = _load_material(cfg)
-        # convert the endpoints once so B- and THz-specified sweeps share the
-        # exact same grid arithmetic
-        return _grid(cfg, "sweep", _SWEEP_TESLA,
-                     lambda b: model.cyclotron_frequency(b, material))
+        material = _material(cfg)
+
+        def to_thz(field):
+            # convert the endpoints once so B- and THz-specified sweeps share
+            # the exact same grid arithmetic
+            from . import model
+            return model.cyclotron_frequency(field,
+                                             model.MaterialParams(**material))
+        return _grid(cfg, "sweep", _SWEEP_TESLA, to_thz)
     raise cfg.error("sweep", None, "needs start/stop/step in THz or tesla")
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", text=True)
+def _solve(cfg, modes, ratios, eta, grid):
+    """(photon modes, dispersion sweep) of a _read_coupling spec over a
+    _sweep_grid; mode volumes take the [material] section."""
+    from . import dispersion, model
+    photons = [model.PhotonMode(**mode) for mode in modes]
+    if ratios is None:
+        material = model.MaterialParams(**_material(cfg))
+        ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
+                  for m in photons]
+    coupling = model.couplings_from_ratios(photons, *ratios, eta)
+    return photons, dispersion.sweep(photons, coupling, _points(cfg, grid))
+
+
+def _write(args, name, text):
+    """Write text, or a dict as sorted JSON, to the file name in the output
+    directory, atomically: a reader sees the old file or the whole new one."""
+    if isinstance(text, dict):
+        text = json.dumps(text, indent=2, sort_keys=True) + "\n"
+    os.makedirs(args.out, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=args.out, prefix=".tmp.", text=True)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.chmod(tmp, 0o644)  # mkstemp creates 0600
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(args.out, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _run_sweep(args):
     cfg = _Config(args.config)
     modes, ratios, eta = _read_coupling(cfg)
-    grid = _load_sweep_grid(cfg)
-    photons, coupling = _load_coupling(cfg, modes, ratios, eta)
-    grid = _points(cfg, grid)
+    photons, result = _solve(cfg, modes, ratios, eta, _sweep_grid(cfg))
     from . import dispersion
-    result = dispersion.sweep(photons, coupling, grid)
     features = dispersion.detect_features(result, photons)
 
     buf = io.StringIO()
     dispersion.write_branch_csv(result, buf)
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "branches.csv"), buf.getvalue())
-    _atomic_write(os.path.join(args.out, "features.json"), _json_text({
+    _write(args, "branches.csv", buf.getvalue())
+    _write(args, "features.json", {
         "n_coupled_branches": features.n_coupled_branches,
         "n_cr_lines": features.n_cr_lines,
         "gap_at_resonance_thz": list(features.gap_at_resonance),
         "inflection_nu_c_thz": features.inflection_nu_c,
         "asymptote_low_thz": features.asymptote_low,
         "asymptote_high_thz": features.asymptote_high,
-    }))
+    })
     return 0
-
-
-def _read_spectrum(cfg, n_branches):
-    """The [spectrum] keys, checked without numpy (_KEYS checks the
-    linewidths and the mode): (linewidths, probe _grid, weight mode)."""
-    cfg.require("spectrum")
-    widths = cfg.get("spectrum", "linewidth_thz")
-    if len(widths) not in (1, n_branches):
-        raise cfg.error("spectrum", "linewidth_thz",
-                        f"need one linewidth or {n_branches}")
-    grid = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
-                                   "freq_step_thz"))
-    return widths, grid, cfg.get("spectrum", "weight_mode", "photon_fraction")
 
 
 def _run_spectrum(args):
     cfg = _Config(args.config)
     modes, ratios, eta = _read_coupling(cfg)
-    grid = _load_sweep_grid(cfg)
-    widths, probe, weight_mode = _read_spectrum(cfg, 2 * len(modes))
-    photons, coupling = _load_coupling(cfg, modes, ratios, eta)
-    grid = _points(cfg, grid)
+    grid = _sweep_grid(cfg)
+    # the [spectrum] keys, checked without numpy
+    cfg.require("spectrum")
+    widths = cfg.get("spectrum", "linewidth_thz")
+    if len(widths) not in (1, 2 * len(modes)):
+        raise cfg.error("spectrum", "linewidth_thz",
+                        f"need one linewidth or {2 * len(modes)}")
+    probe = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
+                                    "freq_step_thz"))
+    weight_mode = cfg.get("spectrum", "weight_mode", "photon_fraction")
+
+    probe = _points(cfg, probe)
+    _, result = _solve(cfg, modes, ratios, eta, grid)
     from . import dispersion
     spec_cfg = dispersion.SpectrumConfig(
-        frequency_grid=_points(cfg, probe),
+        frequency_grid=probe,
         linewidths=widths[0] if len(widths) == 1 else widths,
         weight_mode=weight_mode)
-    result = dispersion.sweep(photons, coupling, grid)
-
-    if spec_cfg.weight_mode == "photon_fraction":
+    if weight_mode == "photon_fraction":
         weights = result.photon_fractions()
     else:
         import numpy as np
         weights = np.full(result.branches.shape, 1.0 / result.n_branches)
 
     trans = dispersion.spectrum_from_branches(result.branches, weights, spec_cfg)
-    text = "nu_c_THz,nu_THz,T\n" + dispersion.csv_rows(
-        result.nu_c_values, dispersion.g9_cells(spec_cfg.frequency_grid), trans)
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "spectrum.csv"), text)
+    _write(args, "spectrum.csv", "nu_c_THz,nu_THz,T\n" + dispersion.csv_rows(
+        result.nu_c_values, dispersion.g9_cells(probe), trans))
     return 0
-
-
-def _fit_config(cfg, seed):
-    cfg.require("fit")
-    fit_eta = cfg.get("fit", "eta_mode", "fixed") == "free"
-    if not fit_eta and not cfg.has("coupling", "eta"):
-        raise cfg.error("fit", "eta_mode", "fixed needs [coupling] eta")
-    bounds = {key: tuple(cfg.get("fit", key, [0.0, 1.0])) for key in
-              ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
-    eta_fixed = 1.0 if fit_eta else cfg.get("coupling", "eta")
-    restarts = cfg.get("fit", "restarts", 8)
-    from .fit import FitConfig
-    try:
-        return FitConfig(**bounds, fit_eta=fit_eta, eta_fixed=eta_fixed,
-                         restarts=restarts, seed=seed)
-    except FitConfigError as exc:
-        if exc.field == "seed":
-            raise ConfigError(f"--seed: {exc.problem}") from exc
-        # every other field that FitConfig can reject is the [fit] key of
-        # that name: eta_fixed comes from [coupling] eta, which _KEYS checks
-        raise cfg.error("fit", exc.field, exc.problem) from exc
 
 
 def _run_fit(args):
@@ -425,14 +411,25 @@ def _run_fit(args):
     if len(modes) != 2:
         raise cfg.error("photon_modes", "frequencies_thz",
                         "the fit needs exactly two photon modes")
+    # the FitConfig fields, checked without numpy
+    cfg.require("fit")
+    fit_eta = cfg.get("fit", "eta_mode", "fixed") == "free"
+    if not fit_eta and not cfg.has("coupling", "eta"):
+        raise cfg.error("fit", "eta_mode", "fixed needs [coupling] eta")
+    settings = {key: cfg.get("fit", key, (0.0, 1.0)) for key in
+                ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
+    settings.update(fit_eta=fit_eta, restarts=cfg.get("fit", "restarts", 8),
+                    eta_fixed=1.0 if fit_eta else cfg.get("coupling", "eta"))
+    if args.seed < 0:
+        raise ConfigError("--seed: must be a non-negative integer")
+
     # "from . import fit" would give the package's fit() function, not the
     # submodule, so take the names from the submodule itself
     from . import model
-    from .fit import FitParams, fit, load_peaks, record_residuals
+    from .fit import FitConfig, FitParams, fit, load_peaks, record_residuals
     photons = [model.PhotonMode(**mode) for mode in modes]
     data = load_peaks(args.peaks)
-    fit_cfg = _fit_config(cfg, args.seed)
-    result = fit(data, photons, fit_cfg)
+    result = fit(data, photons, FitConfig(**settings, seed=args.seed))
     if not result.converged:
         raise ConvergenceError(
             f"no restart converged (best rms {result.residual_rms:.6g} THz)")
@@ -443,9 +440,7 @@ def _run_fit(args):
                                            result.eta)
     back_21, back_22 = coupling.rabi[1] / math.sqrt(
         photons[0].frequency / photons[1].frequency)
-
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "fit_result.json"), _json_text({
+    _write(args, "fit_result.json", {
         "omega_r_11_rad_s": result.omega_r_11,
         "omega_r_2_tilde_rad_s": result.omega_r_2_tilde,
         "ratio_11": result.omega_r_11 / w1,
@@ -457,16 +452,15 @@ def _run_fit(args):
         "n_evaluations": result.n_evaluations,
         "converged": result.converged,
         "seed": args.seed,
-    }))
+    })
 
-    params = FitParams(result.omega_r_11, result.omega_r_2_tilde,
-                               result.eta)
+    params = FitParams(result.omega_r_11, result.omega_r_2_tilde, result.eta)
     rms = record_residuals(params, data, photons).tolist()
     buf = io.StringIO()
     buf.write("record,nu_c_THz,rms_THz\n")
     for i, (rec, value) in enumerate(zip(data.records, rms)):
         buf.write(f"{i + 1},{rec.nu_c:.9g},{value:.9g}\n")
-    _atomic_write(os.path.join(args.out, "fit_residuals.csv"), buf.getvalue())
+    _write(args, "fit_residuals.csv", buf.getvalue())
     return 0
 
 
@@ -502,13 +496,12 @@ def _run_overlap(args):
         path = args.mask if exc.entry is None else args.profiles[exc.entry]
         raise OverlapError(f"{path}: {exc}", exc.entry) from exc
 
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "overlap.json"), _json_text({
+    _write(args, "overlap.json", {
         "profiles": list(args.profiles),
         "overlap_integrals_um2": gram.view(float).reshape(n, n, 2).tolist(),
         "overlap_parameters": eta.tolist(),
         "effective_mode_volumes_m3": eff_volumes.tolist(),
-    }))
+    })
     return 0
 
 
