@@ -47,6 +47,13 @@ _SWEEP_TESLA = ("start_tesla", "stop_tesla", "step_tesla")
 _VOLUMES = (_floats, (lambda v: 0.0 < v < math.inf,
                       "volumes must be finite and positive"))
 _PER_CM2 = 1e4  # m^-2 in a cm^-2
+# range caps, where the arithmetic (or the model) stops making sense
+MAX_RATIO = 1e6  # above it, rounding turns the smallest squared frequency negative
+MAX_LINEWIDTH_THZ = 1e150  # squared in every dip, which overflows near 1.3e154
+MAX_RESTARTS = 1000  # the restarts run in lockstep, as one stack
+MIN_MASS_RATIO = 1e-3  # under any band mass (InSb: 0.014); nu_c per tesla divides by it
+MAX_QW_COUNT = 10_000  # far above any grown stack; a huge int overflows a float
+_FEATURE_SPAN = (0.05, 2.0)  # THz, what dispersion.detect_features needs
 _BOUNDS = (_bounds, (lambda v: len(v) == 2,
                      lambda v: f"needs exactly two values, got {len(v)}"),
            (lambda v: v[0] < v[1], "must satisfy lo < hi"))
@@ -65,22 +72,29 @@ _KEYS = {
     "coupling": {
         **dict.fromkeys(("ratio_11", "ratio_2_tilde"), (
             float, (lambda v: not v < 0.0, "ratios must be non-negative"),
-            (lambda v: v < math.inf, "ratios must be finite"))),
+            (lambda v: v < math.inf, "ratios must be finite"),
+            (lambda v: v <= MAX_RATIO, f"ratios must not exceed {MAX_RATIO:g}"))),
         "eta": (float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
         "mode_volumes_m3": _VOLUMES},
     "material": {
         "effective_mass_ratio": (float, (lambda v: 0.0 < v < math.inf,
-                                         "must be finite and positive")),
+                                         "must be finite and positive"),
+                                 (lambda v: v >= MIN_MASS_RATIO,
+                                  f"must be at least {MIN_MASS_RATIO:g}")),
         # MaterialParams sees the density in m^-2
         "sheet_density_per_cm2": (float, (lambda v: 0.0 <= v * _PER_CM2 < math.inf,
                                           "must be finite and non-negative")),
-        "qw_count": (int, (lambda v: v >= 1, "must be at least 1")),
+        "qw_count": (int, (lambda v: v >= 1, "must be at least 1"),
+                     (lambda v: v <= MAX_QW_COUNT,
+                      f"must not exceed {MAX_QW_COUNT}")),
         "background_permittivity": (float, (lambda v: 1.0 <= v < math.inf,
                                             "must be finite and >= 1"))},
     "sweep": dict.fromkeys(_SWEEP_THZ + _SWEEP_TESLA, _GRID_KEY),
     "spectrum": {
         "linewidth_thz": (_floats, (math.isfinite, "linewidths must be finite"),
-                          (lambda v: v > 0.0, "linewidths must be positive")),
+                          (lambda v: v > 0.0, "linewidths must be positive"),
+                          (lambda v: v <= MAX_LINEWIDTH_THZ,
+                           f"linewidths must not exceed {MAX_LINEWIDTH_THZ:g}")),
         "weight_mode": (str, (lambda v: v in ("photon_fraction", "equal"),
                               "must be 'photon_fraction' or 'equal'")),
         **dict.fromkeys(("freq_min_thz", "freq_max_thz", "freq_step_thz"),
@@ -88,12 +102,15 @@ _KEYS = {
     "fit": {
         **dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds"), _BOUNDS + (
             (lambda v: 0.0 <= v[0] and v[1] < math.inf,
-             "must be finite and non-negative"),)),
+             "must be finite and non-negative"),
+            (lambda v: v[1] <= MAX_RATIO, f"must not exceed {MAX_RATIO:g}"))),
         "eta_bounds": _BOUNDS + ((lambda v: 0.0 <= v[0] and v[1] <= 1.0,
                                   "must lie within [0, 1]"),),
         "eta_mode": (str, (lambda v: v in ("fixed", "free"),
                            "must be 'fixed' or 'free'")),
-        "restarts": (int, (lambda v: v >= 1, "need at least one restart"))},
+        "restarts": (int, (lambda v: v >= 1, "need at least one restart"),
+                     (lambda v: v <= MAX_RESTARTS,
+                      f"must not exceed {MAX_RESTARTS}"))},
     "overlap": {"physical_volumes_m3": _VOLUMES},
 }
 
@@ -256,10 +273,10 @@ def _read_coupling(cfg):
 
 def _grid(cfg, section, keys, to_thz=float):
     """The grid start + step * arange(n) of a section's start, stop and step
-    keys (finite by _KEYS) as (section, step key, start, step, n), checked
-    without numpy; each error names the key it is about. The checks see the
-    values as written, so to_thz only ever converts a valid grid. The point
-    count is checked before _points makes any array."""
+    keys (finite by _KEYS) as (keys, start, step, n), checked without numpy;
+    each error names the key it is about. The checks see the values as
+    written, so to_thz only ever converts a valid grid, and the point count
+    is checked before any point is made."""
     start, stop, step = (cfg.get(section, key) for key in keys)
     for key, bad, problem in ((keys[2], step <= 0.0, "step must be positive"),
                               (keys[1], stop <= start, "stop must exceed start"),
@@ -267,25 +284,28 @@ def _grid(cfg, section, keys, to_thz=float):
         if bad:
             raise cfg.error(section, key, problem)
     start, stop, step = map(to_thz, (start, stop, step))
-    span = (stop - start) / step + 1e-9  # inf for a subnormal step
+    # inf for a subnormal step, or one that converts to 0
+    span = (stop - start) / step + 1e-9 if step else math.inf
     if not span < MAX_GRID_POINTS:
         raise cfg.error(section, keys[2],
                         f"step gives more than {MAX_GRID_POINTS} grid points")
     n = int(span) + 1
     if n < 2:
         raise cfg.error(section, keys[2], "grid contains fewer than two points")
-    return section, keys[2], start, step, n
-
-
-def _points(cfg, grid):
-    """The points of a _grid, which must ascend strictly."""
-    section, step_key, start, step, n = grid
-    import numpy as np
-    points = start + step * np.arange(n)
-    if np.any(points[1:] <= points[:-1]):
-        raise cfg.error(section, step_key,
+    # points two float spacings apart stay apart after rounding; closer ones
+    # are compared as _points makes them, by the same float operations
+    if step <= 4.0 * math.ulp(start + step * (n - 1)) and any(
+            start + step * k >= start + step * (k + 1) for k in range(n - 1)):
+        raise cfg.error(section, keys[2],
                         "step is too small to separate the grid points")
-    return points
+    return keys, start, step, n
+
+
+def _points(grid):
+    """The points of a _grid."""
+    _, start, step, n = grid
+    import numpy as np
+    return start + step * np.arange(n)
 
 
 def _sweep_grid(cfg):
@@ -323,10 +343,16 @@ def _solve(cfg, modes, ratios, eta, grid):
     photons = [model.PhotonMode(**mode) for mode in modes]
     if ratios is None:
         material = model.MaterialParams(**_material(cfg))
-        ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
-                  for m in photons]
+        try:
+            ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
+                      for m in photons]
+        except ZeroDivisionError:  # the denominator underflowed to 0
+            ratios = [math.inf]
+        if not all(ratio <= MAX_RATIO for ratio in ratios):
+            raise cfg.error("coupling", "mode_volumes_m3",
+                            f"give coupling ratios above {MAX_RATIO:g}")
     coupling = model.couplings_from_ratios(photons, *ratios, eta)
-    return photons, dispersion.sweep(photons, coupling, _points(cfg, grid))
+    return photons, dispersion.sweep(photons, coupling, _points(grid))
 
 
 def _write(args, name, text):
@@ -350,7 +376,17 @@ def _write(args, name, text):
 def _run_sweep(args):
     cfg = _Config(args.config)
     modes, ratios, eta = _read_coupling(cfg)
-    photons, result = _solve(cfg, modes, ratios, eta, _sweep_grid(cfg))
+    grid = _sweep_grid(cfg)
+    # the span detect_features needs; the last point as _points makes it
+    keys, start, step, n = grid
+    lo, hi = _FEATURE_SPAN
+    last = start + step * (n - 1)
+    for key, bad in ((keys[0], start > lo + 1e-12), (keys[1], last < hi - 1e-12)):
+        if bad:
+            raise cfg.error("sweep", key, f"sweep range [{start:.6g}, {last:.6g}] "
+                            f"THz too narrow for feature detection; need it to "
+                            f"span [{lo}, {hi}]")
+    photons, result = _solve(cfg, modes, ratios, eta, grid)
     from . import dispersion
     features = dispersion.detect_features(result, photons)
 
@@ -382,7 +418,7 @@ def _run_spectrum(args):
                                     "freq_step_thz"))
     weight_mode = cfg.get("spectrum", "weight_mode", "photon_fraction")
 
-    probe = _points(cfg, probe)
+    probe = _points(probe)
     _, result = _solve(cfg, modes, ratios, eta, grid)
     from . import dispersion
     spec_cfg = dispersion.SpectrumConfig(

@@ -32,6 +32,8 @@ from .errors import (DataCoverageError, FitConfigError, InstabilityError,
 from .model import assemble_batch, strengths_from_ratios, two_mode_rabi
 
 MAX_ASSIGNED_PEAKS = 5
+# beyond it the branch frequencies lose the precision to stay positive
+MAX_PEAK_THZ = 1e6
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ class PeakRecord:
             raise ValueError(f"record at nu_c = {self.nu_c} THz has no peaks")
         if not all(0.0 < p < math.inf for p in peaks):
             raise ValueError("peak frequencies must be finite and positive")
+        if max(self.nu_c, *peaks) > MAX_PEAK_THZ:
+            raise ValueError(f"nu_c and peaks must not exceed {MAX_PEAK_THZ:g} THz")
         if any(b <= a for a, b in zip(peaks, peaks[1:])):
             raise ValueError("peaks must be strictly ascending")
         object.__setattr__(self, "peaks", peaks)

@@ -223,7 +223,8 @@ def _check_count(path, count, size):
 
 def _scan_profile(path, body, size):
     """Token-by-token parse of a profile body; raises at the first bad line."""
-    flat = np.empty(size, dtype=complex)
+    # no longer than the entries there are, whatever the header's nx*ny
+    flat = np.empty(min(size, len(body.split())), dtype=complex)
     count = 0
     for lineno, token in _read_tokens(body):
         if count >= size:
@@ -295,7 +296,7 @@ def save_profile(path, profile):
 
 def _scan_mask(path, body, size):
     """Token-by-token parse of a mask body; raises at the first bad line."""
-    flat = np.empty(size, dtype=bool)
+    flat = np.empty(min(size, len(body.split())), dtype=bool)  # as above
     count = 0
     for lineno, token in _read_tokens(body):
         if count >= size:

@@ -1025,6 +1025,37 @@ sys.exit(main(sys.argv[1:]))
                                       "linewidth_thz = 0.04, 0.05"), 2,
                  "ERROR 2: {cfg}:16: [spectrum] linewidth_thz: need one "
                  "linewidth or 4\n", id="linewidth-count"),
+    # fit checks [fit] and --seed, and a tesla sweep its keys as written
+    # and [material], before numpy loads; any existing file serves as the
+    # peak file, which is read only after the config
+    pytest.param("fit --config {cfg} --peaks {cfg}",
+                 FIT_CFG.replace("eta_mode = fixed", "eta_mode = bananas"), 2,
+                 "ERROR 2: {cfg}:13: [fit] eta_mode: must be 'fixed' or "
+                 "'free'\n", id="fit-eta-mode"),
+    pytest.param("fit --config {cfg} --peaks {cfg}",
+                 FIT_CFG.replace("restarts = 2", "restarts = 0"), 2,
+                 "ERROR 2: {cfg}:14: [fit] restarts: need at least one "
+                 "restart\n", id="fit-restarts"),
+    pytest.param("fit --config {cfg} --peaks {cfg}",
+                 FIT_CFG.replace("restarts = 2", "restarts = 1001"), 2,
+                 "ERROR 2: {cfg}:14: [fit] restarts: must not exceed 1000\n",
+                 id="fit-restarts-cap"),
+    pytest.param("fit --config {cfg} --peaks {cfg}",
+                 FIT_CFG.replace("ratio_11_bounds = 0.0, 0.8",
+                                 "ratio_11_bounds = 0.8, 0.0"), 2,
+                 "ERROR 2: {cfg}:11: [fit] ratio_11_bounds: must satisfy "
+                 "lo < hi\n", id="fit-bounds"),
+    pytest.param("fit --config {cfg} --peaks {cfg} --seed -1", FIT_CFG, 2,
+                 "ERROR 2: --seed: must be a non-negative integer\n",
+                 id="fit-seed"),
+    pytest.param("sweep --config {cfg}",
+                 TESLA_CFG.replace("step_tesla = 0.125", "step_tesla = 0"), 2,
+                 "ERROR 2: {cfg}:13: [sweep] step_tesla: step must be "
+                 "positive\n", id="tesla-step"),
+    pytest.param("sweep --config {cfg}",
+                 MATERIAL_CFG.replace("qw_count = 3", "qw_count = 0"), 2,
+                 "ERROR 2: {cfg}:17: [material] qw_count: must be at least "
+                 "1\n", id="material-qw-count"),
 ])
 def test_front_end_exits_without_numpy(tmp_path, argv, text, code, message):
     paths = {"cfg": str(tmp_path / "cfg.ini"),
