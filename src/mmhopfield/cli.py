@@ -38,7 +38,7 @@ def _bounds(raw):
 
 
 _EXPECTED = {float: "a number", int: "an integer",
-             _floats: "comma-separated numbers", _bounds: "comma-separated numbers"}
+             **dict.fromkeys((_floats, _bounds), "comma-separated numbers")}
 
 _GRID_KEY = (float, (math.isfinite, "start, stop and step must be finite"))
 MAX_GRID_POINTS = 1_000_000  # per sweep or spectrum grid
@@ -418,14 +418,13 @@ def _run_spectrum(args):
                                     "freq_step_thz"))
     weight_mode = cfg.get("spectrum", "weight_mode", "photon_fraction")
 
-    probe = _points(probe)
     _, result = _solve(cfg, modes, ratios, eta, grid)
     from . import dispersion
     spec_cfg = dispersion.SpectrumConfig(
-        frequency_grid=probe,
+        frequency_grid=_points(probe),
         linewidths=widths[0] if len(widths) == 1 else widths,
         weight_mode=weight_mode)
-    if weight_mode == "photon_fraction":
+    if spec_cfg.weight_mode == "photon_fraction":
         weights = result.photon_fractions()
     else:
         import numpy as np
@@ -433,7 +432,7 @@ def _run_spectrum(args):
 
     trans = dispersion.spectrum_from_branches(result.branches, weights, spec_cfg)
     _write(args, "spectrum.csv", "nu_c_THz,nu_THz,T\n" + dispersion.csv_rows(
-        result.nu_c_values, dispersion.g9_cells(probe), trans))
+        result.nu_c_values, dispersion.g9_cells(spec_cfg.frequency_grid), trans))
     return 0
 
 

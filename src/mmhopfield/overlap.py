@@ -296,7 +296,8 @@ def save_profile(path, profile):
 
 def _scan_mask(path, body, size):
     """Token-by-token parse of a mask body; raises at the first bad line."""
-    flat = np.empty(min(size, len(body.split())), dtype=bool)  # as above
+    # no longer than the entries there are, whatever the header's nx*ny
+    flat = np.empty(min(size, len(body.split())), dtype=bool)
     count = 0
     for lineno, token in _read_tokens(body):
         if count >= size:
