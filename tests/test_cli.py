@@ -1011,6 +1011,11 @@ sys.exit(main(sys.argv[1:]))
                  SWEEP_CFG.replace("step_thz = 0.05", "step_thz = 1e-320"), 2,
                  "ERROR 2: {cfg}:13: [sweep] step_thz: step gives more than "
                  "1000000 grid points\n", id="sweep-point-count"),
+    pytest.param("sweep --config {cfg}",
+                 SWEEP_CFG.replace("stop_thz = 2.2", "stop_thz = 1.0"), 2,
+                 "ERROR 2: {cfg}:12: [sweep] stop_thz: sweep range [0.05, 1] "
+                 "THz too narrow for feature detection; need it to span "
+                 "[0.05, 2.0]\n", id="sweep-feature-span"),
     pytest.param("spectrum --config {cfg}",
                  SPECTRUM_CFG.replace("step_thz = 0.05", "step_thz = 0"), 2,
                  "ERROR 2: {cfg}:13: [sweep] step_thz: step must be "

@@ -92,7 +92,7 @@ VALUES = ("0", "-1", "2", "1e6", "1e7", "1e-320", "1e-300", "1e300", "1e308",
           "nan", "inf", "-inf", "9" * 400, "bananas", "", "0.5, 1.5",
           "1, 2, 3", "0, 1e300")
 
-# header fields: small and large counts, but none that asks for a large grid
+# header fields: counts, spacings and junk, 400 nines among them
 HEADER_VALUES = ("0", "-1", "1", "3", "nan", "inf", "1e-320", "1e300", "2.5",
                  "bananas", "9" * 400, "1.5e1")
 
