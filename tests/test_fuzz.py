@@ -11,9 +11,9 @@ non-ASCII byte at the cut. The contract is the same for every case:
 - a config fault that exits 2 names the config's path and a line, and a
   faulty data file is named by its path.
 
-The full cross product is large and mostly fits, so a seeded sample of it
-runs here; every fault found in it is pinned below as a fixed row. The
-sampler uses the standard library only.
+The full cross product is about 2,250 runs, so a seeded sample of it runs
+here; every fault found in it is pinned below as a fixed row. The sampler
+uses the standard library only.
 """
 
 import contextlib
@@ -287,7 +287,7 @@ def _run_file_case(tmp_path, inputs, name, row, cell, value):
     return code, err
 
 
-SEED = 16
+SEED = 1958
 SAMPLE = 200
 
 
