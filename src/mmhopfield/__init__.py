@@ -28,10 +28,9 @@ _SOURCES = {
             "PeakRecord", "fit", "load_peaks", "record_residuals",
             "residual", "save_peaks"),
     "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
-              "couplings_from_overlap", "couplings_from_ratios",
-              "cyclotron_frequency", "field_for_cyclotron",
-              "mode_volume_for_coupling", "rabi_microscopic",
-              "single_mode_coupling"),
+              "couplings_from_ratios", "cyclotron_frequency",
+              "field_for_cyclotron", "mode_volume_for_coupling",
+              "rabi_from_gram", "rabi_microscopic", "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
                 "effective_mode_volumes", "full_mask", "gram", "load_mask",
                 "load_profile", "overlap_parameters", "save_mask",

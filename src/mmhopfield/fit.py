@@ -29,7 +29,7 @@ import numpy as np
 from .bogoliubov import normal_modes
 from .errors import (DataCoverageError, FitConfigError, InstabilityError,
                      ProfileFormatError, read_ascii)
-from .model import assemble_batch, strengths_from_ratios, two_mode_rabi
+from .model import assemble_batch, rabi_from_gram, strengths_from_ratios
 
 MAX_ASSIGNED_PEAKS = 5
 # beyond it the branch frequencies lose the precision to stay positive
@@ -187,8 +187,10 @@ class _Misfit:
     def frequencies(self, sets):
         """Branch frequencies (K, T, n) of K parameter sets at every record,
         from one stacked assembly and eigensolve."""
-        rabi = two_mode_rabi(strengths_from_ratios(self.photons, sets[:, :2]),
-                             sets[:, 2])
+        gram = np.ones((len(sets), 2, 2))
+        gram[:, 0, 1] = gram[:, 1, 0] = sets[:, 2]
+        rabi = rabi_from_gram(strengths_from_ratios(self.photons, sets[:, :2]),
+                              gram)
         try:
             freqs, _ = normal_modes(
                 *assemble_batch(self.photons, self.nu_c, rabi,
@@ -265,6 +267,20 @@ LAMBDA_MAX = 1e16
 # a Jacobian column shorter than this fraction of the longest (both in
 # normalized units) is zero to forward-difference precision
 FLAT_COLUMN = 1e-6
+# misfit (THz) of a converged best restart on exact data: later ones are noise
+EXACT_FIT_RMS_THZ = 1e-7
+
+
+def _stop_rule(rms, converged):
+    """(best restart so far, the restart at which the best so far has
+    converged below EXACT_FIT_RMS_THZ or None) of restarts run in order."""
+    best = 0
+    for k in range(len(rms)):
+        if rms[k] < rms[best]:
+            best = k
+        if converged[best] and rms[best] < EXACT_FIT_RMS_THZ:
+            return best, k
+    return best, None
 
 
 def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
@@ -280,8 +296,9 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
     once its damping saturates; it stops unconverged when its next
     iteration would exceed budget evaluations. The damped step is
     elementwise arithmetic and a batched solve, so a restart's path does not
-    depend on the others in the stack. Returns (x, rms, evaluations,
-    converged), one row per restart."""
+    depend on the others in the stack. Once restarts 0..k have stopped and
+    _stop_rule stops at k, the later ones are dropped unfinished. Returns
+    (x, rms, evaluations, converged), one row per restart."""
     x = np.array(x, dtype=float)
     n_restarts, n_params = x.shape
     span = hi - lo
@@ -348,6 +365,9 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
         saturated = lam[live] > LAMBDA_MAX
         converged[live[saturated]] = True
         live = live[~(small | saturated)]
+        done = live[0] if live.size else n_restarts
+        if done and _stop_rule(rms[:done], converged[:done])[1] is not None:
+            break
     return x, rms, evaluations, converged
 
 
@@ -359,9 +379,9 @@ def fit(data, photons, config=FitConfig()):
     config.max_evaluations parameter sets, one per iteration for the trial
     point and one per fitted parameter for its Jacobian. All restarts
     iterate in lockstep, but the result is the one of running them in
-    order, stopping once the best so far has converged below 1e-7 THz: it
-    is the best restart up to that point, and n_evaluations counts the
-    parameter sets evaluated by those restarts."""
+    order, stopping once the best so far has converged below
+    EXACT_FIT_RMS_THZ: it is the best restart up to that point, and
+    n_evaluations counts the parameter sets evaluated by those restarts."""
     _check_coverage(data, photons)
     misfit = _Misfit(data, photons)
     w1 = photons[0].omega
@@ -387,19 +407,15 @@ def fit(data, photons, config=FitConfig()):
     x, rms, evaluations, converged = _levenberg_marquardt(
         misfit, param_sets, starts, lo, hi, config.xatol,
         config.max_evaluations)
-    best = 0
-    for k in range(config.restarts):
-        if rms[k] < rms[best]:
-            best = k
-        if converged[best] and rms[best] < 1e-7:
-            break  # already at an exact-data optimum; further restarts are noise
+    best, stop = _stop_rule(rms, converged)
+    ran = config.restarts if stop is None else stop + 1
 
     eta = param_sets(x[best:best + 1])[0, 2]
     return FitResult(omega_r_11=float(x[best, 0] * w1),
                      omega_r_2_tilde=float(x[best, 1] * w2),
                      eta=float(eta),
                      residual_rms=float(rms[best]),
-                     n_evaluations=int(evaluations[:k + 1].sum()),
+                     n_evaluations=int(evaluations[:ran].sum()),
                      converged=bool(converged[best]))
 
 

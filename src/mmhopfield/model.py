@@ -34,6 +34,9 @@ RAD_PER_SEC_PER_THZ = 2.0 * math.pi * 1e12
 # field without shifting any branch by more than the floor itself.
 MATTER_FREQ_FLOOR_THZ = 1e-6
 
+# depth, relative to Gamma_jj, of the negative pivots of a singular Gamma
+GRAM_PIVOT_TOL = 1e-12
+
 
 def _frozen_array(obj, name, value, dtype=float):
     arr = np.array(value, dtype=dtype)
@@ -102,8 +105,9 @@ class CouplingSet:
     """Rabi couplings W[nu, mu] (rad/s) between photon mode nu and matter
     mode mu, quoted at cyclotron frequency reference_cyclotron (THz).
 
-    W is square. In the canonical basis it is lower triangular: the second
-    matter mode is constructed orthogonal to the first, so W[0, 1] = 0.
+    W is square and its entries finite, of either sign: the physics sees W
+    only through W W^T. rabi_from_gram makes it lower triangular, each
+    matter mode orthogonal to those of the photon modes before it.
     """
 
     rabi: np.ndarray
@@ -115,8 +119,6 @@ class CouplingSet:
             raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
         if not np.all(np.isfinite(rabi)):
             raise ValueError("rabi entries must be finite")
-        if np.any(rabi < 0.0):
-            raise ValueError("rabi entries must be non-negative")
         if not np.isfinite(self.reference_cyclotron) or self.reference_cyclotron < 0.0:
             raise ValueError("reference_cyclotron must be non-negative")
 
@@ -141,61 +143,70 @@ def field_for_cyclotron(nu_c, material=MaterialParams()):
     return 2.0 * math.pi * material.effective_mass * nu_c * 1e12 / ELEMENTARY_CHARGE
 
 
-def two_mode_rabi(strengths, eta):
-    """Two-mode Rabi matrices W = diag(strengths) F(eta), shape (..., 2, 2),
-    with the overlap factor F = [[1, 0], [eta, sqrt(1 - eta^2)]].
+def rabi_from_gram(strengths, gram):
+    """Rabi matrices W = diag(strengths) F (..., N, N) of strengths (..., N)
+    in rad/s and real overlap Gram matrices Gamma = F F^T (..., N, N) of unit
+    diagonal, leading axes broadcast; N - rank(Gamma) matter modes stay bare.
 
-    strengths (..., 2) are (omega_r_11, omega_r_2_tilde) in rad/s and eta
-    (...) the overlap in [0, 1]; leading axes broadcast. The second photon
-    mode couples to the full cyclotron excitation of its own near field,
-    which eta splits so that W[1, 0]^2 + W[1, 1]^2 = omega_r_2_tilde^2.
-    """
-    eta = np.asarray(eta, dtype=float)
-    factor = np.zeros(eta.shape + (2, 2))
-    factor[..., 0, 0] = 1.0
-    factor[..., 1, 0] = eta
-    factor[..., 1, 1] = np.sqrt(1.0 - eta * eta)
-    return np.asarray(strengths, dtype=float)[..., :, None] * factor
+    F is lower triangular, built column by column: the pivot is Gamma_jj -
+    sum_k F_jk^2 and the entries below it (Gamma_ij - sum_k F_ik F_jk) /
+    sqrt(pivot); a pivot in [-GRAM_PIVOT_TOL Gamma_jj, 0] leaves its column
+    zero. A lower pivot, an entry below a zero pivot above
+    sqrt(GRAM_PIVOT_TOL Gamma_ii Gamma_jj) (Cauchy-Schwarz) and a complex
+    Gamma raise ValueError. N = 2 gives [[1, 0], [eta, sqrt(1 - eta*eta)]]."""
+    if np.iscomplexobj(gram):
+        raise ValueError("overlap Gram matrix must be real")
+    strengths, gram = (np.asarray(a, dtype=float) for a in (strengths, gram))
+    n = strengths.shape[-1]
+    if gram.shape[-2:] != (n, n):
+        raise ValueError(f"Gram matrices of shape {gram.shape[-2:]} for {n} modes")
+    diag = gram.diagonal(axis1=-2, axis2=-1)
+    factor = np.zeros(gram.shape)
+    for j in range(n):
+        column = gram[..., j:, j] - (factor[..., j:, :j]
+                                     * factor[..., j, None, :j]).sum(axis=-1)
+        pivot, below = column[..., 0], column[..., 1:]
+        kept = pivot > 0.0
+        if not kept.all():
+            deep = ~(pivot >= -GRAM_PIVOT_TOL * diag[..., j])  # or nan
+            loose = ~kept[..., None] & ~(below * below <= GRAM_PIVOT_TOL
+                                         * diag[..., j, None] * diag[..., j + 1:])
+            if deep.any() or loose.any():
+                raise ValueError("overlap Gram matrix is not positive semidefinite")
+        # the column of a pivot not kept stays zero
+        root = np.sqrt(pivot, out=factor[..., j, j], where=kept)
+        np.divide(below, root[..., None], out=factor[..., j + 1:, j],
+                  where=kept[..., None])
+    return strengths[..., :, None] * factor
 
 
 def strengths_from_ratios(photons, ratios):
-    """Strengths (omega_r_11, omega_r_2_tilde) in rad/s, quoted at nu_c =
-    nu_1, of the ratios (..., 2) = (W_11 / w_1 at nu_1, Wt_2 / w_2 at nu_2)
-    that fits report; the second picks up sqrt(nu_1 / nu_2) from the
-    sqrt(w_c) scaling law."""
-    if len(photons) != 2:
-        raise ValueError("ratio constructor expects exactly two photon modes")
-    nu1, nu2 = photons[0].frequency, photons[1].frequency
-    return (np.asarray(ratios, dtype=float)
-            * [photons[0].omega, photons[1].omega]
-            * [1.0, math.sqrt(nu1 / nu2)])
-
-
-def couplings_from_overlap(omega_r_11, omega_r_2_tilde, eta, reference_cyclotron):
-    """Two-mode coupling set of two_mode_rabi: strengths omega_r_11 and
-    omega_r_2_tilde (rad/s) split by the overlap eta, both quoted at
-    reference_cyclotron (THz)."""
-    for strength in (omega_r_11, omega_r_2_tilde):
-        if not 0.0 <= strength < math.inf:
-            raise ValueError("Rabi couplings must be finite and non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    return CouplingSet(rabi=two_mode_rabi([omega_r_11, omega_r_2_tilde], eta),
-                       reference_cyclotron=reference_cyclotron)
+    """Strengths (rad/s), quoted at nu_c = nu_1, of the ratios (..., N) that
+    fits report, each quoted at its own mode's resonance: ratio_j w_j
+    sqrt(nu_1 / nu_j), the root from the sqrt(w_c) scaling law."""
+    return (np.asarray(ratios, dtype=float) * [m.omega for m in photons]
+            * [math.sqrt(photons[0].frequency / m.frequency) for m in photons])
 
 
 def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
-    """Coupling set from normalized ratios quoted at the respective resonance
-    (see strengths_from_ratios), stored at the common reference nu_1."""
-    w11, wt2 = strengths_from_ratios(photons, [ratio_11, ratio_2_tilde]).tolist()
-    return couplings_from_overlap(w11, wt2, eta,
-                                  reference_cyclotron=photons[0].frequency)
+    """Two-mode coupling set of the ratios of strengths_from_ratios and the
+    overlap eta in [0, 1], Gamma = [[1, eta], [eta, 1]], quoted at nu_1."""
+    if len(photons) != 2:
+        raise ValueError("ratio constructor expects exactly two photon modes")
+    strengths = strengths_from_ratios(photons, [ratio_11, ratio_2_tilde])
+    if not np.all((0.0 <= strengths) & (strengths < math.inf)):
+        raise ValueError("Rabi couplings must be finite and non-negative")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    return CouplingSet(rabi=rabi_from_gram(strengths, [[1.0, eta], [eta, 1.0]]),
+                       reference_cyclotron=photons[0].frequency)
 
 
 def single_mode_coupling(photon, ratio):
     """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency."""
-    return CouplingSet(rabi=[[ratio * photon.omega]],
-                       reference_cyclotron=photon.frequency)
+    return CouplingSet(
+        rabi=rabi_from_gram(strengths_from_ratios([photon], [ratio]), [[1.0]]),
+        reference_cyclotron=photon.frequency)
 
 
 def rabi_microscopic(mode, material, nu_c):

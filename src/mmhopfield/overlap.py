@@ -209,39 +209,35 @@ def _parse_header(path, line):
     return nx, ny, dx, dy
 
 
-def _read_tokens(body):
+def _fault(path, body, size, entry_fault):
+    """The line-anchored error of the first fault of a body that the bulk
+    parse refused; entry_fault(token) names a bad entry, or returns None."""
+    count = 0
     for lineno, line in enumerate(body.split("\n"), start=2):
         for token in line.split():
-            yield lineno, token
+            if count == size:
+                return ProfileFormatError(
+                    f"{path}:{lineno}: more than nx*ny = {size} entries")
+            problem = entry_fault(token)
+            if problem:
+                return ProfileFormatError(f"{path}:{lineno}: {problem}")
+            count += 1
+    return ProfileFormatError(
+        f"{path}: expected nx*ny = {size} entries, found {count}")
 
 
-def _check_count(path, count, size):
-    if count != size:
-        raise ProfileFormatError(
-            f"{path}: expected nx*ny = {size} entries, found {count}")
+def _profile_entry_fault(token):
+    re_im = token.split(",")
+    if len(re_im) != 2:
+        return f"entry {token!r} is not 're,im'"
+    try:
+        list(map(float, re_im))
+    except ValueError as exc:
+        return f"bad entry {token!r}: {exc}"
 
 
-def _scan_profile(path, body, size):
-    """Token-by-token parse of a profile body; raises at the first bad line."""
-    # no longer than the entries there are, whatever the header's nx*ny
-    flat = np.empty(min(size, len(body.split())), dtype=complex)
-    count = 0
-    for lineno, token in _read_tokens(body):
-        if count >= size:
-            raise ProfileFormatError(
-                f"{path}:{lineno}: more than nx*ny = {size} entries")
-        re_im = token.split(",")
-        if len(re_im) != 2:
-            raise ProfileFormatError(
-                f"{path}:{lineno}: entry {token!r} is not 're,im'")
-        try:
-            flat[count] = complex(float(re_im[0]), float(re_im[1]))
-        except ValueError as exc:
-            raise ProfileFormatError(
-                f"{path}:{lineno}: bad entry {token!r}: {exc}") from exc
-        count += 1
-    _check_count(path, count, size)
-    return flat
+def _mask_entry_fault(token):
+    return None if token in ("0", "1") else f"mask entry {token!r} is not 0 or 1"
 
 
 # every byte except ',' and ' ': what is left of a well-formed, single-space
@@ -250,10 +246,9 @@ _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b", ")
 
 
 def _parse_profile(path, body, size):
-    """All entries of a profile body at once. The bulk result is trusted only
-    if there are exactly size entries with one comma each and every half
-    converts; otherwise the scanner re-reads the body for its line-anchored
-    error."""
+    """All entries of a profile body at once: exactly size entries with one
+    comma each, every half a float(); otherwise the line-anchored error of
+    the first fault."""
     tokens = body.split()
     if len(tokens) == size:
         joined = " ".join(tokens)
@@ -265,7 +260,7 @@ def _parse_profile(path, body, size):
                                    count=2 * size).view(complex)
             except ValueError:
                 pass
-    return _scan_profile(path, body, size)
+    raise _fault(path, body, size, _profile_entry_fault)
 
 
 def load_profile(path):
@@ -294,27 +289,6 @@ def save_profile(path, profile):
             fh.write(template % tuple(row.tolist()))
 
 
-def _scan_mask(path, body, size):
-    """Token-by-token parse of a mask body; raises at the first bad line."""
-    # no longer than the entries there are, whatever the header's nx*ny
-    flat = np.empty(min(size, len(body.split())), dtype=bool)
-    count = 0
-    for lineno, token in _read_tokens(body):
-        if count >= size:
-            raise ProfileFormatError(
-                f"{path}:{lineno}: more than nx*ny = {size} entries")
-        if token == "0":
-            flat[count] = False
-        elif token == "1":
-            flat[count] = True
-        else:
-            raise ProfileFormatError(
-                f"{path}:{lineno}: mask entry {token!r} is not 0 or 1")
-        count += 1
-    _check_count(path, count, size)
-    return flat
-
-
 def load_mask(path):
     """Read a DomainMask, with the spacing of its header, from the
     plain-text format (entries 0 or 1)."""
@@ -323,10 +297,9 @@ def load_mask(path):
     tokens = body.split()
     digits = "".join(tokens)
     # nx*ny tokens of one character each, every one of them 0 or 1
-    if len(tokens) == len(digits) == nx * ny and not digits.strip("01"):
-        flat = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) == ord("1")
-    else:
-        flat = _scan_mask(path, body, nx * ny)
+    if not (len(tokens) == len(digits) == nx * ny and not digits.strip("01")):
+        raise _fault(path, body, nx * ny, _mask_entry_fault)
+    flat = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) == ord("1")
     try:
         return DomainMask(nx=nx, ny=ny, inside=flat.reshape(nx, ny),
                           dx=dx, dy=dy)

@@ -29,7 +29,9 @@ The spectrum reference builds its Lorentzian dips branch-minor, as a
 builds them branch-major and adds whole branch rows.
 
 The ladder-basis dynamical matrix and the Hopfield weights |X|^2 - |Y|^2
-check the symplectic structure of a solution. The coupling references
+check the symplectic structure of a solution. The two-mode Rabi matrix is
+the hand-written N = 2 formula that the general Gram factor of the
+production code must reproduce bit for bit. The coupling references
 re-quote a Rabi matrix at another cyclotron frequency and form its
 diamagnetic matrix one entry at a time, with math.fsum; the production
 assembly takes both for a whole grid and a stack of matrices at once. The
@@ -317,6 +319,18 @@ def hopfield_fractions(hopfield_x, hopfield_y):
         raise NumericalError(
             f"symplectic normalization violated: row sums {sums}")
     return fractions
+
+
+def two_mode_rabi(strengths, eta):
+    """Two-mode Rabi matrices W = diag(strengths) F(eta), shape (..., 2, 2),
+    with F = [[1, 0], [eta, sqrt(1 - eta^2)]]: strengths (..., 2) in rad/s,
+    eta (...) in [0, 1], leading axes broadcast."""
+    eta = np.asarray(eta, dtype=float)
+    factor = np.zeros(eta.shape + (2, 2))
+    factor[..., 0, 0] = 1.0
+    factor[..., 1, 0] = eta
+    factor[..., 1, 1] = np.sqrt(1.0 - eta * eta)
+    return np.asarray(strengths, dtype=float)[..., :, None] * factor
 
 
 def rabi_at(rabi, nu_c, reference_cyclotron):

@@ -11,7 +11,8 @@ from mmhopfield.bogoliubov import normal_modes
 import mmhopfield.dispersion as dispersion
 from mmhopfield.dispersion import (JUMP_TOL, _match_cost, _min_cost_assignment,
                                    csv_rows, g9_cells)
-from mmhopfield.model import assemble_batch
+from mmhopfield.errors import InstabilityError
+from mmhopfield.model import assemble_batch, rabi_from_gram, strengths_from_ratios
 
 import oracles
 
@@ -247,6 +248,78 @@ def test_decoupled_modes_factorize(photon_pair, full_grid):
     union = np.sort(np.hstack(singles), axis=1)
     np.testing.assert_allclose(np.sort(res.branches, axis=1), union,
                                atol=1e-9)
+
+
+THREE_PHOTONS = [mm.PhotonMode(index=i + 1, frequency=f)
+                 for i, f in enumerate((0.8, 1.6, 2.4))]
+
+
+def _gram_of_rank(rank, rng):
+    """A random signed, normalized overlap Gram matrix of three modes."""
+    vectors = rng.normal(size=(3, rank))
+    gram = vectors @ vectors.T
+    norms = np.sqrt(gram.diagonal())
+    return gram / norms[:, None] / norms
+
+
+@pytest.mark.parametrize("rank", [3, 2, 1])
+def test_gram_rank_sets_the_coupled_modes(rank, full_grid):
+    # the selection rule: N - rank(Gamma) matter modes stay bare nu = nu_c
+    # lines, and N + rank(Gamma) branches couple
+    rng = np.random.default_rng(30 + rank)
+    rabi = rabi_from_gram(strengths_from_ratios(THREE_PHOTONS, [0.3] * 3),
+                          _gram_of_rank(rank, rng))
+    coupling = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.8)
+    feats = mm.detect_features(mm.sweep(THREE_PHOTONS, coupling, full_grid),
+                               THREE_PHOTONS)
+    assert (feats.n_coupled_branches, feats.n_cr_lines) == (3 + rank, 3 - rank)
+
+
+@pytest.mark.parametrize("blocks", [[1, 1, 1], [2, 1], [1, 2]],
+                         ids=["identity", "pair-then-one", "one-then-pair"])
+def test_block_diagonal_gram_is_the_union_of_its_blocks(blocks, full_grid):
+    # modes in different blocks share no matter mode, so the N-mode sweep is
+    # the union of the sweeps of its blocks, each its own photon modes with
+    # its own block of Gamma
+    rng = np.random.default_rng(40)
+    ratios = rng.uniform(0.05, 0.4, 3)
+    gram = np.zeros((3, 3))
+    union, start = [], 0
+    for size in blocks:
+        part = slice(start, start + size)
+        block = np.ones((size, size))
+        block[~np.eye(size, dtype=bool)] = rng.uniform(-0.9, 0.9)
+        gram[part, part] = block
+        photons = THREE_PHOTONS[part]
+        coupling = mm.CouplingSet(
+            rabi=rabi_from_gram(strengths_from_ratios(photons, ratios[part]),
+                                block),
+            reference_cyclotron=photons[0].frequency)
+        union.append(mm.sweep(photons, coupling, full_grid).branches)
+        start += size
+    coupling = mm.CouplingSet(
+        rabi=rabi_from_gram(strengths_from_ratios(THREE_PHOTONS, ratios), gram),
+        reference_cyclotron=0.8)
+    res = mm.sweep(THREE_PHOTONS, coupling, full_grid)
+    np.testing.assert_allclose(np.sort(res.branches, axis=1),
+                               np.sort(np.hstack(union), axis=1),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=InstabilityError, reason=(
+    "Gamma = I (eta = 0) near zero field or at deep-strong ratios: the form "
+    "is positive definite (the Schur complement of its matter block is "
+    "D_ph > 0), but eigh of S reports a negative squared frequency; ROADMAP "
+    "direction 3's graded-safe solve should flip this"))
+@pytest.mark.parametrize("ratios, grid", [
+    ((0.3, 100.0), np.geomspace(1e-6, 2.2, 80)),
+    ((1e3, 1e3), 0.05 + 0.01 * np.arange(216)),
+], ids=["near-zero-field", "deep-strong"])
+def test_identity_gram_is_stable(photon_pair, ratios, grid):
+    rabi = rabi_from_gram(strengths_from_ratios(photon_pair, ratios), np.eye(2))
+    coupling = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.8)
+    res = mm.sweep(photon_pair, coupling, grid)
+    assert np.all(res.branches > 0.0)
 
 
 def test_structured_middle_branch_features(photon_pair, structured_coupling,

@@ -8,7 +8,7 @@ import pytest
 
 import mmhopfield as mm
 from mmhopfield.bogoliubov import normal_modes
-from mmhopfield.fit import _levenberg_marquardt, _Misfit
+from mmhopfield.fit import EXACT_FIT_RMS_THZ, _levenberg_marquardt, _Misfit
 from mmhopfield.model import assemble_batch
 
 import oracles
@@ -322,6 +322,30 @@ def test_lockstep_restarts_match_each_restart_alone(photon_pair, ratios,
                                      lo, hi, 1e-6, 4000)
         for stacked, single in zip(together, alone):
             assert np.array_equal(stacked[k], single[0]), k
+
+
+def test_restarts_after_an_exact_fit_are_dropped(photon_pair):
+    # restart 0 starts on the truth of exact peaks and stops at once; the
+    # in-order rule then ends the fit there, so restart 1 is dropped
+    # unfinished, and restart 0 is what it is alone
+    misfit = _Misfit(_synthetic_dataset(photon_pair, n_points=12),
+                     photon_pair)
+    lo, hi = np.zeros(2), np.array([0.8, 0.8])
+
+    def param_sets(points):
+        return np.column_stack([points, np.full(len(points), TRUE_ETA)])
+
+    starts = np.array([[TRUE_RATIO_11, TRUE_RATIO_2], [0.75, 0.05]])
+    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi,
+                                    1e-6, 4000)
+    first = _levenberg_marquardt(misfit, param_sets, starts[:1], lo, hi,
+                                 1e-6, 4000)
+    second = _levenberg_marquardt(misfit, param_sets, starts[1:], lo, hi,
+                                  1e-6, 4000)
+    assert together[3][0] and together[1][0] < EXACT_FIT_RMS_THZ
+    for stacked, single in zip(together, first):
+        assert np.array_equal(stacked[0], single[0])
+    assert together[2][1] < second[2][0]
 
 
 def test_fit_config_validation():
