@@ -272,8 +272,8 @@ EXACT_FIT_RMS_THZ = 1e-7
 
 
 def _stop_rule(rms, converged):
-    """(best restart so far, the restart at which the best so far has
-    converged below EXACT_FIT_RMS_THZ or None) of restarts run in order."""
+    """Restarts in order: the best so far and the first index at which it
+    has converged below EXACT_FIT_RMS_THZ (None if it never has)."""
     best = 0
     for k in range(len(rms)):
         if rms[k] < rms[best]:

@@ -168,12 +168,12 @@ def rabi_from_gram(strengths, gram):
         pivot, below = column[..., 0], column[..., 1:]
         kept = pivot > 0.0
         if not kept.all():
-            deep = ~(pivot >= -GRAM_PIVOT_TOL * diag[..., j])  # or nan
+            # too deep or NaN, or beyond Cauchy-Schwarz below a zero pivot
+            deep = ~(pivot >= -GRAM_PIVOT_TOL * diag[..., j])
             loose = ~kept[..., None] & ~(below * below <= GRAM_PIVOT_TOL
                                          * diag[..., j, None] * diag[..., j + 1:])
             if deep.any() or loose.any():
                 raise ValueError("overlap Gram matrix is not positive semidefinite")
-        # the column of a pivot not kept stays zero
         root = np.sqrt(pivot, out=factor[..., j, j], where=kept)
         np.divide(below, root[..., None], out=factor[..., j + 1:, j],
                   where=kept[..., None])
