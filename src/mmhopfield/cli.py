@@ -10,6 +10,8 @@ data. Errors print a single "ERROR <code>: ..." line on stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import json
 import math
@@ -578,8 +580,26 @@ def _fail(code, exc):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    argv is the argument list after the program name. None reads
+    sys.argv[1:] and means the call runs its own process's command line,
+    as the ``mmhopfield`` console script and ``python -m mmhopfield`` do.
+    Such a call is one short batch whose objects live until the process
+    ends, so the cyclic garbage collector stays off while it runs, and
+    ``gc.freeze`` runs at exit, which spares CPython's final collections a
+    pass over numpy's modules. On the way out the collector's earlier
+    state is restored, so a caller that runs main() in process (say
+    through runpy) keeps its collector. A call with an explicit argv, as
+    from tests or library code, changes nothing global.
+    """
+    restore = argv is None and gc.isenabled()
+    if argv is None:
+        gc.disable()
+        atexit.register(gc.freeze)  # idempotent: a second call may add it again
     try:
+        # --help and usage errors leave here, through SystemExit
+        args = _build_parser().parse_args(argv)
         return _RUNNERS[args.command](args)
     except DataCoverageError as exc:
         return _fail(4, exc)
@@ -589,6 +609,15 @@ def main(argv=None):
         return _fail(3, exc)
     except OSError as exc:
         return _fail(4, exc)
+    finally:
+        if restore:
+            # freeze then unfreeze moves every tracked object to the oldest
+            # generation (objects frozen before go there too) and zeroes the
+            # young count; re-enabled without it, the collector would start
+            # with a pass over everything the command allocated, some 5-7 ms
+            gc.freeze()
+            gc.unfreeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

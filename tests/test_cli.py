@@ -4,7 +4,8 @@ Everything runs in-process through cli.main() so exit codes and stderr can be
 asserted directly. The console-script entry point declared in pyproject.toml
 is run as its own process, through the same wrapper an install generates, so
 no install is needed, and so is `python -m mmhopfield`; an installed script
-is checked too when one is on PATH. Output files are byte-compared where
+is checked too when one is on PATH. Those children carry an exit hook that
+checks main()'s garbage-collector policy. Output files are byte-compared where
 determinism is promised.
 """
 
@@ -1135,14 +1136,58 @@ def _declared_entry_point():
     return scripts["mmhopfield"]
 
 
+# A sitecustomize module that registers its exit hook before the child
+# imports mmhopfield.cli, so the hook runs after the gc.freeze that main()
+# registers. It prints whether the heap is frozen, whether the collector is
+# on, and how many collections ran once numpy began to load, which happens
+# only inside the command.
+_EXIT_HOOK = """\
+import atexit, gc, sys
+_passes = []
+gc.callbacks.append(lambda phase, info: phase == "start"
+                    and "numpy" in sys.modules and _passes.append(phase))
+atexit.register(lambda: print("gc", gc.get_freeze_count() > 0,
+                              gc.isenabled(), len(_passes)))
+"""
+
+
+def _run_hooked(command, args, tmp_path, env):
+    """Run command with args in a child that carries the exit hook; return
+    the process and the hook's line."""
+    hook = tmp_path / "hook"
+    hook.mkdir(exist_ok=True)
+    (hook / "sitecustomize.py").write_text(_EXIT_HOOK)
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(hook), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([*command, *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    return proc, proc.stdout.splitlines()[-1]
+
+
 def _assert_sweep_runs(command, tmp_path, env=None):
+    """A sweep, --help and an ERROR 2 call through command each run with the
+    collector off, leave it on and the heap frozen at exit; the sweep writes
+    the bytes an in-process cli.main() call writes."""
     cfg = _write(tmp_path / "cfg.ini", SWEEP_CFG)
-    proc = subprocess.run([*command, "sweep", "--config", cfg,
-                           "--out", str(tmp_path)],
-                          capture_output=True, text=True, cwd=tmp_path,
-                          env=env)
+    out = tmp_path / "child"
+    proc, hook = _run_hooked(command, ["sweep", "--config", cfg,
+                                       "--out", str(out)], tmp_path, env)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "branches.csv").exists()
+    assert hook == "gc True True 0"
+    assert cli.main(["sweep", "--config", cfg,
+                     "--out", str(tmp_path / "in-process")]) == 0
+    for name in ("branches.csv", "features.json"):
+        assert (out / name).read_bytes() == \
+            (tmp_path / "in-process" / name).read_bytes(), name
+    proc, hook = _run_hooked(command, ["--help"], tmp_path, env)
+    assert proc.returncode == 0, proc.stderr
+    assert hook == "gc True True 0"
+    proc, hook = _run_hooked(command, ["sweep", "--config", "missing.cfg"],
+                             tmp_path, env)
+    assert proc.returncode == 2
+    assert proc.stderr == "ERROR 2: config file not found: missing.cfg\n"
+    assert hook == "gc True True 0"
 
 
 def _package_env():
@@ -1168,6 +1213,29 @@ def test_console_script_smoke(tmp_path):
 def test_python_dash_m_runs_the_cli(tmp_path):
     _assert_sweep_runs([sys.executable, "-m", "mmhopfield"], tmp_path,
                        env=_package_env())
+
+
+_RUNPY_SCRIPT = """
+import gc, runpy, sys
+if sys.argv[1] == "off":
+    gc.disable()
+sys.argv[1:] = ["--help"]
+try:
+    runpy.run_module("mmhopfield", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.isenabled(), gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_in_process_command_line_keeps_the_callers_collector(collector):
+    # main() with argv None, run in a process that goes on afterwards: the
+    # collector comes back as the caller had it, and nothing stays frozen
+    # before exit
+    proc = subprocess.run([sys.executable, "-c", _RUNPY_SCRIPT, collector],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {collector == 'on'} 0"
 
 
 @pytest.mark.skipif(shutil.which("mmhopfield") is None,

@@ -8,6 +8,8 @@ non-ASCII byte at the cut. The contract is the same for every case:
 - exit 0, and every number in every output file is finite; or
 - exit 2, 3 or 4, and stderr is one "ERROR N: ..." line, with that N;
 - nothing raises out of main() and no RuntimeWarning is issued;
+- the cyclic garbage collector is left as it was: on, and with the
+  same number of frozen objects;
 - a config fault that exits 2 names the config's path and a line, and a
   faulty data file is named by its path.
 
@@ -17,6 +19,7 @@ uses the standard library only.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -222,12 +225,30 @@ def _run(argv, out):
     """cli.main(argv) with stderr and warnings caught: (code, stderr,
     RuntimeWarnings)."""
     err = io.StringIO()
+    frozen = gc.get_freeze_count()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = cli.main(argv + ["--out", str(out)])
+    _assert_collector_untouched(frozen)
     return code, err.getvalue(), [w for w in caught
                                   if issubclass(w.category, RuntimeWarning)]
+
+
+def _assert_collector_untouched(frozen):
+    """An explicit argv leaves the cyclic collector as the caller had it."""
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["sweep"], 2)],
+                         ids=["help", "usage-error"])
+def test_argparse_exits_leave_the_collector_alone(capsys, argv, code):
+    frozen = gc.get_freeze_count()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    _assert_collector_untouched(frozen)
 
 
 def _check_contract(code, err, runtime_warnings, out, at_fault):
