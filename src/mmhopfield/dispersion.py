@@ -36,7 +36,8 @@ class SweepResult:
 
     branches[t, k] is the frequency (THz) of branch column k at
     nu_c_values[t]; fractions[t, k, j] the weight of bare mode j (photon
-    modes first) in that branch."""
+    modes first) in that branch. Each is kept as a read-only C-ordered
+    copy."""
 
     nu_c_values: np.ndarray
     branches: np.ndarray
@@ -45,7 +46,7 @@ class SweepResult:
 
     def __post_init__(self):
         for name in ("nu_c_values", "branches", "fractions"):
-            arr = np.array(getattr(self, name))
+            arr = np.array(getattr(self, name), order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -91,11 +92,21 @@ def _match_cost(freqs, fracs):
     follows its mode character diabatically through anticrossings narrower
     than the grid step instead of swapping identity; at genuine wide
     anticrossings the frequencies never approach and the cost reduces to
-    nearest-frequency matching."""
-    diff = fracs[:-1, :, None, :] - fracs[1:, None, :, :]
-    cost = FRACTION_MATCH_WEIGHT * np.abs(diff, out=diff).sum(axis=3)
-    cost += np.abs(freqs[:-1, :, None] - freqs[1:, None, :])
-    return cost
+    nearest-frequency matching.
+
+    The stack is built grid-last, from (column, mode, T) copies of the
+    fractions and (column, T) of the frequencies, so every operation runs
+    along the T - 1 steps, and the (T - 1, n, n) result is a transposed
+    view of that (n, n, T - 1) array. The fraction distance adds the
+    modes' terms in order, mode 0 first. Below 8 modes that equals, bit for
+    bit, numpy's sum over a short contiguous mode axis; from 8 up numpy
+    sums such an axis pairwise, so the last bits can differ."""
+    fracs = np.ascontiguousarray(fracs.transpose(1, 2, 0))
+    freqs = np.ascontiguousarray(freqs.T)
+    diff = fracs[:, None, :, :-1] - fracs[None, :, :, 1:]  # (a, b, mode, step)
+    cost = FRACTION_MATCH_WEIGHT * np.add.reduce(np.abs(diff, out=diff), axis=2)
+    cost += np.abs(freqs[:, None, :-1] - freqs[None, :, 1:])
+    return cost.transpose(2, 0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -141,17 +152,22 @@ def _min_cost_assignment(cost):
     identity. Rounded addition is monotone, so no permutation's nested sum
     falls below the identity's, and on a tie the identity, the
     lexicographically first permutation, is the one the tie rule picks. A
-    NaN entry makes its matrix not evident."""
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[1]
-    perm = np.empty((len(cost), n), dtype=np.intp)
-    perm[:] = np.arange(n)
-    evident = np.all(np.diagonal(cost, axis1=1, axis2=2) <= cost.min(axis=2),
-                     axis=1)
+    NaN entry makes its matrix not evident.
+
+    The work runs on the (n, n, S) transpose of cost, steps innermost: the
+    evident test compares each diagonal row with the row minima, and the
+    dynamic program gathers the pending steps' columns. A (S, n, n) view of
+    an (n, n, S) array, as _match_cost returns, is read without a copy."""
+    cost = np.asarray(cost, dtype=float).transpose(1, 2, 0)  # (n, n, S)
+    n = len(cost)
+    rows = np.arange(n)
+    perm = np.empty((cost.shape[-1], n), dtype=np.intp)
+    perm[:] = rows
+    evident = np.logical_and.reduce(cost[rows, rows] <= cost.min(axis=1))
     pending = np.flatnonzero(~evident)
     if len(pending) == 0:
         return perm
-    cost = np.moveaxis(cost[pending], 0, -1)  # (n, n, S)
+    cost = cost[..., pending]
     n_sets = len(pending)
     best = np.zeros((1 << n, n_sets))
     choice = np.zeros((1 << n, n_sets), dtype=np.intp)
@@ -205,18 +221,19 @@ def sweep(photons, coupling, nu_c_grid):
     steps = _min_cost_assignment(_match_cost(freqs, fracs))
     # branch column i is eigen-order column order[t, i] at point t. Step s
     # links points s and s + 1, so point t takes orders[k], the composition
-    # of the k permuting steps s < t
+    # of the k permuting steps s < t; with none, the eigen-order stands
     identity = np.arange(freqs.shape[1])
     moving = np.flatnonzero(np.any(steps != identity, axis=1))
-    orders = np.empty_like(steps, shape=(len(moving) + 1, len(identity)))
-    orders[0] = identity
-    for k, s in enumerate(moving, start=1):
-        orders[k] = steps[s, orders[k - 1]]
-    order = orders[np.searchsorted(moving, np.arange(len(grid)))]
-    branches = np.take_along_axis(freqs, order, axis=1)
-    fractions = np.take_along_axis(fracs, order[..., None], axis=1)
-    return SweepResult(nu_c_values=grid, branches=branches,
-                       fractions=fractions, n_photon=coupling.n_photon)
+    if len(moving):
+        orders = np.empty_like(steps, shape=(len(moving) + 1, len(identity)))
+        orders[0] = identity
+        for k, s in enumerate(moving, start=1):
+            orders[k] = steps[s, orders[k - 1]]
+        order = orders[np.searchsorted(moving, np.arange(len(grid)))]
+        points = np.arange(len(grid))[:, None]
+        freqs, fracs = freqs[points, order], fracs[points, order]
+    return SweepResult(nu_c_values=grid, branches=freqs, fractions=fracs,
+                       n_photon=coupling.n_photon)
 
 
 def _middle_branch(result, coupled):
@@ -250,11 +267,15 @@ def detect_features(result, photons):
             f"sweep range [{nu[0]:.6g}, {nu[-1]:.6g}] THz too narrow for "
             f"feature detection; need it to span [0.05, 2.0]")
 
-    variation = result.branches.max(axis=0) - result.branches.min(axis=0)
+    # branch columns as (n, T) rows, so each search runs along the grid
+    branches = np.ascontiguousarray(result.branches.T)
+    variation = branches.max(axis=1) - branches.min(axis=1)
     # a coupled branch acquires matter weight somewhere along the sweep even
-    # if it is photon-pure at the endpoints
-    peak_matter = result.matter_fractions().max(axis=0)
-    diag_dev = np.abs(result.branches - nu[:, None]).max(axis=0)
+    # if it is photon-pure at the endpoints; the matter modes' weights are
+    # added in order, as matter_fractions adds fewer than 8
+    matter = result.fractions[:, :, result.n_photon:].transpose(1, 2, 0)
+    peak_matter = np.add.reduce(np.ascontiguousarray(matter), axis=1).max(axis=1)
+    diag_dev = np.abs(branches - nu).max(axis=1)
 
     cr_line = diag_dev <= CR_LINE_TOL
     coupled = np.flatnonzero((variation > VARIATION_TOL)
@@ -263,10 +284,8 @@ def detect_features(result, photons):
 
     gaps = []
     for mode in photons:
-        above = np.where(result.branches >= mode.frequency,
-                         result.branches, np.inf).min(axis=1)
-        below = np.where(result.branches < mode.frequency,
-                         result.branches, -np.inf).max(axis=1)
+        above = np.where(branches >= mode.frequency, branches, np.inf).min(axis=0)
+        below = np.where(branches < mode.frequency, branches, -np.inf).max(axis=0)
         spread = above - below
         spread = spread[np.isfinite(spread)]
         gaps.append(float(spread.min()) if len(spread) else float("nan"))
@@ -275,7 +294,7 @@ def detect_features(result, photons):
     if middle is None:
         inflection = asym_low = asym_high = None
     else:
-        freqs = result.branches[:, middle]
+        freqs = branches[middle]
         inflection = _inflection(nu, freqs)
         asym_low = float(freqs[0])
         asym_high = float(freqs[-1])
@@ -327,10 +346,12 @@ def spectrum_from_branches(freqs, weights, config):
     one linewidth or n, else ValueError.
 
     The dips are evaluated branch-major, as a (..., n, F) stack with the
-    probe grid contiguous, divided in place, and summed by adding branch
-    rows in order. Below 8 branches this equals, bit for bit, the sum over
-    the branch axis of a (..., F, n) stack; from 8 up numpy sums such a
-    short axis pairwise, so the last bits can differ (within 1e-15 for up
+    probe grid contiguous: the weights are scaled by gamma^2 on their
+    (..., n) array, one broadcast divide makes the dips in place, and the
+    branch rows are added in order, row 0 first. A single linewidth enters
+    as a Python float. Below 8 branches this equals, bit for bit, the sum
+    over the branch axis of a (..., F, n) stack; from 8 up numpy sums such
+    a short axis pairwise, so the last bits can differ (within 1e-15 for up
     to 12 branches). Only the lower clip is applied: with the weights
     clipped at zero every dip w gamma^2 / ((nu - nu_k)^2 + gamma^2) is >= 0,
     so 1 - sum is <= 1 already. A NaN stays NaN."""
@@ -340,15 +361,20 @@ def spectrum_from_branches(freqs, weights, config):
     if len(widths) not in (1, n):
         raise ValueError(
             f"{len(widths)} linewidths for {n} branches; give one or {n}")
+    if len(widths) == 1:
+        width2 = row_width2 = float(widths[0] * widths[0])
+    else:
+        width2 = widths * widths
+        row_width2 = width2[:, None]
     weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
     if weights.shape != freqs.shape:  # the dips are divided in place
         freqs, weights = np.broadcast_arrays(freqs, weights)
-    width2 = (widths * widths)[:, None]
+    scaled = weights * width2
     dips = config.frequency_grid - freqs[..., None]
     np.multiply(dips, dips, out=dips)
-    np.add(dips, width2, out=dips)  # (nu - nu_k)^2 + gamma^2
-    np.divide(weights[..., None] * width2, dips, out=dips)
-    total = dips.sum(axis=-2)
+    np.add(dips, row_width2, out=dips)  # (nu - nu_k)^2 + gamma^2
+    np.divide(scaled[..., None], dips, out=dips)
+    total = np.add.reduce(dips, axis=-2)
     np.subtract(1.0, total, out=total)
     return np.maximum(total, 0.0, out=total)
 

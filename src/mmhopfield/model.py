@@ -160,23 +160,26 @@ def rabi_from_gram(strengths, gram):
     n = strengths.shape[-1]
     if gram.shape[-2:] != (n, n):
         raise ValueError(f"Gram matrices of shape {gram.shape[-2:]} for {n} modes")
-    diag = gram.diagonal(axis1=-2, axis2=-1)
     factor = np.zeros(gram.shape)
     for j in range(n):
-        column = gram[..., j:, j] - (factor[..., j:, :j]
-                                     * factor[..., j, None, :j]).sum(axis=-1)
+        column = gram[..., j:, j]
+        if j:  # column 0 has nothing to subtract
+            column = column - np.add.reduce(
+                factor[..., j:, :j] * factor[..., j, None, :j], axis=-1)
         pivot, below = column[..., 0], column[..., 1:]
         kept = pivot > 0.0
-        if not kept.all():
+        if not np.logical_and.reduce(kept, axis=None):
             # too deep or NaN, or beyond Cauchy-Schwarz below a zero pivot
+            diag = gram.diagonal(axis1=-2, axis2=-1)
             deep = ~(pivot >= -GRAM_PIVOT_TOL * diag[..., j])
             loose = ~kept[..., None] & ~(below * below <= GRAM_PIVOT_TOL
                                          * diag[..., j, None] * diag[..., j + 1:])
             if deep.any() or loose.any():
                 raise ValueError("overlap Gram matrix is not positive semidefinite")
         root = np.sqrt(pivot, out=factor[..., j, j], where=kept)
-        np.divide(below, root[..., None], out=factor[..., j + 1:, j],
-                  where=kept[..., None])
+        if j + 1 < n:
+            np.divide(below, root[..., None], out=factor[..., j + 1:, j],
+                      where=kept[..., None])
     return strengths[..., :, None] * factor
 
 

@@ -26,7 +26,12 @@ these per-pair integrals.
 
 The spectrum reference builds its Lorentzian dips branch-minor, as a
 (..., F, n) stack summed over its short last axis; the production spectrum
-builds them branch-major and adds whole branch rows.
+builds them branch-major and adds whole branch rows. Two more references
+keep the step-major kernels that the grid-last ones replaced: the match
+cost as a (T - 1, n, n, n) stack summed over its short last mode axis,
+and the branch-major spectrum with its linewidths as an (n or 1, 1) array,
+the weights scaled on the broadcast (..., n, 1) column, and the rows summed
+by ndarray.sum.
 
 The ladder-basis dynamical matrix and the Hopfield weights |X|^2 - |Y|^2
 check the symplectic structure of a solution. The two-mode Rabi matrix is
@@ -206,6 +211,33 @@ def spectrum_reference(freqs, weights, config):
     nu = config.frequency_grid[:, None]
     dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
     return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)
+
+
+def match_cost_step_major(freqs, fracs):
+    """dispersion._match_cost laid out step-major: cost[t - 1, a, b] from a
+    (T - 1, n, n, n) fraction-distance stack summed over its last axis."""
+    diff = fracs[:-1, :, None, :] - fracs[1:, None, :, :]
+    cost = FRACTION_MATCH_WEIGHT * np.abs(diff, out=diff).sum(axis=3)
+    cost += np.abs(freqs[:-1, :, None] - freqs[1:, None, :])
+    return cost
+
+
+def spectrum_branch_major(freqs, weights, config):
+    """dispersion.spectrum_from_branches with every linewidth as an array:
+    gamma^2 as an (n or 1, 1) column, the weights scaled on a broadcast
+    (..., n, 1) column, and the (..., n, F) dips summed by ndarray.sum."""
+    freqs = np.asarray(freqs, dtype=float)
+    weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
+    if weights.shape != freqs.shape:
+        freqs, weights = np.broadcast_arrays(freqs, weights)
+    width2 = (config.linewidths * config.linewidths)[:, None]
+    dips = config.frequency_grid - freqs[..., None]
+    np.multiply(dips, dips, out=dips)
+    np.add(dips, width2, out=dips)
+    np.divide(weights[..., None] * width2, dips, out=dips)
+    total = dips.sum(axis=-2)
+    np.subtract(1.0, total, out=total)
+    return np.maximum(total, 0.0, out=total)
 
 
 def csv_rows_per_cell(keys, labels, *values):

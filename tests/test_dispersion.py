@@ -171,11 +171,15 @@ def test_evident_matrices_skip_the_dynamic_program(n, monkeypatch):
     np.testing.assert_array_equal(_min_cost_assignment(cost), want)
 
 
-@pytest.mark.parametrize("case", ["three_mode", "zero_coupling"])
+MOVING_STEPS = {"three_mode": 2, "zero_coupling": 2, "unstructured": 0}
+
+
+@pytest.mark.parametrize("case", list(MOVING_STEPS))
 def test_sweep_composes_every_moving_step(case, photon_pair, full_grid):
     # the dark nu = nu_c lines cross branches, so the eigen-order permutes
     # at two grid steps; carrying the order between them must equal
-    # composing every step one point at a time
+    # composing every step one point at a time. The unstructured set never
+    # permutes, so the sweep skips the gather and keeps the eigen-order
     photons, coupling = MATCH_CASES[case](photon_pair)
     res = mm.sweep(photons, coupling, full_grid)
     freqs, vecs = normal_modes(
@@ -184,7 +188,8 @@ def test_sweep_composes_every_moving_step(case, photon_pair, full_grid):
         coupling.n_photon)
     steps = _min_cost_assignment(_match_cost(freqs, vecs ** 2))
     identity = np.arange(freqs.shape[1])
-    assert np.count_nonzero(np.any(steps != identity, axis=1)) >= 2
+    assert (np.count_nonzero(np.any(steps != identity, axis=1))
+            == MOVING_STEPS[case])
     order = [identity]
     for step in steps:
         order.append(step[order[-1]])
@@ -194,6 +199,11 @@ def test_sweep_composes_every_moving_step(case, photon_pair, full_grid):
     assert np.array_equal(res.fractions,
                           np.take_along_axis(vecs ** 2, order[..., None],
                                              axis=1))
+    if not MOVING_STEPS[case]:
+        assert np.array_equal(res.branches, freqs)
+        assert np.array_equal(res.fractions, vecs ** 2)
+    assert not res.branches.flags.writeable
+    assert not res.fractions.flags.writeable
 
 
 def test_branch_columns_are_continuous(photon_pair, structured_coupling,
@@ -575,3 +585,40 @@ def test_spectrum_matches_branch_minor_reference(n):
                 # pairwise, the branch-major sum adds rows in order: the
                 # same terms in another order
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_photon", [1, 2, 3, 4, 6])
+def test_grid_last_kernels_match_step_major_references(n_photon):
+    # the match cost adds the modes' terms in order where numpy sums a short
+    # axis of 8 or more pairwise: bit for bit below 4 photon modes, within
+    # 4 ulp and the same assignments above. The spectrum adds branch rows in
+    # order in both forms, so it agrees bit for bit at every size
+    rng = np.random.default_rng(7300 + n_photon)
+    n = 2 * n_photon
+    freqs = np.sort(rng.uniform(0.0, 2.6, (60, n)), axis=1)
+    fracs = np.linalg.qr(rng.normal(size=(60, n, n)))[0] ** 2
+    cost = _match_cost(freqs, fracs)
+    want = oracles.match_cost_step_major(freqs, fracs)
+    assert cost.shape == want.shape == (59, n, n)
+    if n < 8:
+        assert np.array_equal(cost, want)
+    else:
+        assert np.max(np.abs(cost - want) / np.spacing(want)) <= 4
+    np.testing.assert_array_equal(_min_cost_assignment(cost),
+                                  _min_cost_assignment(want))
+
+    grid = 0.05 + 0.005 * np.arange(511)
+    weights = rng.uniform(-0.1, 1.2, freqs.shape)
+    weights[3, n - 1] = np.nan
+    for widths in (0.04, rng.uniform(0.01, 0.1, n)):
+        cfg = mm.SpectrumConfig(frequency_grid=grid, linewidths=widths)
+        got = mm.spectrum_from_branches(freqs, weights, cfg)
+        assert np.array_equal(
+            got, oracles.spectrum_branch_major(freqs, weights, cfg),
+            equal_nan=True)
+        assert np.all(np.isnan(got[3])) and not np.any(np.isnan(got[4:]))
+        for t in (0, 3):  # single rows, the NaN-weighted one too
+            assert np.array_equal(
+                mm.spectrum_from_branches(freqs[t], weights[t], cfg),
+                oracles.spectrum_branch_major(freqs[t], weights[t], cfg),
+                equal_nan=True)
