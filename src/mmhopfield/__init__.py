@@ -29,7 +29,6 @@ _SOURCES = {
             "residual", "save_peaks"),
     "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
               "couplings_from_ratios", "cyclotron_frequency",
-              "field_for_cyclotron", "mode_volume_for_coupling",
               "rabi_from_gram", "rabi_microscopic", "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
                 "effective_mode_volumes", "full_mask", "gram", "load_mask",

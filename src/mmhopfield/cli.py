@@ -24,7 +24,7 @@ import tempfile
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, OverlapError)
+                     NumericalError, OverlapError, fault, ratio_cap)
 
 
 class ConfigError(ValueError):
@@ -39,81 +39,46 @@ def _bounds(raw):
     return tuple(_floats(raw))
 
 
-_EXPECTED = {float: "a number", int: "an integer",
+# what a parse that fails expected; a number, where not listed
+_EXPECTED = {int: "an integer",
              **dict.fromkeys((_floats, _bounds), "comma-separated numbers")}
 
-_GRID_KEY = (float, (math.isfinite, "start, stop and step must be finite"))
+_GRID_KEY = (float, "grid")
 MAX_GRID_POINTS = 1_000_000  # per sweep or spectrum grid
 _SWEEP_THZ = ("start_thz", "stop_thz", "step_thz")
 _SWEEP_TESLA = ("start_tesla", "stop_tesla", "step_tesla")
-_VOLUMES = (_floats, (lambda v: 0.0 < v < math.inf,
-                      "volumes must be finite and positive"))
-_PER_CM2 = 1e4  # m^-2 in a cm^-2
-# range caps, where the arithmetic (or the model) stops making sense
-MAX_RATIO = 1e6  # above it, rounding turns the smallest squared frequency negative
-MAX_LINEWIDTH_THZ = 1e150  # squared in every dip, which overflows near 1.3e154
-MAX_RESTARTS = 1000  # the restarts run in lockstep, as one stack
-MIN_MASS_RATIO = 1e-3  # under any band mass (InSb: 0.014); nu_c per tesla divides by it
-MAX_QW_COUNT = 10_000  # far above any grown stack; a huge int overflows a float
 _FEATURE_SPAN = (0.05, 2.0)  # THz, what dispersion.detect_features needs
-_BOUNDS = (_bounds, (lambda v: len(v) == 2,
-                     lambda v: f"needs exactly two values, got {len(v)}"),
-           (lambda v: v[0] < v[1], "must satisfy lo < hi"))
 
-# section -> key -> (parse, *checks). parse turns the raw text into the value
-# or raises ValueError; each check is (ok, problem), and ok() must hold for
-# the value, or for every item of a list (a tuple is checked whole). problem
-# is the text, or gives it from the value. These are the CLI's only value
-# checks; MaterialParams, FitConfig and SpectrumConfig repeat theirs, with
-# the same texts, for library callers.
+# section -> key -> (parse, rule). parse turns the raw text into the value
+# or raises ValueError; rule, if any, is the field whose errors.RULES entry
+# checks the value, as it checks that library field.
 _KEYS = {
     "photon_modes": {
-        "frequencies_thz": (_floats, (lambda v: 0.0 < v < math.inf,
-                                      "frequencies must be finite and positive")),
-        "labels": (lambda raw: [c.strip() for c in raw.split(",")],)},
+        "frequencies_thz": (_floats, "frequency"),
+        "labels": (lambda raw: [c.strip() for c in raw.split(",")], None)},
     "coupling": {
-        **dict.fromkeys(("ratio_11", "ratio_2_tilde"), (
-            float, (lambda v: not v < 0.0, "ratios must be non-negative"),
-            (lambda v: v < math.inf, "ratios must be finite"),
-            (lambda v: v <= MAX_RATIO, f"ratios must not exceed {MAX_RATIO:g}"))),
-        "eta": (float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-        "mode_volumes_m3": _VOLUMES},
+        "ratio_11": (float, "ratio_11"),
+        "ratio_2_tilde": (float, "ratio_2_tilde"),
+        "eta": (float, "eta"),
+        "mode_volumes_m3": (_floats, "effective_mode_volume")},
     "material": {
-        "effective_mass_ratio": (float, (lambda v: 0.0 < v < math.inf,
-                                         "must be finite and positive"),
-                                 (lambda v: v >= MIN_MASS_RATIO,
-                                  f"must be at least {MIN_MASS_RATIO:g}")),
-        # MaterialParams sees the density in m^-2
-        "sheet_density_per_cm2": (float, (lambda v: 0.0 <= v * _PER_CM2 < math.inf,
-                                          "must be finite and non-negative")),
-        "qw_count": (int, (lambda v: v >= 1, "must be at least 1"),
-                     (lambda v: v <= MAX_QW_COUNT,
-                      f"must not exceed {MAX_QW_COUNT}")),
-        "background_permittivity": (float, (lambda v: 1.0 <= v < math.inf,
-                                            "must be finite and >= 1"))},
+        "effective_mass_ratio": (float, "effective_mass_ratio"),
+        # in the m^-2 of MaterialParams
+        "sheet_density_per_cm2": (lambda raw: float(raw) * 1e4, "sheet_density"),
+        "qw_count": (int, "qw_count"),
+        "background_permittivity": (float, "background_permittivity")},
     "sweep": dict.fromkeys(_SWEEP_THZ + _SWEEP_TESLA, _GRID_KEY),
     "spectrum": {
-        "linewidth_thz": (_floats, (math.isfinite, "linewidths must be finite"),
-                          (lambda v: v > 0.0, "linewidths must be positive"),
-                          (lambda v: v <= MAX_LINEWIDTH_THZ,
-                           f"linewidths must not exceed {MAX_LINEWIDTH_THZ:g}")),
-        "weight_mode": (str, (lambda v: v in ("photon_fraction", "equal"),
-                              "must be 'photon_fraction' or 'equal'")),
+        "linewidth_thz": (_floats, "linewidths"),
+        "weight_mode": (str, "weight_mode"),
         **dict.fromkeys(("freq_min_thz", "freq_max_thz", "freq_step_thz"),
                         _GRID_KEY)},
     "fit": {
-        **dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds"), _BOUNDS + (
-            (lambda v: 0.0 <= v[0] and v[1] < math.inf,
-             "must be finite and non-negative"),
-            (lambda v: v[1] <= MAX_RATIO, f"must not exceed {MAX_RATIO:g}"))),
-        "eta_bounds": _BOUNDS + ((lambda v: 0.0 <= v[0] and v[1] <= 1.0,
-                                  "must lie within [0, 1]"),),
-        "eta_mode": (str, (lambda v: v in ("fixed", "free"),
-                           "must be 'fixed' or 'free'")),
-        "restarts": (int, (lambda v: v >= 1, "need at least one restart"),
-                     (lambda v: v <= MAX_RESTARTS,
-                      f"must not exceed {MAX_RESTARTS}"))},
-    "overlap": {"physical_volumes_m3": _VOLUMES},
+        **{key: (_bounds, key)
+           for key in ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")},
+        "eta_mode": (str, "eta_mode"),
+        "restarts": (int, "restarts")},
+    "overlap": {"physical_volumes_m3": (_floats, "physical_volumes")},
 }
 
 _COMMENT = re.compile(r"(?:^|\s)[;#]")
@@ -189,16 +154,15 @@ class _Config:
                     f"{self.path}: missing key {key} in section [{section}]")
             return default
         raw = self.entries[section, key][0].strip()
-        parse, *checks = _KEYS[section][key]
+        parse, rule = _KEYS[section][key]
         try:
             value = parse(raw)
         except ValueError:
             raise self.error(section, key,
-                             f"expected {_EXPECTED[parse]}, got {raw!r}") from None
-        for ok, problem in checks:
-            if not all(map(ok, value if isinstance(value, list) else [value])):
-                raise self.error(section, key, problem(value)
-                                 if callable(problem) else problem)
+                             f"expected {_EXPECTED.get(parse, 'a number')}, "
+                             f"got {raw!r}") from None
+        if found := rule and fault(**{rule: value}):
+            raise self.error(section, key, found[1])
         return value
 
     def error(self, section, key, problem):
@@ -236,8 +200,7 @@ def _material(cfg):
     defaults are MaterialParams' own."""
     return {
         "effective_mass_ratio": cfg.get("material", "effective_mass_ratio", 0.07),
-        "sheet_density": cfg.get("material", "sheet_density_per_cm2",
-                                 1.25e12) * _PER_CM2,
+        "sheet_density": cfg.get("material", "sheet_density_per_cm2", 1.25e16),
         "qw_count": cfg.get("material", "qw_count", 3),
         "background_permittivity": cfg.get("material", "background_permittivity",
                                            12.9)}
@@ -350,9 +313,9 @@ def _solve(cfg, modes, ratios, eta, grid):
                       for m in photons]
         except ZeroDivisionError:  # the denominator underflowed to 0
             ratios = [math.inf]
-        if not all(ratio <= MAX_RATIO for ratio in ratios):
-            raise cfg.error("coupling", "mode_volumes_m3",
-                            f"give coupling ratios above {MAX_RATIO:g}")
+        ok, problem = ratio_cap("give coupling ratios above")
+        if not all(map(ok, ratios)):
+            raise cfg.error("coupling", "mode_volumes_m3", problem)
     coupling = model.couplings_from_ratios(photons, *ratios, eta)
     return photons, dispersion.sweep(photons, coupling, _points(grid))
 
@@ -457,8 +420,8 @@ def _run_fit(args):
                 ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
     settings.update(fit_eta=fit_eta, restarts=cfg.get("fit", "restarts", 8),
                     eta_fixed=1.0 if fit_eta else cfg.get("coupling", "eta"))
-    if args.seed < 0:
-        raise ConfigError("--seed: must be a non-negative integer")
+    if found := fault(seed=args.seed):
+        raise ConfigError(f"--seed: {found[1]}")
 
     # "from . import fit" would give the package's fit() function, not the
     # submodule, so take the names from the submodule itself

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bogoliubov import normal_modes
-from .errors import InstabilityError
+from .errors import InstabilityError, fault
 from .model import assemble_batch
 
 # branch-classification thresholds (THz unless noted)
@@ -324,12 +324,9 @@ class SpectrumConfig:
         if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("frequency grid must be ascending with >= 2 points")
         widths = np.atleast_1d(np.array(self.linewidths, dtype=float))
-        if not np.all(np.isfinite(widths)):
-            raise ValueError("linewidths must be finite")
-        if np.any(widths <= 0.0):
-            raise ValueError("linewidths must be positive")
-        if self.weight_mode not in ("photon_fraction", "equal"):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+        if found := fault(linewidths=widths.ravel().tolist(),
+                          weight_mode=self.weight_mode):
+            raise ValueError(": ".join(found))
         grid.flags.writeable = False
         widths.flags.writeable = False
         object.__setattr__(self, "frequency_grid", grid)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the ASCII reader of the
-input files whose errors are a ProfileFormatError."""
+"""Exception types shared across the package, the value rules of its inputs,
+and the ASCII reader of the input files whose errors are a
+ProfileFormatError. Nothing here imports numpy: the CLI checks a config
+with these rules before it loads numpy."""
 
+import math
 import re
 
 
@@ -66,3 +69,78 @@ def read_ascii(path):
         lineno = data.count(b"\n", 0, pos) + 1
         raise ProfileFormatError(
             f"{path}:{lineno}: non-ASCII byte 0x{data[pos]:02x}") from None
+
+
+# range caps, where the arithmetic (or the model) stops making sense. MAX_RATIO
+# bounds the arithmetic, not the stable range: at ratio 1e7 rounding turns
+# structured.cfg's smallest squared frequency negative, and at eta = 0 that
+# already happens from about 1e3 (test_identity_gram_is_stable's strict xfails).
+MAX_RATIO = 1e6
+MAX_LINEWIDTH_THZ = 1e150  # squared in every dip, which overflows near 1.3e154
+MAX_RESTARTS = 1000  # the restarts run in lockstep, as one stack
+MIN_MASS_RATIO = 1e-3  # under any band mass (InSb: 0.014); nu_c per tesla divides by it
+MAX_QW_COUNT = 10_000  # far above any grown stack; a huge int overflows a float
+
+
+def ratio_cap(problem, of=lambda v: v):
+    """The check (ok, problem text and cap) that of(value) <= MAX_RATIO."""
+    return lambda v: of(v) <= MAX_RATIO, f"{problem} {MAX_RATIO:g}"
+
+
+_BOUNDS = ((lambda v: len(v) == 2, lambda v: f"needs exactly two values, got {len(v)}"),
+           (lambda v: v[0] < v[1], "must satisfy lo < hi"))
+
+# field -> checks: each value rule of the package, written once, for the
+# fields of the library's types and functions and the CLI keys that give
+# them. A check is (ok, problem): ok() must hold for the value, or for every
+# item of a list (a tuple is checked whole); problem is the text, or gives it
+# from the value.
+RULES = {
+    "frequency": ((lambda v: 0.0 < v < math.inf,
+                   "frequencies must be finite and positive"),),
+    **dict.fromkeys(("effective_mode_volume", "physical_volumes"), (
+        (lambda v: 0.0 < v < math.inf, "volumes must be finite and positive"),)),
+    **dict.fromkeys(("ratio_11", "ratio_2_tilde"), (
+        (lambda v: not v < 0.0, "ratios must be non-negative"),
+        (lambda v: v < math.inf, "ratios must be finite"),
+        ratio_cap("ratios must not exceed"))),
+    **dict.fromkeys(("eta", "eta_fixed"), (
+        (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),)),
+    "effective_mass_ratio": (
+        (lambda v: 0.0 < v < math.inf, "must be finite and positive"),
+        (lambda v: v >= MIN_MASS_RATIO, f"must be at least {MIN_MASS_RATIO:g}")),
+    "sheet_density": ((lambda v: 0.0 <= v < math.inf,
+                       "must be finite and non-negative"),),
+    "qw_count": ((lambda v: v >= 1, "must be at least 1"),
+                 (lambda v: v <= MAX_QW_COUNT, f"must not exceed {MAX_QW_COUNT}")),
+    "background_permittivity": ((lambda v: 1.0 <= v < math.inf,
+                                 "must be finite and >= 1"),),
+    "linewidths": ((math.isfinite, "linewidths must be finite"),
+                   (lambda v: v > 0.0, "linewidths must be positive"),
+                   (lambda v: v <= MAX_LINEWIDTH_THZ,
+                    f"linewidths must not exceed {MAX_LINEWIDTH_THZ:g}")),
+    "weight_mode": ((lambda v: v in ("photon_fraction", "equal"),
+                     "must be 'photon_fraction' or 'equal'"),),
+    **dict.fromkeys(("ratio_11_bounds", "ratio_2_bounds"), _BOUNDS + (
+        (lambda v: 0.0 <= v[0] and v[1] < math.inf, "must be finite and non-negative"),
+        ratio_cap("must not exceed", of=max))),
+    "eta_bounds": _BOUNDS + ((lambda v: 0.0 <= v[0] and v[1] <= 1.0,
+                              "must lie within [0, 1]"),),
+    "restarts": ((lambda v: v >= 1, "need at least one restart"),
+                 (lambda v: v <= MAX_RESTARTS, f"must not exceed {MAX_RESTARTS}"),
+                 (lambda v: v == int(v), "must be an integer")),
+    "seed": ((lambda v: v >= 0, "must be a non-negative integer"),),
+    # CLI keys with no library field: eta_mode, and a grid's start, stop, step
+    "eta_mode": ((lambda v: v in ("fixed", "free"), "must be 'fixed' or 'free'"),),
+    "grid": ((math.isfinite, "start, stop and step must be finite"),),
+}
+
+
+def fault(**values):
+    """(field, problem) of the first of values, keyed by field, that breaks
+    its RULES, else None."""
+    for field, value in values.items():
+        for ok, problem in RULES[field]:
+            if not all(map(ok, value if isinstance(value, list) else (value,))):
+                return field, problem(value) if callable(problem) else problem
+    return None

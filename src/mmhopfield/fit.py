@@ -28,7 +28,7 @@ import numpy as np
 
 from .bogoliubov import normal_modes
 from .errors import (DataCoverageError, FitConfigError, InstabilityError,
-                     ProfileFormatError, read_ascii)
+                     ProfileFormatError, fault, read_ascii)
 from .model import assemble_batch, rabi_from_gram, strengths_from_ratios
 
 MAX_ASSIGNED_PEAKS = 5
@@ -92,11 +92,10 @@ class FitConfig:
     at eta_fixed unless fit_eta is set, in which case it moves inside
     eta_bounds, a part of [0, 1]. The restarts start from points drawn by
     random.Random(seed), seed a non-negative integer, so one seed always
-    gives the same start points. A restart has converged once its step falls
-    below xatol in units of each parameter's bound width; it may evaluate
-    at most max_evaluations parameter sets, at least the P + 1 of its first
-    point and Jacobian (P = 2 fitted parameters, 3 with fit_eta). Invalid
-    values raise FitConfigError."""
+    gives the same start points. A restart may evaluate at most
+    max_evaluations parameter sets, at least the P + 1 of its first point
+    and Jacobian (P = 2 fitted parameters, 3 with fit_eta). Invalid values
+    raise FitConfigError."""
 
     ratio_11_bounds: tuple = (0.0, 1.0)
     ratio_2_bounds: tuple = (0.0, 1.0)
@@ -105,28 +104,14 @@ class FitConfig:
     eta_bounds: tuple = (0.0, 1.0)
     restarts: int = 8
     seed: int = 0
-    xatol: float = 1e-6
     max_evaluations: int = 4000
 
     def __post_init__(self):
-        for name in ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds"):
-            bounds = getattr(self, name)
-            if len(bounds) != 2:
-                raise FitConfigError(
-                    name, f"needs exactly two values, got {len(bounds)}")
-            lo, hi = bounds
-            if not lo < hi:
-                raise FitConfigError(name, "must satisfy lo < hi")
-            if name != "eta_bounds" and (lo < 0.0 or hi == math.inf):
-                raise FitConfigError(name, "must be finite and non-negative")
-        if self.eta_bounds[0] < 0.0 or self.eta_bounds[1] > 1.0:
-            raise FitConfigError("eta_bounds", "must lie within [0, 1]")
-        if not 0.0 <= self.eta_fixed <= 1.0:
-            raise FitConfigError("eta_fixed", "must lie in [0, 1]")
-        if self.restarts < 1:
-            raise FitConfigError("restarts", "need at least one restart")
-        if self.seed < 0:
-            raise FitConfigError("seed", "must be a non-negative integer")
+        bounds = {name: tuple(getattr(self, name)) for name in (
+            "ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
+        if found := fault(**bounds, eta_fixed=self.eta_fixed,
+                          restarts=self.restarts, seed=self.seed):
+            raise FitConfigError(*found)
         first_probe = (3 if self.fit_eta else 2) + 1
         if self.max_evaluations < first_probe:
             raise FitConfigError(
@@ -264,6 +249,9 @@ LAMBDA_START = 1e-3
 LAMBDA_FACTOR = 10.0
 LAMBDA_MIN = 1e-12
 LAMBDA_MAX = 1e16
+# a restart has converged once its step falls below this, in units of each
+# parameter's bound width
+XATOL = 1e-6
 # a Jacobian column shorter than this fraction of the longest (both in
 # normalized units) is zero to forward-difference precision
 FLAT_COLUMN = 1e-6
@@ -283,7 +271,7 @@ def _stop_rule(rms, converged):
     return best, None
 
 
-def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
+def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
     """Bounded Levenberg-Marquardt on the per-peak residuals, from each of
     the R start points x (R, P), every restart in lockstep.
 
@@ -292,7 +280,7 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
     parameter sets per restart in one stack, with the assignment fixed at
     the trial point. A trial is accepted only if its misfit (assignment
     re-solved, as residual() computes it) falls. A restart has converged
-    once it has tried a step below xatol in units of the bound widths, or
+    once it has tried a step below XATOL in units of the bound widths, or
     once its damping saturates; it stops unconverged when its next
     iteration would exceed budget evaluations. The damped step is
     elementwise arithmetic and a batched solve, so a restart's path does not
@@ -349,9 +337,9 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, xatol, budget):
         delta = np.linalg.solve(system, np.where(free, -grad, 0.0)[:, :, None])
         trial = np.clip(xs + delta[:, :, 0], lo, hi)
         step = (np.abs(trial - xs) / span).max(axis=-1)
-        converged[live] = (step == 0.0) | (step < xatol)
+        converged[live] = (step == 0.0) | (step < XATOL)
         go = (step > 0.0) & (evaluations[live] + n_params + 1 <= budget)
-        live, trial, small = live[go], trial[go], step[go] < xatol
+        live, trial, small = live[go], trial[go], step[go] < XATOL
         if not live.size:
             break
         trial_rms, trial_resid, trial_jac = probe(trial)
@@ -405,8 +393,7 @@ def fit(data, photons, config=FitConfig()):
     starts = lo + (hi - lo) * np.array(
         [[draw.uniform(0.2, 0.8) for _ in lo] for _ in range(config.restarts)])
     x, rms, evaluations, converged = _levenberg_marquardt(
-        misfit, param_sets, starts, lo, hi, config.xatol,
-        config.max_evaluations)
+        misfit, param_sets, starts, lo, hi, config.max_evaluations)
     best, stop = _stop_rule(rms, converged)
     ran = config.restarts if stop is None else stop + 1
 

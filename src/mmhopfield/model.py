@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .errors import fault
+
 # CODATA 2018
 ELEMENTARY_CHARGE = 1.602176634e-19     # C (exact)
 ELECTRON_MASS = 9.1093837015e-31        # kg
@@ -59,14 +61,8 @@ class MaterialParams:
     background_permittivity: float = 12.9
 
     def __post_init__(self):
-        if not 0.0 < self.effective_mass_ratio < math.inf:
-            raise ValueError("effective_mass_ratio must be finite and positive")
-        if not 0.0 <= self.sheet_density < math.inf:
-            raise ValueError("sheet_density must be finite and non-negative")
-        if self.qw_count < 1:
-            raise ValueError("qw_count must be at least 1")
-        if not 1.0 <= self.background_permittivity < math.inf:
-            raise ValueError("background_permittivity must be finite and >= 1")
+        if found := fault(**vars(self)):
+            raise ValueError(": ".join(found))
 
     @property
     def effective_mass(self):
@@ -88,11 +84,10 @@ class PhotonMode:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("mode index must be >= 1")
-        if not 0.0 < self.frequency < math.inf:
-            raise ValueError("photon frequency must be finite and positive")
-        if (self.effective_mode_volume is not None
-                and not 0.0 < self.effective_mode_volume < math.inf):
-            raise ValueError("effective mode volume must be finite and positive")
+        volume = self.effective_mode_volume
+        if found := fault(frequency=self.frequency, **(
+                {} if volume is None else {"effective_mode_volume": volume})):
+            raise ValueError(": ".join(found))
 
     @property
     def omega(self):
@@ -134,13 +129,6 @@ def cyclotron_frequency(field_tesla, material=MaterialParams()):
         raise ValueError("magnetic field must be non-negative")
     nu_hz = ELEMENTARY_CHARGE * field_tesla / (2.0 * math.pi * material.effective_mass)
     return nu_hz / 1e12
-
-
-def field_for_cyclotron(nu_c, material=MaterialParams()):
-    """Magnetic field (T) producing cyclotron frequency nu_c (THz)."""
-    if nu_c < 0.0:
-        raise ValueError("cyclotron frequency must be non-negative")
-    return 2.0 * math.pi * material.effective_mass * nu_c * 1e12 / ELEMENTARY_CHARGE
 
 
 def rabi_from_gram(strengths, gram):
@@ -196,11 +184,9 @@ def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
     overlap eta in [0, 1], Gamma = [[1, eta], [eta, 1]], quoted at nu_1."""
     if len(photons) != 2:
         raise ValueError("ratio constructor expects exactly two photon modes")
+    if found := fault(ratio_11=ratio_11, ratio_2_tilde=ratio_2_tilde, eta=eta):
+        raise ValueError(": ".join(found))
     strengths = strengths_from_ratios(photons, [ratio_11, ratio_2_tilde])
-    if not np.all((0.0 <= strengths) & (strengths < math.inf)):
-        raise ValueError("Rabi couplings must be finite and non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
     return CouplingSet(rabi=rabi_from_gram(strengths, [[1.0, eta], [eta, 1.0]]),
                        reference_cyclotron=photons[0].frequency)
 
@@ -229,21 +215,6 @@ def rabi_microscopic(mode, material, nu_c):
            * material.background_permittivity * mode.omega
            * mode.effective_mode_volume)
     return math.sqrt(num / den)
-
-
-def mode_volume_for_coupling(mode, material, nu_c, omega_r):
-    """Effective mode volume (m^3) that reproduces Rabi coupling omega_r at
-    cyclotron frequency nu_c. Inverse of rabi_microscopic."""
-    if nu_c <= 0.0:
-        raise ValueError("nu_c must be positive")
-    if omega_r <= 0.0:
-        raise ValueError("omega_r must be positive")
-    w_c = nu_c * RAD_PER_SEC_PER_THZ
-    num = (w_c * material.qw_count * material.sheet_density
-           * ELEMENTARY_CHARGE ** 2)
-    den = (2.0 * material.effective_mass * VACUUM_PERMITTIVITY
-           * material.background_permittivity * mode.omega)
-    return num / den / omega_r ** 2
 
 
 def _gram(rabi, w_c):

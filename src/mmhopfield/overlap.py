@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import OverlapError, ProfileFormatError, read_ascii
+from .errors import OverlapError, ProfileFormatError, fault, read_ascii
 
 
 def _check_grid(nx, ny, dx, dy):
@@ -120,8 +120,8 @@ def effective_mode_volumes(gram, physical_volumes):
     """Effective volumes V_i / F_ii steering the microscopic coupling
     strength; a profile of unit self-overlap keeps its physical volume."""
     volumes = np.asarray(physical_volumes, dtype=float)
-    if not np.all((0.0 < volumes) & (volumes < math.inf)):
-        raise ValueError("physical volume must be finite and positive")
+    if found := fault(physical_volumes=volumes.ravel().tolist()):
+        raise ValueError(": ".join(found))
     return volumes / _self_overlaps(gram, "mode volume")
 
 

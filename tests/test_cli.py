@@ -9,7 +9,9 @@ checks main()'s garbage-collector policy. Output files are byte-compared where
 determinism is promised.
 """
 
+import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -21,7 +23,7 @@ import pytest
 
 import mmhopfield as mm
 import oracles
-from mmhopfield import cli, dispersion, model, overlap
+from mmhopfield import cli, dispersion, errors, model, overlap
 
 TRUE_RATIO_11 = 0.37
 TRUE_RATIO_2 = 0.2124026
@@ -570,6 +572,180 @@ def test_bad_physical_volumes_name_their_line(tmp_path, capsys, lc_profile,
     assert (f"ERROR 2: {cfg}:2: [overlap] physical_volumes_m3: volumes must "
             f"be finite and positive") in capsys.readouterr().err
     assert not (tmp_path / "overlap.json").exists()
+
+
+_PAIR = [mm.PhotonMode(index=1, frequency=0.8),
+         mm.PhotonMode(index=2, frequency=1.6)]
+_OVERLAP_CFG = "[overlap]\nphysical_volumes_m3 = 1e-17, 2e-17\n"
+_COMMANDS = {SWEEP_CFG: "sweep", MATERIAL_CFG: "sweep", SPECTRUM_CFG: "spectrum",
+             FIT_CFG: "fit", _OVERLAP_CFG: "overlap"}
+_FIT_FIELDS = {f.name for f in dataclasses.fields(mm.FitConfig)}
+
+
+def _couplings(field):
+    return lambda v: mm.couplings_from_ratios(_PAIR, **{
+        "ratio_11": 0.37, "ratio_2_tilde": 0.2124026, "eta": 0.15, field: v})
+
+
+def _material(field):
+    return lambda v: mm.MaterialParams(**{field: v})
+
+
+def _spectrum(field):
+    return lambda v: mm.SpectrumConfig(
+        frequency_grid=[0.4, 0.5], **{"linewidths": 0.04, field: v})
+
+
+def _fit_config(field):
+    return lambda v: mm.FitConfig(**{field: v})
+
+
+def _next_up(text):
+    return repr(math.nextafter(float(text), math.inf))
+
+
+# Each check of errors.RULES at its boundary: (field, config, key, a value
+# just inside, one just outside, the library call of the value as the
+# config reader parses it). A key of None is the --seed flag; a call of
+# None marks a rule that only the CLI has.
+RULE_ROWS = [
+    ("frequency", SWEEP_CFG, "frequencies_thz", "5e-324, 1.6", "0, 1.6",
+     lambda v: [mm.PhotonMode(index=1, frequency=f) for f in v]),
+    ("frequency", SWEEP_CFG, "frequencies_thz", "0.8, 1.7976931348623157e308",
+     "0.8, inf", lambda v: [mm.PhotonMode(index=1, frequency=f) for f in v]),
+    ("effective_mode_volume", MATERIAL_CFG, "mode_volumes_m3", "5e-324, 2e-17",
+     "0, 2e-17", lambda v: [mm.PhotonMode(index=1, frequency=0.8,
+                                          effective_mode_volume=x) for x in v]),
+    ("physical_volumes", _OVERLAP_CFG, "physical_volumes_m3", "1e-17, 5e-324",
+     "1e-17, -5e-324", lambda v: mm.effective_mode_volumes(np.eye(2), v)),
+    *[(field, SWEEP_CFG, field, inside, outside, _couplings(field))
+      for field in ("ratio_11", "ratio_2_tilde")
+      for inside, outside in (("0", "-5e-324"), ("1e6", "nan"),
+                              ("1e6", _next_up("1e6")))],
+    ("eta", SWEEP_CFG, "eta", "0", "-5e-324", _couplings("eta")),
+    ("eta", SWEEP_CFG, "eta", "1", _next_up("1"), _couplings("eta")),
+    ("eta_fixed", FIT_CFG, "eta", "1", _next_up("1"), _fit_config("eta_fixed")),
+    ("effective_mass_ratio", MATERIAL_CFG, "effective_mass_ratio",
+     "1.7976931348623157e308", "inf", _material("effective_mass_ratio")),
+    ("effective_mass_ratio", MATERIAL_CFG, "effective_mass_ratio", "0.001",
+     repr(math.nextafter(0.001, 0.0)), _material("effective_mass_ratio")),
+    ("sheet_density", MATERIAL_CFG, "sheet_density_per_cm2", "0", "-5e-324",
+     _material("sheet_density")),
+    ("sheet_density", MATERIAL_CFG, "sheet_density_per_cm2", "1e304", "1e305",
+     _material("sheet_density")),
+    ("qw_count", MATERIAL_CFG, "qw_count", "1", "0", _material("qw_count")),
+    ("qw_count", MATERIAL_CFG, "qw_count", "10000", "10001",
+     _material("qw_count")),
+    ("background_permittivity", MATERIAL_CFG, "background_permittivity", "1",
+     repr(math.nextafter(1.0, 0.0)), _material("background_permittivity")),
+    ("linewidths", SPECTRUM_CFG, "linewidth_thz", "1e150", "nan",
+     _spectrum("linewidths")),
+    ("linewidths", SPECTRUM_CFG, "linewidth_thz", "5e-324", "0",
+     _spectrum("linewidths")),
+    ("linewidths", SPECTRUM_CFG, "linewidth_thz", "1e150", _next_up("1e150"),
+     _spectrum("linewidths")),
+    ("weight_mode", SPECTRUM_CFG, "weight_mode", "equal", "Equal",
+     _spectrum("weight_mode")),
+    *[(field, FIT_CFG, field, inside, outside, _fit_config(field))
+      for field in ("ratio_11_bounds", "ratio_2_bounds")
+      for inside, outside in (("0, 0.8", "0.8"), ("0, 0.8", "0.8, 0.8"),
+                              ("0, 5e-324", "-5e-324, 0.8"),
+                              ("0, 1e6", "0, " + _next_up("1e6")))],
+    ("eta_bounds", FIT_CFG, "eta_bounds", "0, 1", "0, 1, 1",
+     _fit_config("eta_bounds")),
+    ("eta_bounds", FIT_CFG, "eta_bounds", "0, 5e-324", "5e-324, 5e-324",
+     _fit_config("eta_bounds")),
+    ("eta_bounds", FIT_CFG, "eta_bounds", "0, 1", "0, " + _next_up("1"),
+     _fit_config("eta_bounds")),
+    ("restarts", FIT_CFG, "restarts", "1", "0", _fit_config("restarts")),
+    ("restarts", FIT_CFG, "restarts", "1000", "1001", _fit_config("restarts")),
+    ("seed", FIT_CFG, None, "0", "-1", _fit_config("seed")),
+    ("eta_mode", FIT_CFG, "eta_mode", "free", "Free", None),
+    ("grid", SWEEP_CFG, "start_thz", "1.7976931348623157e308", "inf", None),
+]
+
+
+def _with_value(text, key, value):
+    """text with the key's line set to value, or the line added at the end."""
+    lines = text.splitlines()
+    at = next((i for i, ln in enumerate(lines) if ln.startswith(key + " =")),
+              len(lines))
+    lines[at:at + 1] = [f"{key} = {value}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_rule_rows_cover_every_rule():
+    assert {row[0] for row in RULE_ROWS} == set(errors.RULES)
+
+
+@pytest.mark.parametrize(
+    "field, text, key, inside, outside, library", RULE_ROWS,
+    ids=[f"{row[0]}={row[4]}" for row in RULE_ROWS])
+def test_each_rule_binds_the_cli_and_the_library_alike(
+        tmp_path, capsys, peaks_csv, field, text, key, inside, outside, library):
+    command = _COMMANDS[text]
+    section = next((s for s, keys in cli._KEYS.items() if key in keys), None)
+    parse = cli._KEYS[section][key][0] if key else int
+    argv = [command, "--out", str(tmp_path)]
+    if command == "fit":
+        argv += ["--peaks", peaks_csv]
+    elif command == "overlap":  # the config is read before the profiles
+        argv += ["--profiles", peaks_csv, peaks_csv]
+
+    # just inside: the config reader (for --seed, the whole fit) and the
+    # library take it
+    if key:
+        cfg = _write(tmp_path / "inside.ini", _with_value(text, key, inside))
+        assert cli._Config(cfg).get(section, key) == parse(inside)
+    else:
+        cfg = _write(tmp_path / "inside.ini", text)
+        assert cli.main(argv + ["--config", cfg, "--seed", inside]) == 0
+    if library:
+        library(parse(inside))
+
+    # just outside: the table's problem, at the key's line and with the field
+    found = errors.fault(**{field: parse(outside)})
+    assert found is not None
+    problem = found[1]
+    if key:
+        cfg = _write(tmp_path / "outside.ini", _with_value(text, key, outside))
+        lineno = Path(cfg).read_text().splitlines().index(
+            f"{key} = {outside}") + 1
+        expected = f"ERROR 2: {cfg}:{lineno}: [{section}] {key}: {problem}\n"
+    else:
+        cfg = _write(tmp_path / "outside.ini", text)
+        argv += ["--seed", outside]
+        expected = f"ERROR 2: --seed: {problem}\n"
+    capsys.readouterr()
+    assert cli.main(argv + ["--config", cfg]) == 2
+    assert capsys.readouterr().err == expected
+    if library:
+        with pytest.raises(ValueError) as info:
+            library(parse(outside))
+        assert str(info.value) == f"{field}: {problem}"
+        assert isinstance(info.value, mm.FitConfigError) == (
+            field in _FIT_FIELDS)
+
+
+# Faults a library caller met before the library checked its fields by the
+# same rules as the CLI; each comment says what the call did then.
+@pytest.mark.parametrize("call, error, field", [
+    # sweep raised InstabilityError on a nan THz^2
+    (lambda: mm.couplings_from_ratios(_PAIR, 1e200, 1e200, 0.5), ValueError,
+     "ratio_11"),
+    # every transmission value came out nan
+    (lambda: mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=1e160),
+     ValueError, "linewidths"),
+    # cyclotron_frequency raised ZeroDivisionError
+    (lambda: mm.MaterialParams(effective_mass_ratio=1e-310), ValueError,
+     "effective_mass_ratio"),
+    # fit raised TypeError
+    (lambda: mm.FitConfig(restarts=2.5), mm.FitConfigError, "restarts"),
+], ids=["ratio-overflow", "linewidth-overflow", "mass-underflow",
+        "fractional-restarts"])
+def test_library_faults_raise_at_construction(call, error, field):
+    with pytest.raises(error, match=f"^{field}: "):
+        call()
 
 
 @pytest.mark.parametrize("row", ["nan,0.7,1.2", "0.9,nan,1.2", "0.9,0.7,inf"])

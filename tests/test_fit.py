@@ -281,7 +281,7 @@ def test_budget_that_stops_the_last_small_step_still_converges(photon_pair):
     cut = mm.fit(data, photon_pair, dataclasses.replace(
         config, max_evaluations=full.n_evaluations - 1))
     assert full.converged is True
-    # the step left untried is already below xatol
+    # the step left untried is already below XATOL
     assert cut.converged is True
     assert cut.n_evaluations == full.n_evaluations - 3
 
@@ -314,12 +314,11 @@ def test_lockstep_restarts_match_each_restart_alone(photon_pair, ratios,
 
     starts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(8, n_params))
     starts[0] = lo  # every variable on a bound
-    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi,
-                                    1e-6, 4000)
+    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi, 4000)
     assert len(set(together[2].tolist())) > 1  # restarts end apart
     for k in range(len(starts)):
         alone = _levenberg_marquardt(misfit, param_sets, starts[k:k + 1],
-                                     lo, hi, 1e-6, 4000)
+                                     lo, hi, 4000)
         for stacked, single in zip(together, alone):
             assert np.array_equal(stacked[k], single[0]), k
 
@@ -336,12 +335,9 @@ def test_restarts_after_an_exact_fit_are_dropped(photon_pair):
         return np.column_stack([points, np.full(len(points), TRUE_ETA)])
 
     starts = np.array([[TRUE_RATIO_11, TRUE_RATIO_2], [0.75, 0.05]])
-    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi,
-                                    1e-6, 4000)
-    first = _levenberg_marquardt(misfit, param_sets, starts[:1], lo, hi,
-                                 1e-6, 4000)
-    second = _levenberg_marquardt(misfit, param_sets, starts[1:], lo, hi,
-                                  1e-6, 4000)
+    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi, 4000)
+    first = _levenberg_marquardt(misfit, param_sets, starts[:1], lo, hi, 4000)
+    second = _levenberg_marquardt(misfit, param_sets, starts[1:], lo, hi, 4000)
     assert together[3][0] and together[1][0] < EXACT_FIT_RMS_THZ
     for stacked, single in zip(together, first):
         assert np.array_equal(stacked[0], single[0])

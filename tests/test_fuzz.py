@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from mmhopfield import cli
+from mmhopfield import cli, errors
 
 BASE_CFG = """\
 [photon_modes]
@@ -339,7 +339,7 @@ def _above(cap):
     pytest.param("ratios", "spectrum", "linewidth_thz", "1e150", 0, None, None,
                  id="linewidth-at-cap"),
     pytest.param("ratios", "spectrum", "linewidth_thz",
-                 _above(cli.MAX_LINEWIDTH_THZ), 2, "spectrum linewidth_thz",
+                 _above(errors.MAX_LINEWIDTH_THZ), 2, "spectrum linewidth_thz",
                  "linewidths must not exceed 1e+150", id="linewidth-above-cap"),
     # exit 0, with every T cell nan
     pytest.param("structured", "spectrum", "linewidth_thz", "1e200", 2,
@@ -348,7 +348,7 @@ def _above(cap):
     *[pytest.param("structured", "sweep", key, "1e6", 0, None, None,
                    id=f"{key}-at-cap")
       for key in ("ratio_11", "ratio_2_tilde")],
-    *[pytest.param("structured", "sweep", key, _above(cli.MAX_RATIO), 2,
+    *[pytest.param("structured", "sweep", key, _above(errors.MAX_RATIO), 2,
                    f"coupling {key}", "ratios must not exceed 1e+06",
                    id=f"{key}-above-cap")
       for key in ("ratio_11", "ratio_2_tilde")],
@@ -365,7 +365,7 @@ def _above(cap):
                  "coupling ratio_11", "ratios must not exceed 1e+06",
                  id="ratio-unanchored"),
     # no ceiling: the restarts ran until memory gave out
-    pytest.param("ratios", "fit", "restarts", str(cli.MAX_RESTARTS + 1), 2,
+    pytest.param("ratios", "fit", "restarts", str(errors.MAX_RESTARTS + 1), 2,
                  "fit restarts", "must not exceed 1000", id="restarts-above-cap"),
     # overflow RuntimeWarnings from the start points
     pytest.param("ratios", "fit", "ratio_11_bounds", "0, 1e300", 2,

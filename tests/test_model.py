@@ -37,13 +37,6 @@ def test_cyclotron_linearity():
         assert abs(nu - field * base) <= 1e-14 * nu
 
 
-def test_field_cyclotron_round_trip():
-    rng = np.random.default_rng(8)
-    for field in rng.uniform(0.05, 6.0, size=100):
-        back = mm.field_for_cyclotron(mm.cyclotron_frequency(field))
-        assert abs(back - field) < 1e-12 * field
-
-
 def test_cyclotron_rejects_negative_field():
     with pytest.raises(ValueError):
         mm.cyclotron_frequency(-0.1)
@@ -142,16 +135,6 @@ def test_diamagnetic_bias_independence(photon_pair):
             oracles.rabi_at(c.rabi, nu_c, c.reference_cyclotron), nu_c)
         np.testing.assert_allclose(g[:2, :2], 2.0 * h, rtol=1e-12)
         assert np.array_equal(g[:2, :2], inter[0, :2, :2])
-
-
-def test_mode_volume_round_trip():
-    material = mm.MaterialParams()
-    photon = mm.PhotonMode(index=1, frequency=0.8)
-    target = 0.37 * photon.omega
-    volume = mm.mode_volume_for_coupling(photon, material, 0.8, target)
-    mode = mm.PhotonMode(index=1, frequency=0.8, effective_mode_volume=volume)
-    assert mm.rabi_microscopic(mode, material, 0.8) == pytest.approx(
-        target, rel=1e-12)
 
 
 def test_rabi_microscopic_scales_with_sqrt_bias():
@@ -385,9 +368,9 @@ def test_validation_rejects_bad_inputs():
         mm.PhotonMode(index=1, frequency=-0.8)
     pair = [mm.PhotonMode(index=1, frequency=0.8),
             mm.PhotonMode(index=2, frequency=1.6)]
-    with pytest.raises(ValueError, match="eta must lie in"):
+    with pytest.raises(ValueError, match=r"eta: must lie in \[0, 1\]"):
         mm.couplings_from_ratios(pair, 1.0, 1.0, 1.5)
-    with pytest.raises(ValueError, match="finite and non-negative"):
+    with pytest.raises(ValueError, match="ratio_11: ratios must be non-negative"):
         mm.couplings_from_ratios(pair, -1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="exactly two photon modes"):
         mm.couplings_from_ratios(pair[:1], 1.0, 1.0, 0.5)
