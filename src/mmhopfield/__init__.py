@@ -26,7 +26,7 @@ _SOURCES = {
                "ProfileFormatError"),
     "fit": ("FitConfig", "FitParams", "FitResult", "PeakDataset",
             "PeakRecord", "fit", "load_peaks", "record_residuals",
-            "residual", "save_peaks"),
+            "save_peaks"),
     "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
               "couplings_from_ratios", "cyclotron_frequency",
               "rabi_from_gram", "rabi_microscopic", "single_mode_coupling"),

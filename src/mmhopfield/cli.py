@@ -24,7 +24,8 @@ import tempfile
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, OverlapError, fault, ratio_cap)
+                     NumericalError, OverlapError, fault, feature_span_fault,
+                     ratio_cap)
 
 
 class ConfigError(ValueError):
@@ -47,7 +48,6 @@ _GRID_KEY = (float, "grid")
 MAX_GRID_POINTS = 1_000_000  # per sweep or spectrum grid
 _SWEEP_THZ = ("start_thz", "stop_thz", "step_thz")
 _SWEEP_TESLA = ("start_tesla", "stop_tesla", "step_tesla")
-_FEATURE_SPAN = (0.05, 2.0)  # THz, what dispersion.detect_features needs
 
 # section -> key -> (parse, rule). parse turns the raw text into the value
 # or raises ValueError; rule, if any, is the field whose errors.RULES entry
@@ -195,15 +195,12 @@ def _read_photons(cfg, volumes=None):
             for i, (f, lab, vol) in enumerate(zip(freqs, labels, volumes))]
 
 
-def _material(cfg):
-    """The MaterialParams fields of [material], checked without numpy; the
-    defaults are MaterialParams' own."""
-    return {
-        "effective_mass_ratio": cfg.get("material", "effective_mass_ratio", 0.07),
-        "sheet_density": cfg.get("material", "sheet_density_per_cm2", 1.25e16),
-        "qw_count": cfg.get("material", "qw_count", 3),
-        "background_permittivity": cfg.get("material", "background_permittivity",
-                                           12.9)}
+def _fields(cfg, section, keys=None):
+    """The library fields that the file sets by the section's keys (all by
+    default), each named by its _KEYS rule and checked without numpy; the
+    library type gives every other field its own default."""
+    return {_KEYS[section][key][1]: cfg.get(section, key)
+            for key in keys or _KEYS[section] if cfg.has(section, key)}
 
 
 def _read_coupling(cfg):
@@ -229,7 +226,7 @@ def _read_coupling(cfg):
         ratios = None
         modes = _read_photons(
             cfg, volumes=cfg.get("coupling", "mode_volumes_m3"))
-        _material(cfg)
+        _fields(cfg, "material")
     if len(modes) != 2:
         raise cfg.error("photon_modes", "frequencies_thz",
                         "the two-mode model needs exactly two frequencies")
@@ -289,7 +286,7 @@ def _sweep_grid(cfg):
     if all(thz):
         return _grid(cfg, "sweep", _SWEEP_THZ)
     if all(tesla):
-        material = _material(cfg)
+        material = _fields(cfg, "material")
 
         def to_thz(field):
             # convert the endpoints once so B- and THz-specified sweeps share
@@ -307,7 +304,7 @@ def _solve(cfg, modes, ratios, eta, grid):
     from . import dispersion, model
     photons = [model.PhotonMode(**mode) for mode in modes]
     if ratios is None:
-        material = model.MaterialParams(**_material(cfg))
+        material = model.MaterialParams(**_fields(cfg, "material"))
         try:
             ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
                       for m in photons]
@@ -344,13 +341,8 @@ def _run_sweep(args):
     grid = _sweep_grid(cfg)
     # the span detect_features needs; the last point as _points makes it
     keys, start, step, n = grid
-    lo, hi = _FEATURE_SPAN
-    last = start + step * (n - 1)
-    for key, bad in ((keys[0], start > lo + 1e-12), (keys[1], last < hi - 1e-12)):
-        if bad:
-            raise cfg.error("sweep", key, f"sweep range [{start:.6g}, {last:.6g}] "
-                            f"THz too narrow for feature detection; need it to "
-                            f"span [{lo}, {hi}]")
+    if found := feature_span_fault(start, start + step * (n - 1)):
+        raise cfg.error("sweep", keys[found[0]], found[1])
     photons, result = _solve(cfg, modes, ratios, eta, grid)
     from . import dispersion
     features = dispersion.detect_features(result, photons)
@@ -381,14 +373,13 @@ def _run_spectrum(args):
                         f"need one linewidth or {2 * len(modes)}")
     probe = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
                                     "freq_step_thz"))
-    weight_mode = cfg.get("spectrum", "weight_mode", "photon_fraction")
+    weighting = _fields(cfg, "spectrum", ("weight_mode",))
 
     _, result = _solve(cfg, modes, ratios, eta, grid)
     from . import dispersion
     spec_cfg = dispersion.SpectrumConfig(
         frequency_grid=_points(probe),
-        linewidths=widths[0] if len(widths) == 1 else widths,
-        weight_mode=weight_mode)
+        linewidths=widths[0] if len(widths) == 1 else widths, **weighting)
     if spec_cfg.weight_mode == "photon_fraction":
         weights = result.photon_fractions()
     else:
@@ -416,10 +407,10 @@ def _run_fit(args):
     fit_eta = cfg.get("fit", "eta_mode", "fixed") == "free"
     if not fit_eta and not cfg.has("coupling", "eta"):
         raise cfg.error("fit", "eta_mode", "fixed needs [coupling] eta")
-    settings = {key: cfg.get("fit", key, (0.0, 1.0)) for key in
-                ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
-    settings.update(fit_eta=fit_eta, restarts=cfg.get("fit", "restarts", 8),
-                    eta_fixed=1.0 if fit_eta else cfg.get("coupling", "eta"))
+    settings = _fields(cfg, "fit", ("ratio_11_bounds", "ratio_2_bounds",
+                                    "eta_bounds", "restarts"))
+    if not fit_eta:
+        settings["eta_fixed"] = cfg.get("coupling", "eta")
     if found := fault(seed=args.seed):
         raise ConfigError(f"--seed: {found[1]}")
 
@@ -429,7 +420,8 @@ def _run_fit(args):
     from .fit import FitConfig, FitParams, fit, load_peaks, record_residuals
     photons = [model.PhotonMode(**mode) for mode in modes]
     data = load_peaks(args.peaks)
-    result = fit(data, photons, FitConfig(**settings, seed=args.seed))
+    result = fit(data, photons, FitConfig(**settings, fit_eta=fit_eta,
+                                          seed=args.seed))
     if not result.converged:
         raise ConvergenceError(
             f"no restart converged (best rms {result.residual_rms:.6g} THz)")

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bogoliubov import normal_modes
-from .errors import InstabilityError, fault
+from .errors import InstabilityError, fault, feature_span_fault
 from .model import assemble_batch
 
 # branch-classification thresholds (THz unless noted)
@@ -57,10 +57,6 @@ class SweepResult:
     def photon_fractions(self):
         """Total photon weight per point and branch."""
         return self.fractions[:, :, :self.n_photon].sum(axis=2)
-
-    def matter_fractions(self):
-        """Total matter weight per point and branch."""
-        return self.fractions[:, :, self.n_photon:].sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -262,17 +258,16 @@ def _inflection(nu_c, freqs):
 def detect_features(result, photons):
     """Classify branch columns and extract dispersion features."""
     nu = result.nu_c_values
-    if nu[0] > 0.05 + 1e-12 or nu[-1] < 2.0 - 1e-12:
-        raise ValueError(
-            f"sweep range [{nu[0]:.6g}, {nu[-1]:.6g}] THz too narrow for "
-            f"feature detection; need it to span [0.05, 2.0]")
+    if found := feature_span_fault(nu[0], nu[-1]):
+        raise ValueError(found[1])
 
     # branch columns as (n, T) rows, so each search runs along the grid
     branches = np.ascontiguousarray(result.branches.T)
     variation = branches.max(axis=1) - branches.min(axis=1)
     # a coupled branch acquires matter weight somewhere along the sweep even
     # if it is photon-pure at the endpoints; the matter modes' weights are
-    # added in order, as matter_fractions adds fewer than 8
+    # added in order, as a sum over the fractions' short mode axis adds
+    # fewer than 8
     matter = result.fractions[:, :, result.n_photon:].transpose(1, 2, 0)
     peak_matter = np.add.reduce(np.ascontiguousarray(matter), axis=1).max(axis=1)
     diag_dev = np.abs(branches - nu).max(axis=1)

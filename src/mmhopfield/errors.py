@@ -80,6 +80,18 @@ MAX_LINEWIDTH_THZ = 1e150  # squared in every dip, which overflows near 1.3e154
 MAX_RESTARTS = 1000  # the restarts run in lockstep, as one stack
 MIN_MASS_RATIO = 1e-3  # under any band mass (InSb: 0.014); nu_c per tesla divides by it
 MAX_QW_COUNT = 10_000  # far above any grown stack; a huge int overflows a float
+FEATURE_SPAN_THZ = (0.05, 2.0)  # the nu_c span that feature detection needs
+
+
+def feature_span_fault(first, last):
+    """(end, problem) if a grid from first to last (THz) starts above (end
+    0) or stops below (end 1) FEATURE_SPAN_THZ, else None."""
+    lo, hi = FEATURE_SPAN_THZ
+    for end, bad in enumerate((first > lo + 1e-12, last < hi - 1e-12)):
+        if bad:
+            return end, (f"sweep range [{first:.6g}, {last:.6g}] THz too narrow "
+                         f"for feature detection; need it to span [{lo}, {hi}]")
+    return None
 
 
 def ratio_cap(problem, of=lambda v: v):
@@ -87,6 +99,7 @@ def ratio_cap(problem, of=lambda v: v):
     return lambda v: of(v) <= MAX_RATIO, f"{problem} {MAX_RATIO:g}"
 
 
+_INTEGER = (lambda v: v % 1 == 0, "must be an integer")
 _BOUNDS = ((lambda v: len(v) == 2, lambda v: f"needs exactly two values, got {len(v)}"),
            (lambda v: v[0] < v[1], "must satisfy lo < hi"))
 
@@ -112,7 +125,8 @@ RULES = {
     "sheet_density": ((lambda v: 0.0 <= v < math.inf,
                        "must be finite and non-negative"),),
     "qw_count": ((lambda v: v >= 1, "must be at least 1"),
-                 (lambda v: v <= MAX_QW_COUNT, f"must not exceed {MAX_QW_COUNT}")),
+                 (lambda v: v <= MAX_QW_COUNT, f"must not exceed {MAX_QW_COUNT}"),
+                 _INTEGER),
     "background_permittivity": ((lambda v: 1.0 <= v < math.inf,
                                  "must be finite and >= 1"),),
     "linewidths": ((math.isfinite, "linewidths must be finite"),
@@ -128,8 +142,8 @@ RULES = {
                               "must lie within [0, 1]"),),
     "restarts": ((lambda v: v >= 1, "need at least one restart"),
                  (lambda v: v <= MAX_RESTARTS, f"must not exceed {MAX_RESTARTS}"),
-                 (lambda v: v == int(v), "must be an integer")),
-    "seed": ((lambda v: v >= 0, "must be a non-negative integer"),),
+                 _INTEGER),
+    "seed": ((lambda v: v >= 0 and v % 1 == 0, "must be a non-negative integer"),),
     # CLI keys with no library field: eta_mode, and a grid's start, stop, step
     "eta_mode": ((lambda v: v in ("fixed", "free"), "must be 'fixed' or 'free'"),),
     "grid": ((math.isfinite, "start, stop and step must be finite"),),

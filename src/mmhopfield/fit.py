@@ -63,7 +63,6 @@ class PeakDataset:
     """A set of peak records, e.g. one magneto-transmission map."""
 
     records: tuple
-    source_label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -92,10 +91,7 @@ class FitConfig:
     at eta_fixed unless fit_eta is set, in which case it moves inside
     eta_bounds, a part of [0, 1]. The restarts start from points drawn by
     random.Random(seed), seed a non-negative integer, so one seed always
-    gives the same start points. A restart may evaluate at most
-    max_evaluations parameter sets, at least the P + 1 of its first point
-    and Jacobian (P = 2 fitted parameters, 3 with fit_eta). Invalid values
-    raise FitConfigError."""
+    gives the same start points. Invalid values raise FitConfigError."""
 
     ratio_11_bounds: tuple = (0.0, 1.0)
     ratio_2_bounds: tuple = (0.0, 1.0)
@@ -104,7 +100,6 @@ class FitConfig:
     eta_bounds: tuple = (0.0, 1.0)
     restarts: int = 8
     seed: int = 0
-    max_evaluations: int = 4000
 
     def __post_init__(self):
         bounds = {name: tuple(getattr(self, name)) for name in (
@@ -112,12 +107,6 @@ class FitConfig:
         if found := fault(**bounds, eta_fixed=self.eta_fixed,
                           restarts=self.restarts, seed=self.seed):
             raise FitConfigError(*found)
-        first_probe = (3 if self.fit_eta else 2) + 1
-        if self.max_evaluations < first_probe:
-            raise FitConfigError(
-                "max_evaluations",
-                f"must be at least {first_probe}, the parameter sets of a "
-                f"restart's first point and its Jacobian")
 
 
 @dataclass(frozen=True)
@@ -208,26 +197,13 @@ class _Misfit:
         return np.sqrt(costs.sum(axis=-1) / len(self.peaks))
 
 
-def _costs(params, data, photons):
-    """The misfit of data and its per-record squared errors (1, T) at one
-    parameter set."""
+def record_residuals(params, data, photons):
+    """RMS peak-position misfit (THz) of each record at one parameter set,
+    from one stacked evaluation; entry t equals that of record t alone."""
     misfit = _Misfit(data, photons)
     sets = np.array([[params.omega_r_11 / photons[0].omega,
                       params.omega_r_2_tilde / photons[1].omega, params.eta]])
     costs, _ = misfit.assign(misfit.frequencies(sets))
-    return misfit, costs
-
-
-def residual(params, data, photons):
-    """RMS peak-position misfit (THz) of one parameter set."""
-    misfit, costs = _costs(params, data, photons)
-    return float(misfit.rms(costs)[0])
-
-
-def record_residuals(params, data, photons):
-    """RMS peak-position misfit (THz) of each record, from one stacked
-    evaluation; entry t equals residual() of record t alone."""
-    _, costs = _costs(params, data, photons)
     return np.sqrt(costs[0] / [len(rec.peaks) for rec in data.records])
 
 
@@ -252,6 +228,8 @@ LAMBDA_MAX = 1e16
 # a restart has converged once its step falls below this, in units of each
 # parameter's bound width
 XATOL = 1e-6
+# parameter sets one restart may evaluate; its first P + 1 always run
+MAX_EVALUATIONS = 4000
 # a Jacobian column shorter than this fraction of the longest (both in
 # normalized units) is zero to forward-difference precision
 FLAT_COLUMN = 1e-6
@@ -279,10 +257,10 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
     together with the forward-difference steps of its Jacobian, P + 1
     parameter sets per restart in one stack, with the assignment fixed at
     the trial point. A trial is accepted only if its misfit (assignment
-    re-solved, as residual() computes it) falls. A restart has converged
-    once it has tried a step below XATOL in units of the bound widths, or
-    once its damping saturates; it stops unconverged when its next
-    iteration would exceed budget evaluations. The damped step is
+    re-solved, as record_residuals() computes it) falls. A restart has
+    converged once it has tried a step below XATOL in units of the bound
+    widths, or once its damping saturates; it stops unconverged when its
+    next iteration would exceed budget evaluations. The damped step is
     elementwise arithmetic and a batched solve, so a restart's path does not
     depend on the others in the stack. Once restarts 0..k have stopped and
     _stop_rule stops at k, the later ones are dropped unfinished. Returns
@@ -363,13 +341,13 @@ def fit(data, photons, config=FitConfig()):
     """Estimate (W_11, Wt_2[, eta]) by restarted, bounded Levenberg-Marquardt.
 
     Each restart starts from a point drawn inside the bounds by the stdlib
-    random.Random(config.seed) and may evaluate up to
-    config.max_evaluations parameter sets, one per iteration for the trial
-    point and one per fitted parameter for its Jacobian. All restarts
-    iterate in lockstep, but the result is the one of running them in
-    order, stopping once the best so far has converged below
-    EXACT_FIT_RMS_THZ: it is the best restart up to that point, and
-    n_evaluations counts the parameter sets evaluated by those restarts."""
+    random.Random(config.seed) and may evaluate up to MAX_EVALUATIONS
+    parameter sets, one per iteration for the trial point and one per fitted
+    parameter for its Jacobian. All restarts iterate in lockstep, but the
+    result is the one of running them in order, stopping once the best so
+    far has converged below EXACT_FIT_RMS_THZ: it is the best restart up to
+    that point, and n_evaluations counts the parameter sets evaluated by
+    those restarts."""
     _check_coverage(data, photons)
     misfit = _Misfit(data, photons)
     w1 = photons[0].omega
@@ -393,7 +371,7 @@ def fit(data, photons, config=FitConfig()):
     starts = lo + (hi - lo) * np.array(
         [[draw.uniform(0.2, 0.8) for _ in lo] for _ in range(config.restarts)])
     x, rms, evaluations, converged = _levenberg_marquardt(
-        misfit, param_sets, starts, lo, hi, config.max_evaluations)
+        misfit, param_sets, starts, lo, hi, MAX_EVALUATIONS)
     best, stop = _stop_rule(rms, converged)
     ran = config.restarts if stop is None else stop + 1
 
@@ -437,7 +415,7 @@ def load_peaks(path):
             raise ProfileFormatError(f"{path}:{lineno}: {exc}") from exc
     if not records:
         raise ProfileFormatError(f"{path}: no records found")
-    return PeakDataset(records=tuple(records), source_label=str(path))
+    return PeakDataset(records=tuple(records))
 
 
 def save_peaks(path, data):

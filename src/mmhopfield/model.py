@@ -179,23 +179,30 @@ def strengths_from_ratios(photons, ratios):
             * [math.sqrt(photons[0].frequency / m.frequency) for m in photons])
 
 
+def _from_ratios(photons, ratios, gram, **fields):
+    """Coupling set, quoted at nu_1, of the ratios of strengths_from_ratios
+    and an overlap Gram matrix, once fields, keyed by their rule, pass."""
+    if found := fault(**fields):
+        raise ValueError(": ".join(found))
+    return CouplingSet(
+        rabi=rabi_from_gram(strengths_from_ratios(photons, ratios), gram),
+        reference_cyclotron=photons[0].frequency)
+
+
 def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
     """Two-mode coupling set of the ratios of strengths_from_ratios and the
     overlap eta in [0, 1], Gamma = [[1, eta], [eta, 1]], quoted at nu_1."""
     if len(photons) != 2:
         raise ValueError("ratio constructor expects exactly two photon modes")
-    if found := fault(ratio_11=ratio_11, ratio_2_tilde=ratio_2_tilde, eta=eta):
-        raise ValueError(": ".join(found))
-    strengths = strengths_from_ratios(photons, [ratio_11, ratio_2_tilde])
-    return CouplingSet(rabi=rabi_from_gram(strengths, [[1.0, eta], [eta, 1.0]]),
-                       reference_cyclotron=photons[0].frequency)
+    return _from_ratios(photons, [ratio_11, ratio_2_tilde],
+                        [[1.0, eta], [eta, 1.0]], ratio_11=ratio_11,
+                        ratio_2_tilde=ratio_2_tilde, eta=eta)
 
 
 def single_mode_coupling(photon, ratio):
-    """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency."""
-    return CouplingSet(
-        rabi=rabi_from_gram(strengths_from_ratios([photon], [ratio]), [[1.0]]),
-        reference_cyclotron=photon.frequency)
+    """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency;
+    the ratio is W_11/w_1, checked by the ratio_11 rule."""
+    return _from_ratios([photon], [ratio], [[1.0]], ratio_11=ratio)
 
 
 def rabi_microscopic(mode, material, nu_c):

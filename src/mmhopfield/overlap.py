@@ -146,29 +146,17 @@ def central_square_mask(nx, ny, dx, dy, half_width):
 # of the lumped-element mode; the dipolar profile shares the central lobe
 # but adds four opposite-sign corner lobes, so the two are proportional near
 # the center and nearly orthogonal over the full plane.
-DEFAULT_GRID = dict(nx=192, ny=192, dx=0.3125, dy=0.3125)   # 60 um square
-DEFAULT_CENTER_WIDTH = 5.0      # um, gaussian width of the shared lobe
-DEFAULT_CORNER_OFFSET = 18.0    # um, corner lobe centers at (+-o, +-o)
-DEFAULT_CORNER_WIDTH = 7.0      # um
-DEFAULT_CORNER_AMPLITUDE = 2.0
-
-
-def synthetic_profile(kind, nx=None, ny=None, dx=None, dy=None,
-                      center_width=DEFAULT_CENTER_WIDTH,
-                      corner_offset=DEFAULT_CORNER_OFFSET,
-                      corner_width=DEFAULT_CORNER_WIDTH,
-                      corner_amplitude=DEFAULT_CORNER_AMPLITUDE):
-    """Analytic stand-ins for the two resonator near fields.
+def synthetic_profile(kind, nx=192, ny=192, dx=0.3125, dy=0.3125,
+                      center_width=5.0, corner_offset=18.0, corner_width=7.0,
+                      corner_amplitude=2.0):
+    """Analytic stand-ins for the two resonator near fields, by default on a
+    60 um square; lengths in um.
 
     kind "lc": exp(-r^2 / (2 w^2)) with w = center_width.
     kind "dipolar": the same central lobe minus corner_amplitude times four
     corner lobes of width corner_width centered at (+-corner_offset,
     +-corner_offset).
     """
-    nx = DEFAULT_GRID["nx"] if nx is None else nx
-    ny = DEFAULT_GRID["ny"] if ny is None else ny
-    dx = DEFAULT_GRID["dx"] if dx is None else dx
-    dy = DEFAULT_GRID["dy"] if dy is None else dy
     if center_width <= 0.0 or corner_width <= 0.0:
         raise ValueError("gaussian widths must be positive")
     x = (np.arange(nx) - (nx - 1) / 2.0) * dx

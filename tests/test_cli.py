@@ -741,8 +741,21 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
      "effective_mass_ratio"),
     # fit raised TypeError
     (lambda: mm.FitConfig(restarts=2.5), mm.FitConfigError, "restarts"),
+    # the one-mode ratio is W_11/w_1, under the ratio_11 rule: sweep raised
+    # InstabilityError on a nan THz^2, -1 was accepted, and inf failed in
+    # CouplingSet without naming the ratio
+    *[(lambda ratio=ratio: mm.single_mode_coupling(_PAIR[0], ratio),
+       ValueError, "ratio_11") for ratio in (1e200, -1.0, math.inf)],
+    # accepted, as random.Random takes a float seed; a rule through int(v)
+    # would raise OverflowError on inf
+    (lambda: mm.FitConfig(seed=2.5), mm.FitConfigError, "seed"),
+    (lambda: mm.FitConfig(seed=math.inf), mm.FitConfigError, "seed"),
+    # accepted
+    (lambda: mm.MaterialParams(qw_count=2.5), ValueError, "qw_count"),
 ], ids=["ratio-overflow", "linewidth-overflow", "mass-underflow",
-        "fractional-restarts"])
+        "fractional-restarts", "one-mode-ratio-overflow",
+        "one-mode-ratio-negative", "one-mode-ratio-infinite",
+        "fractional-seed", "infinite-seed", "fractional-qw-count"])
 def test_library_faults_raise_at_construction(call, error, field):
     with pytest.raises(error, match=f"^{field}: "):
         call()
