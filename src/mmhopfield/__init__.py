@@ -24,9 +24,8 @@ _SOURCES = {
     "errors": ("ConvergenceError", "DataCoverageError", "FitConfigError",
                "InstabilityError", "NumericalError", "OverlapError",
                "ProfileFormatError"),
-    "fit": ("FitConfig", "FitParams", "FitResult", "PeakDataset",
-            "PeakRecord", "fit", "load_peaks", "record_residuals",
-            "save_peaks"),
+    "fit": ("FitConfig", "FitResult", "PeakDataset", "PeakRecord", "fit",
+            "load_peaks", "save_peaks"),
     "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
               "couplings_from_ratios", "cyclotron_frequency",
               "rabi_from_gram", "rabi_microscopic", "single_mode_coupling"),

@@ -178,7 +178,8 @@ class _Config:
 
 def _read_photons(cfg, volumes=None):
     """The [photon_modes] keys, checked without numpy: the PhotonMode
-    fields of each mode."""
+    fields of each mode. labels only name the modes, so they are only
+    counted."""
     cfg.require("photon_modes")
     freqs = cfg.get("photon_modes", "frequencies_thz")
     labels = cfg.get("photon_modes", "labels", [""] * len(freqs))
@@ -190,9 +191,8 @@ def _read_photons(cfg, volumes=None):
     elif len(volumes) != len(freqs):
         raise cfg.error("coupling", "mode_volumes_m3",
                         f"{len(volumes)} volumes for {len(freqs)} modes")
-    return [dict(index=i + 1, frequency=f, label=lab,
-                 effective_mode_volume=vol)
-            for i, (f, lab, vol) in enumerate(zip(freqs, labels, volumes))]
+    return [dict(index=i + 1, frequency=f, effective_mode_volume=vol)
+            for i, (f, vol) in enumerate(zip(freqs, volumes))]
 
 
 def _fields(cfg, section, keys=None):
@@ -380,13 +380,8 @@ def _run_spectrum(args):
     spec_cfg = dispersion.SpectrumConfig(
         frequency_grid=_points(probe),
         linewidths=widths[0] if len(widths) == 1 else widths, **weighting)
-    if spec_cfg.weight_mode == "photon_fraction":
-        weights = result.photon_fractions()
-    else:
-        import numpy as np
-        weights = np.full(result.branches.shape, 1.0 / result.n_branches)
-
-    trans = dispersion.spectrum_from_branches(result.branches, weights, spec_cfg)
+    trans = dispersion.spectrum_from_branches(
+        result.branches, result.photon_fractions(), spec_cfg)
     _write(args, "spectrum.csv", "nu_c_THz,nu_THz,T\n" + dispersion.csv_rows(
         result.nu_c_values, dispersion.g9_cells(spec_cfg.frequency_grid), trans))
     return 0
@@ -417,7 +412,7 @@ def _run_fit(args):
     # "from . import fit" would give the package's fit() function, not the
     # submodule, so take the names from the submodule itself
     from . import model
-    from .fit import FitConfig, FitParams, fit, load_peaks, record_residuals
+    from .fit import FitConfig, fit, load_peaks
     photons = [model.PhotonMode(**mode) for mode in modes]
     data = load_peaks(args.peaks)
     result = fit(data, photons, FitConfig(**settings, fit_eta=fit_eta,
@@ -446,11 +441,9 @@ def _run_fit(args):
         "seed": args.seed,
     })
 
-    params = FitParams(result.omega_r_11, result.omega_r_2_tilde, result.eta)
-    rms = record_residuals(params, data, photons).tolist()
     buf = io.StringIO()
     buf.write("record,nu_c_THz,rms_THz\n")
-    for i, (rec, value) in enumerate(zip(data.records, rms)):
+    for i, (rec, value) in enumerate(zip(data.records, result.record_rms)):
         buf.write(f"{i + 1},{rec.nu_c:.9g},{value:.9g}\n")
     _write(args, "fit_residuals.csv", buf.getvalue())
     return 0

@@ -331,11 +331,13 @@ class SpectrumConfig:
 def spectrum_from_branches(freqs, weights, config):
     """Transmission proxy 1 - sum_k w_k L(nu; nu_k, gamma_k), clipped to [0, 1].
 
-    L is a unit-peak Lorentzian of HWHM gamma_k; negative weights count as
-    zero. freqs and weights hold the n branches on their last axis; leading
-    axes broadcast, so the stacked (T, n) branches of a sweep give the
-    (T, F) map in one call, equal to T calls on single rows. config holds
-    one linewidth or n, else ValueError.
+    L is a unit-peak Lorentzian of HWHM gamma_k. config.weight_mode sets
+    w_k: under "photon_fraction" it is weights[..., k], the branch's photon
+    fraction, and a negative weight counts as zero; under "equal" it is
+    1/n, and weights is not read. freqs and weights hold the n branches on
+    their last axis; leading axes broadcast, so the stacked (T, n) branches
+    of a sweep give the (T, F) map in one call, equal to T calls on single
+    rows. config holds one linewidth or n, else ValueError.
 
     The dips are evaluated branch-major, as a (..., n, F) stack with the
     probe grid contiguous: the weights are scaled by gamma^2 on their
@@ -358,6 +360,8 @@ def spectrum_from_branches(freqs, weights, config):
     else:
         width2 = widths * widths
         row_width2 = width2[:, None]
+    if config.weight_mode == "equal":
+        weights = np.full(freqs.shape, 1.0 / n)
     weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
     if weights.shape != freqs.shape:  # the dips are divided in place
         freqs, weights = np.broadcast_arrays(freqs, weights)

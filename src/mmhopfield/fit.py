@@ -31,7 +31,6 @@ from .errors import (DataCoverageError, FitConfigError, InstabilityError,
                      ProfileFormatError, fault, read_ascii)
 from .model import assemble_batch, rabi_from_gram, strengths_from_ratios
 
-MAX_ASSIGNED_PEAKS = 5
 # beyond it the branch frequencies lose the precision to stay positive
 MAX_PEAK_THZ = 1e6
 
@@ -75,16 +74,6 @@ class PeakDataset:
 
 
 @dataclass(frozen=True)
-class FitParams:
-    """Trial parameters: Rabi couplings in rad/s quoted at the respective
-    photon resonance, plus the overlap eta."""
-
-    omega_r_11: float
-    omega_r_2_tilde: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2, finite and
     non-negative (the frequencies are even in each coupling). eta is held
@@ -111,21 +100,16 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The best restart: its couplings (rad/s) and eta, its rms misfit over
+    all peaks (THz) and, in record order, that of each record's peaks."""
+
     omega_r_11: float
     omega_r_2_tilde: float
     eta: float
     residual_rms: float
+    record_rms: tuple
     n_evaluations: int
     converged: bool
-
-
-def _check_assignable(n_peaks, n_branches):
-    if n_peaks > n_branches:
-        raise ValueError(
-            f"{n_peaks} peaks cannot be assigned to {n_branches} branches")
-    if n_peaks > MAX_ASSIGNED_PEAKS:
-        raise ValueError(
-            f"records with more than {MAX_ASSIGNED_PEAKS} peaks are not supported")
 
 
 class _Misfit:
@@ -147,7 +131,9 @@ class _Misfit:
         counts = np.array([len(rec.peaks) for rec in data.records])
         self.groups = []
         for m in sorted(set(counts.tolist())):
-            _check_assignable(m, n_branches)
+            if m > n_branches:
+                raise ValueError(
+                    f"{m} peaks cannot be assigned to {n_branches} branches")
             rows = np.flatnonzero(counts == m)
             peaks = np.array([data.records[t].peaks for t in rows])
             subsets = np.array(list(combinations(range(n_branches), m)))
@@ -195,16 +181,6 @@ class _Misfit:
 
     def rms(self, costs):
         return np.sqrt(costs.sum(axis=-1) / len(self.peaks))
-
-
-def record_residuals(params, data, photons):
-    """RMS peak-position misfit (THz) of each record at one parameter set,
-    from one stacked evaluation; entry t equals that of record t alone."""
-    misfit = _Misfit(data, photons)
-    sets = np.array([[params.omega_r_11 / photons[0].omega,
-                      params.omega_r_2_tilde / photons[1].omega, params.eta]])
-    costs, _ = misfit.assign(misfit.frequencies(sets))
-    return np.sqrt(costs[0] / [len(rec.peaks) for rec in data.records])
 
 
 def _check_coverage(data, photons):
@@ -257,14 +233,15 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
     together with the forward-difference steps of its Jacobian, P + 1
     parameter sets per restart in one stack, with the assignment fixed at
     the trial point. A trial is accepted only if its misfit (assignment
-    re-solved, as record_residuals() computes it) falls. A restart has
-    converged once it has tried a step below XATOL in units of the bound
-    widths, or once its damping saturates; it stops unconverged when its
-    next iteration would exceed budget evaluations. The damped step is
-    elementwise arithmetic and a batched solve, so a restart's path does not
-    depend on the others in the stack. Once restarts 0..k have stopped and
-    _stop_rule stops at k, the later ones are dropped unfinished. Returns
-    (x, rms, evaluations, converged), one row per restart."""
+    re-solved) falls. A restart has converged once it has tried a step
+    below XATOL in units of the bound widths, or once its damping
+    saturates; it stops unconverged when its next iteration would exceed
+    budget evaluations. The damped step is elementwise arithmetic and a
+    batched solve, so a restart's path does not depend on the others in
+    the stack. Once restarts 0..k have stopped and _stop_rule stops at k,
+    the later ones are dropped unfinished. Returns (x, rms, costs,
+    evaluations, converged), one row per restart; a row of costs holds the
+    squared error of every record at x, as _Misfit.assign gives it."""
     x = np.array(x, dtype=float)
     n_restarts, n_params = x.shape
     span = hi - lo
@@ -282,9 +259,9 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
                                      np.arange(n_params + 1)[:, None],
                                      misfit.peak_rows, branches[:, None]]
         jac = (resid[:, 1:] - resid[:, :1]) / steps[:, :, None]  # (A, P, M)
-        return misfit.rms(costs), resid[:, 0], jac
+        return misfit.rms(costs), costs, resid[:, 0], jac
 
-    rms, resid, jac = probe(x)
+    rms, costs, resid, jac = probe(x)
     evaluations = np.full(n_restarts, n_params + 1)
     lam = np.full(n_restarts, LAMBDA_START)
     converged = np.zeros(n_restarts, dtype=bool)
@@ -320,11 +297,12 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
         live, trial, small = live[go], trial[go], step[go] < XATOL
         if not live.size:
             break
-        trial_rms, trial_resid, trial_jac = probe(trial)
+        trial_rms, trial_costs, trial_resid, trial_jac = probe(trial)
         evaluations[live] += n_params + 1
         better = trial_rms < rms[live]
         kept = live[better]
         x[kept], rms[kept] = trial[better], trial_rms[better]
+        costs[kept] = trial_costs[better]
         resid[kept], jac[kept] = trial_resid[better], trial_jac[better]
         lam[kept] = np.maximum(lam[kept] / LAMBDA_FACTOR, LAMBDA_MIN)
         lam[live[~better]] *= LAMBDA_FACTOR
@@ -334,7 +312,7 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
         done = live[0] if live.size else n_restarts
         if done and _stop_rule(rms[:done], converged[:done])[1] is not None:
             break
-    return x, rms, evaluations, converged
+    return x, rms, costs, evaluations, converged
 
 
 def fit(data, photons, config=FitConfig()):
@@ -347,7 +325,9 @@ def fit(data, photons, config=FitConfig()):
     result is the one of running them in order, stopping once the best so
     far has converged below EXACT_FIT_RMS_THZ: it is the best restart up to
     that point, and n_evaluations counts the parameter sets evaluated by
-    those restarts."""
+    those restarts. The model has exactly two photon modes, else ValueError."""
+    if len(photons) != 2:
+        raise ValueError("the fit needs exactly two photon modes")
     _check_coverage(data, photons)
     misfit = _Misfit(data, photons)
     w1 = photons[0].omega
@@ -370,7 +350,7 @@ def fit(data, photons, config=FitConfig()):
     draw = random.Random(config.seed)
     starts = lo + (hi - lo) * np.array(
         [[draw.uniform(0.2, 0.8) for _ in lo] for _ in range(config.restarts)])
-    x, rms, evaluations, converged = _levenberg_marquardt(
+    x, rms, costs, evaluations, converged = _levenberg_marquardt(
         misfit, param_sets, starts, lo, hi, MAX_EVALUATIONS)
     best, stop = _stop_rule(rms, converged)
     ran = config.restarts if stop is None else stop + 1
@@ -380,6 +360,8 @@ def fit(data, photons, config=FitConfig()):
                      omega_r_2_tilde=float(x[best, 1] * w2),
                      eta=float(eta),
                      residual_rms=float(rms[best]),
+                     record_rms=tuple(np.sqrt(costs[best] / [
+                         len(rec.peaks) for rec in data.records]).tolist()),
                      n_evaluations=int(evaluations[:ran].sum()),
                      converged=bool(converged[best]))
 

@@ -79,7 +79,6 @@ class PhotonMode:
     index: int
     frequency: float
     effective_mode_volume: float | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.index < 1:

@@ -6,8 +6,8 @@ import mmhopfield as mm
 
 @pytest.fixture(scope="session")
 def photon_pair():
-    return [mm.PhotonMode(index=1, frequency=0.8, label="LC"),
-            mm.PhotonMode(index=2, frequency=1.6, label="dipolar")]
+    return [mm.PhotonMode(index=1, frequency=0.8),
+            mm.PhotonMode(index=2, frequency=1.6)]
 
 
 @pytest.fixture(scope="session")

@@ -86,8 +86,8 @@ def _write(path, text):
 @pytest.fixture(scope="module")
 def peaks_csv(tmp_path_factory):
     """Synthetic noiseless peak list from the forward model."""
-    photons = [mm.PhotonMode(index=1, frequency=0.8, label="LC"),
-               mm.PhotonMode(index=2, frequency=1.6, label="dipolar")]
+    photons = [mm.PhotonMode(index=1, frequency=0.8),
+               mm.PhotonMode(index=2, frequency=1.6)]
     coupling = mm.couplings_from_ratios(photons, TRUE_RATIO_11, TRUE_RATIO_2,
                                         TRUE_ETA)
     result = mm.sweep(photons, coupling, np.linspace(0.1, 2.15, 12))

@@ -437,6 +437,27 @@ def test_spectrum_weights_silence_dark_branches(photon_pair,
     assert trans_eq[i] < 0.99
 
 
+def test_equal_weight_mode_weighs_every_branch_alike(photon_pair,
+                                                    structured_coupling):
+    # the weights passed are not read: photon fractions, none, or noise
+    # give the map of uniform 1/n weights
+    res = mm.sweep(photon_pair, structured_coupling, 0.1 + 0.1 * np.arange(20))
+    grid = 0.02 + 0.01 * np.arange(260)
+    equal = mm.SpectrumConfig(frequency_grid=grid, linewidths=0.04,
+                              weight_mode="equal")
+    by_weights = mm.SpectrumConfig(frequency_grid=grid, linewidths=0.04)
+    uniform = mm.spectrum_from_branches(
+        res.branches, np.full(res.branches.shape, 0.25), by_weights)
+    rng = np.random.default_rng(3)
+    for weights in (res.photon_fractions(), np.zeros(res.branches.shape),
+                    rng.uniform(-1.0, 2.0, res.branches.shape)):
+        assert np.array_equal(
+            mm.spectrum_from_branches(res.branches, weights, equal), uniform)
+    assert not np.array_equal(
+        mm.spectrum_from_branches(res.branches, res.photon_fractions(),
+                                  by_weights), uniform)
+
+
 def test_spectrum_config_validation():
     with pytest.raises(ValueError):
         mm.SpectrumConfig(frequency_grid=[0.5], linewidths=0.04)

@@ -17,10 +17,9 @@ TRUE_RATIO_2 = 0.2124026
 TRUE_ETA = 0.15
 
 
-def _truth_params(photon_pair, eta=TRUE_ETA):
-    return mm.FitParams(omega_r_11=TRUE_RATIO_11 * photon_pair[0].omega,
-                        omega_r_2_tilde=TRUE_RATIO_2 * photon_pair[1].omega,
-                        eta=eta)
+def _truth_params(eta=TRUE_ETA):
+    """The true parameter set (ratio_11, ratio_2_tilde, eta)."""
+    return (TRUE_RATIO_11, TRUE_RATIO_2, eta)
 
 
 def _synthetic_dataset(photon_pair, n_points=40, noise=0.0, seed=0,
@@ -40,11 +39,19 @@ def _synthetic_dataset(photon_pair, n_points=40, noise=0.0, seed=0,
     return mm.PeakDataset(records=tuple(records))
 
 
+def _record_rms(params, data, photons):
+    """RMS peak misfit (THz) of each record at one parameter set, from one
+    stacked evaluation of the fit's _Misfit."""
+    misfit = _Misfit(data, photons)
+    costs, _ = misfit.assign(misfit.frequencies(np.array([params])))
+    return np.sqrt(costs[0] / [len(rec.peaks) for rec in data.records])
+
+
 def _rms(params, data, photons):
     """Overall RMS peak misfit (THz) of one parameter set, from the
-    per-record values of record_residuals."""
+    per-record values of _record_rms."""
     counts = np.array([len(rec.peaks) for rec in data.records])
-    per_record = mm.record_residuals(params, data, photons)
+    per_record = _record_rms(params, data, photons)
     return float(np.sqrt((per_record ** 2 * counts).sum() / counts.sum()))
 
 
@@ -84,8 +91,15 @@ def test_assignment_exact_match_costs_nothing():
 def test_assignment_rejects_surplus_peaks():
     with pytest.raises(ValueError, match="3 peaks cannot be assigned to 2"):
         _one_record_misfit((0.1, 0.2, 0.3), 1)
-    with pytest.raises(ValueError, match="not supported"):
-        _one_record_misfit(np.linspace(0.1, 0.6, 6), 4)
+
+
+@pytest.mark.parametrize("n_photons", [1, 3])
+def test_fit_needs_exactly_two_photon_modes(photon_pair, n_photons):
+    photons = [mm.PhotonMode(index=i + 1, frequency=0.8 * (i + 1))
+               for i in range(n_photons)]
+    with pytest.raises(ValueError, match="the fit needs exactly two photon "
+                                         "modes"):
+        mm.fit(_synthetic_dataset(photon_pair, n_points=12), photons)
 
 
 def test_stacked_assignment_matches_scalar_rule(photon_pair):
@@ -110,23 +124,21 @@ def test_stacked_assignment_matches_scalar_rule(photon_pair):
 
 def test_residual_vanishes_at_truth(photon_pair):
     data = _synthetic_dataset(photon_pair)
-    rms = _rms(_truth_params(photon_pair), data, photon_pair)
+    rms = _rms(_truth_params(), data, photon_pair)
     assert rms < 1e-10
 
 
 def test_residual_grows_under_perturbation(photon_pair):
     data = _synthetic_dataset(photon_pair)
-    truth = _truth_params(photon_pair)
-    bumped = mm.FitParams(omega_r_11=1.1 * truth.omega_r_11,
-                          omega_r_2_tilde=truth.omega_r_2_tilde,
-                          eta=truth.eta)
+    truth = _truth_params()
+    bumped = (1.1 * TRUE_RATIO_11, TRUE_RATIO_2, TRUE_ETA)
     assert _rms(bumped, data, photon_pair) > _rms(truth, data, photon_pair)
 
 
 def test_residual_handles_partial_peak_lists(photon_pair):
     # records keep only the two outermost branches; truth still fits exactly
     data = _synthetic_dataset(photon_pair, keep=slice(0, 4, 3))
-    assert _rms(_truth_params(photon_pair), data, photon_pair) < 1e-10
+    assert _rms(_truth_params(), data, photon_pair) < 1e-10
 
 
 def test_instability_error_names_parameters_and_record(photon_pair,
@@ -206,12 +218,12 @@ def test_fit_recovers_noiseless_parameters(photon_pair):
                           ratio_2_bounds=(0.0, 0.8),
                           eta_fixed=TRUE_ETA, restarts=3, seed=1)
     result = mm.fit(data, photon_pair, config)
-    truth = _truth_params(photon_pair)
+    true_11 = TRUE_RATIO_11 * photon_pair[0].omega
+    true_2 = TRUE_RATIO_2 * photon_pair[1].omega
     assert result.converged
     assert result.residual_rms < 1e-6
-    assert abs(result.omega_r_11 - truth.omega_r_11) < 5e-3 * truth.omega_r_11
-    assert abs(result.omega_r_2_tilde
-               - truth.omega_r_2_tilde) < 5e-3 * truth.omega_r_2_tilde
+    assert abs(result.omega_r_11 - true_11) < 5e-3 * true_11
+    assert abs(result.omega_r_2_tilde - true_2) < 5e-3 * true_2
     assert result.n_evaluations > 0
 
 
@@ -222,10 +234,10 @@ def test_fit_recovers_eta_when_free(photon_pair):
                           fit_eta=True, eta_bounds=(0.0, 0.6),
                           restarts=3, seed=3)
     result = mm.fit(data, photon_pair, config)
-    truth = _truth_params(photon_pair)
-    assert abs(result.omega_r_11 - truth.omega_r_11) < 1e-2 * truth.omega_r_11
-    assert abs(result.omega_r_2_tilde
-               - truth.omega_r_2_tilde) < 1e-2 * truth.omega_r_2_tilde
+    true_11 = TRUE_RATIO_11 * photon_pair[0].omega
+    true_2 = TRUE_RATIO_2 * photon_pair[1].omega
+    assert abs(result.omega_r_11 - true_11) < 1e-2 * true_11
+    assert abs(result.omega_r_2_tilde - true_2) < 1e-2 * true_2
     assert abs(result.eta - TRUE_ETA) < 0.05
 
 
@@ -233,7 +245,7 @@ def test_free_eta_fit_converges_on_the_eta_zero_bound(photon_pair):
     # with the truth at eta = 0 and this noise draw, the best eta is the
     # bound itself, where every eta-slope vanishes
     grid = np.linspace(0.3, 2.15, 12)
-    truth = _truth_params(photon_pair, eta=0.0)
+    truth = _truth_params(eta=0.0)
     forward = mm.sweep(photon_pair, mm.couplings_from_ratios(
         photon_pair, TRUE_RATIO_11, TRUE_RATIO_2, 0.0), grid)
     rng = np.random.default_rng(0)
@@ -252,7 +264,8 @@ def test_free_eta_fit_converges_on_the_eta_zero_bound(photon_pair):
     assert result.eta == 0.0
     assert result.residual_rms <= _rms(truth, data, photon_pair)
     for eta in (1e-3, 1e-2, 0.1):
-        moved = mm.FitParams(result.omega_r_11, result.omega_r_2_tilde, eta)
+        moved = (result.omega_r_11 / photon_pair[0].omega,
+                 result.omega_r_2_tilde / photon_pair[1].omega, eta)
         assert _rms(moved, data, photon_pair) > result.residual_rms
 
 
@@ -261,13 +274,38 @@ def test_record_residuals_match_single_record_residuals(photon_pair):
     records = tuple(mm.PeakRecord(nu_c=rec.nu_c, peaks=rec.peaks[t % 3:])
                     for t, rec in enumerate(data.records))
     data = mm.PeakDataset(records=records)
-    params = mm.FitParams(omega_r_11=0.35 * photon_pair[0].omega,
-                          omega_r_2_tilde=0.22 * photon_pair[1].omega,
-                          eta=0.3)
-    single = [mm.record_residuals(params, mm.PeakDataset(records=(rec,)),
-                                  photon_pair)[0] for rec in records]
-    np.testing.assert_allclose(mm.record_residuals(params, data, photon_pair),
+    params = (0.35, 0.22, 0.3)
+    single = [_record_rms(params, mm.PeakDataset(records=(rec,)),
+                          photon_pair)[0] for rec in records]
+    np.testing.assert_allclose(_record_rms(params, data, photon_pair),
                                single, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("fit_eta", [False, True], ids=["fixed_eta", "free_eta"])
+def test_fit_reports_each_record_misfit_at_its_fitted_ratios(photon_pair,
+                                                             fit_eta):
+    # noisy peaks, one record in four missing a peak
+    data = _synthetic_dataset(photon_pair, n_points=12, noise=0.01, seed=6)
+    records = tuple(mm.PeakRecord(nu_c=rec.nu_c, peaks=rec.peaks[1:]
+                                  if t % 4 == 3 else rec.peaks)
+                    for t, rec in enumerate(data.records))
+    data = mm.PeakDataset(records=records)
+    config = mm.FitConfig(ratio_11_bounds=(0.0, 0.8),
+                          ratio_2_bounds=(0.0, 0.8), eta_fixed=TRUE_ETA,
+                          fit_eta=fit_eta, restarts=3, seed=2)
+    result = mm.fit(data, photon_pair, config)
+    assert isinstance(result.record_rms, tuple)
+    assert all(type(value) is float for value in result.record_rms)
+    # the ratios, recovered from rad/s, may sit an ulp off the fitted ones
+    fitted = (result.omega_r_11 / photon_pair[0].omega,
+              result.omega_r_2_tilde / photon_pair[1].omega, result.eta)
+    np.testing.assert_allclose(result.record_rms,
+                               _record_rms(fitted, data, photon_pair),
+                               rtol=1e-12, atol=0.0)
+    counts = np.array([len(rec.peaks) for rec in records])
+    overall = np.sqrt((np.square(result.record_rms) * counts).sum()
+                      / counts.sum())
+    assert overall == pytest.approx(result.residual_rms, rel=1e-14, abs=0.0)
 
 
 def test_fit_reports_failure_on_starved_budget(photon_pair, monkeypatch):
@@ -323,7 +361,7 @@ def test_lockstep_restarts_match_each_restart_alone(photon_pair, ratios,
     starts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(8, n_params))
     starts[0] = lo  # every variable on a bound
     together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi, 4000)
-    assert len(set(together[2].tolist())) > 1  # restarts end apart
+    assert len(set(together[3].tolist())) > 1  # restarts end apart
     for k in range(len(starts)):
         alone = _levenberg_marquardt(misfit, param_sets, starts[k:k + 1],
                                      lo, hi, 4000)
@@ -346,10 +384,10 @@ def test_restarts_after_an_exact_fit_are_dropped(photon_pair):
     together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi, 4000)
     first = _levenberg_marquardt(misfit, param_sets, starts[:1], lo, hi, 4000)
     second = _levenberg_marquardt(misfit, param_sets, starts[1:], lo, hi, 4000)
-    assert together[3][0] and together[1][0] < EXACT_FIT_RMS_THZ
+    assert together[4][0] and together[1][0] < EXACT_FIT_RMS_THZ
     for stacked, single in zip(together, first):
         assert np.array_equal(stacked[0], single[0])
-    assert together[2][1] < second[2][0]
+    assert together[3][1] < second[3][0]
 
 
 def test_fit_config_validation():
