@@ -21,9 +21,8 @@ _SOURCES = {
     "dispersion": ("DispersionFeatures", "SpectrumConfig", "SweepResult",
                    "detect_features", "spectrum_from_branches", "sweep",
                    "write_branch_csv"),
-    "errors": ("ConvergenceError", "DataCoverageError", "FitConfigError",
-               "InstabilityError", "NumericalError", "OverlapError",
-               "ProfileFormatError"),
+    "errors": ("ConvergenceError", "DataCoverageError", "InstabilityError",
+               "NumericalError", "OverlapError", "ProfileFormatError"),
     "fit": ("FitConfig", "FitResult", "PeakDataset", "PeakRecord", "fit",
             "load_peaks", "save_peaks"),
     "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",

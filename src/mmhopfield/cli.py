@@ -399,13 +399,12 @@ def _run_fit(args):
                         "the fit needs exactly two photon modes")
     # the FitConfig fields, checked without numpy
     cfg.require("fit")
-    fit_eta = cfg.get("fit", "eta_mode", "fixed") == "free"
-    if not fit_eta and not cfg.has("coupling", "eta"):
+    free = cfg.get("fit", "eta_mode", "fixed") == "free"
+    if not free and not cfg.has("coupling", "eta"):
         raise cfg.error("fit", "eta_mode", "fixed needs [coupling] eta")
     settings = _fields(cfg, "fit", ("ratio_11_bounds", "ratio_2_bounds",
                                     "eta_bounds", "restarts"))
-    if not fit_eta:
-        settings["eta_fixed"] = cfg.get("coupling", "eta")
+    settings["eta_fixed"] = None if free else cfg.get("coupling", "eta")
     if found := fault(seed=args.seed):
         raise ConfigError(f"--seed: {found[1]}")
 
@@ -415,23 +414,21 @@ def _run_fit(args):
     from .fit import FitConfig, fit, load_peaks
     photons = [model.PhotonMode(**mode) for mode in modes]
     data = load_peaks(args.peaks)
-    result = fit(data, photons, FitConfig(**settings, fit_eta=fit_eta,
-                                          seed=args.seed))
+    result = fit(data, photons, FitConfig(**settings, seed=args.seed))
     if not result.converged:
         raise ConvergenceError(
             f"no restart converged (best rms {result.residual_rms:.6g} THz)")
 
     w1, w2 = photons[0].omega, photons[1].omega
-    coupling = model.couplings_from_ratios(photons, result.omega_r_11 / w1,
-                                           result.omega_r_2_tilde / w2,
-                                           result.eta)
+    coupling = model.couplings_from_ratios(photons, result.ratio_11,
+                                           result.ratio_2_tilde, result.eta)
     back_21, back_22 = coupling.rabi[1] / math.sqrt(
         photons[0].frequency / photons[1].frequency)
     _write(args, "fit_result.json", {
-        "omega_r_11_rad_s": result.omega_r_11,
-        "omega_r_2_tilde_rad_s": result.omega_r_2_tilde,
-        "ratio_11": result.omega_r_11 / w1,
-        "ratio_2_tilde": result.omega_r_2_tilde / w2,
+        "omega_r_11_rad_s": result.ratio_11 * w1,
+        "omega_r_2_tilde_rad_s": result.ratio_2_tilde * w2,
+        "ratio_11": result.ratio_11,
+        "ratio_2_tilde": result.ratio_2_tilde,
         "ratio_21_over_omega_1": back_21 / w1,
         "ratio_22_over_omega_2": back_22 / w2,
         "eta": result.eta,

@@ -30,7 +30,8 @@ JUMP_TOL = 0.05             # continuity bound between adjacent points at step <
 FRACTION_MATCH_WEIGHT = 0.05  # THz penalty per unit L1 fraction distance
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as an array == gives no single bool
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Branch frequencies and mode fractions over a cyclotron-frequency grid.
 
@@ -302,7 +303,8 @@ def detect_features(result, photons):
                               asymptote_high=asym_high)
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as an array == gives no single bool
+@dataclass(frozen=True, eq=False)
 class SpectrumConfig:
     """Transmission-proxy settings: probe grid (THz), half-width-at-half-max
     linewidths per branch (THz, scalar broadcasts), and how dips are weighted

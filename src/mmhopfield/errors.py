@@ -30,16 +30,6 @@ class DataCoverageError(ValueError):
     """Input data insufficient to constrain the requested estimate."""
 
 
-class FitConfigError(ValueError):
-    """A fit setting the solver cannot honour. field names the FitConfig
-    field and problem says what is wrong with its value."""
-
-    def __init__(self, field, problem):
-        super().__init__(f"{field}: {problem}")
-        self.field = field
-        self.problem = problem
-
-
 class OverlapError(ValueError):
     """Undefined overlaps; entry indexes the profile at fault, None the mask."""
 

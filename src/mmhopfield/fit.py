@@ -27,8 +27,8 @@ import random
 import numpy as np
 
 from .bogoliubov import normal_modes
-from .errors import (DataCoverageError, FitConfigError, InstabilityError,
-                     ProfileFormatError, fault, read_ascii)
+from .errors import (DataCoverageError, InstabilityError, ProfileFormatError,
+                     fault, read_ascii)
 from .model import assemble_batch, rabi_from_gram, strengths_from_ratios
 
 # beyond it the branch frequencies lose the precision to stay positive
@@ -76,16 +76,16 @@ class PeakDataset:
 @dataclass(frozen=True)
 class FitConfig:
     """Bounds are on the normalized ratios W_11/w_1 and Wt_2/w_2, finite and
-    non-negative (the frequencies are even in each coupling). eta is held
-    at eta_fixed unless fit_eta is set, in which case it moves inside
-    eta_bounds, a part of [0, 1]. The restarts start from points drawn by
-    random.Random(seed), seed a non-negative integer, so one seed always
-    gives the same start points. Invalid values raise FitConfigError."""
+    non-negative (the frequencies are even in each coupling), and are kept
+    as tuples of floats. eta is held at eta_fixed, or, when that is None,
+    moves inside eta_bounds, a part of [0, 1]. The restarts start from
+    points drawn by random.Random(seed), seed a non-negative integer, so one
+    seed always gives the same start points. An invalid value raises
+    ValueError("field: problem")."""
 
     ratio_11_bounds: tuple = (0.0, 1.0)
     ratio_2_bounds: tuple = (0.0, 1.0)
-    eta_fixed: float = 1.0
-    fit_eta: bool = False
+    eta_fixed: float | None = 1.0
     eta_bounds: tuple = (0.0, 1.0)
     restarts: int = 8
     seed: int = 0
@@ -93,18 +93,22 @@ class FitConfig:
     def __post_init__(self):
         bounds = {name: tuple(getattr(self, name)) for name in (
             "ratio_11_bounds", "ratio_2_bounds", "eta_bounds")}
-        if found := fault(**bounds, eta_fixed=self.eta_fixed,
-                          restarts=self.restarts, seed=self.seed):
-            raise FitConfigError(*found)
+        eta = {} if self.eta_fixed is None else {"eta_fixed": self.eta_fixed}
+        if found := fault(**bounds, **eta, restarts=self.restarts,
+                          seed=self.seed):
+            raise ValueError(": ".join(found))
+        for name, value in bounds.items():
+            object.__setattr__(self, name, tuple(map(float, value)))
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """The best restart: its couplings (rad/s) and eta, its rms misfit over
-    all peaks (THz) and, in record order, that of each record's peaks."""
+    """The best restart: its normalized ratios W_11/w_1 and Wt_2/w_2 and
+    eta, its rms misfit over all peaks (THz) and, in record order, that of
+    each record's peaks."""
 
-    omega_r_11: float
-    omega_r_2_tilde: float
+    ratio_11: float
+    ratio_2_tilde: float
     eta: float
     residual_rms: float
     record_rms: tuple
@@ -316,7 +320,8 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
 
 
 def fit(data, photons, config=FitConfig()):
-    """Estimate (W_11, Wt_2[, eta]) by restarted, bounded Levenberg-Marquardt.
+    """Estimate the ratios (W_11/w_1, Wt_2/w_2) and, if config.eta_fixed is
+    None, eta by restarted, bounded Levenberg-Marquardt.
 
     Each restart starts from a point drawn inside the bounds by the stdlib
     random.Random(config.seed) and may evaluate up to MAX_EVALUATIONS
@@ -330,18 +335,16 @@ def fit(data, photons, config=FitConfig()):
         raise ValueError("the fit needs exactly two photon modes")
     _check_coverage(data, photons)
     misfit = _Misfit(data, photons)
-    w1 = photons[0].omega
-    w2 = photons[1].omega
 
     lo = [config.ratio_11_bounds[0], config.ratio_2_bounds[0]]
     hi = [config.ratio_11_bounds[1], config.ratio_2_bounds[1]]
-    if config.fit_eta:
+    if config.eta_fixed is None:
         lo.append(config.eta_bounds[0])
         hi.append(config.eta_bounds[1])
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
 
     def param_sets(points):
-        if config.fit_eta:
+        if config.eta_fixed is None:
             eta = points[:, 2]  # inside eta_bounds, a part of [0, 1]
         else:
             eta = np.full(len(points), config.eta_fixed)
@@ -356,8 +359,8 @@ def fit(data, photons, config=FitConfig()):
     ran = config.restarts if stop is None else stop + 1
 
     eta = param_sets(x[best:best + 1])[0, 2]
-    return FitResult(omega_r_11=float(x[best, 0] * w1),
-                     omega_r_2_tilde=float(x[best, 1] * w2),
+    return FitResult(ratio_11=float(x[best, 0]),
+                     ratio_2_tilde=float(x[best, 1]),
                      eta=float(eta),
                      residual_rms=float(rms[best]),
                      record_rms=tuple(np.sqrt(costs[best] / [

@@ -94,7 +94,8 @@ class PhotonMode:
         return self.frequency * RAD_PER_SEC_PER_THZ
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as an array == gives no single bool
+@dataclass(frozen=True, eq=False)
 class CouplingSet:
     """Rabi couplings W[nu, mu] (rad/s) between photon mode nu and matter
     mode mu, quoted at cyclotron frequency reference_cyclotron (THz).

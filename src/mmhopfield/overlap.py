@@ -27,7 +27,8 @@ def _check_grid(nx, ny, dx, dy):
         raise ValueError("grid spacing must be finite and positive")
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as an array == gives no single bool
+@dataclass(frozen=True, eq=False)
 class FieldProfile:
     """Complex in-plane mode profile sampled on a uniform nx x ny grid.
 
@@ -52,7 +53,8 @@ class FieldProfile:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as an array == gives no single bool
+@dataclass(frozen=True, eq=False)
 class DomainMask:
     """Boolean integration domain on the same grid as a profile; dx, dy, if
     given, are the cell sizes (um) that gram requires the profiles to have."""
@@ -295,8 +297,13 @@ def load_mask(path):
         raise ProfileFormatError(f"{path}: {exc}") from exc
 
 
-def save_mask(path, mask, dx=1.0, dy=1.0):
-    """Write a DomainMask in the plain-text format."""
+def save_mask(path, mask, dx=None, dy=None):
+    """Write a DomainMask in the plain-text format. The header spacing is
+    dx, dy (um) where given, else the mask's own, else 1.0."""
+    if dx is None:
+        dx = 1.0 if mask.dx is None else mask.dx
+    if dy is None:
+        dy = 1.0 if mask.dy is None else mask.dy
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{mask.nx} {mask.ny} {float(dx)!r} {float(dy)!r}\n")
         for row in np.where(mask.inside, "1", "0"):

@@ -211,10 +211,8 @@ def test_criterion_08_fit_round_trip(photon_pair):
                            ratio_2_bounds=(0.0, 0.8),
                            eta_fixed=UNSTRUCTURED[2], restarts=2, seed=seed)
         out = mm.fit(dataset, photon_pair, cfg)
-        r11 = out.omega_r_11 / photon_pair[0].omega
-        r2 = out.omega_r_2_tilde / photon_pair[1].omega
-        return (abs(r11 - UNSTRUCTURED[0]) / UNSTRUCTURED[0],
-                abs(r2 - UNSTRUCTURED[1]) / UNSTRUCTURED[1])
+        return (abs(out.ratio_11 - UNSTRUCTURED[0]) / UNSTRUCTURED[0],
+                abs(out.ratio_2_tilde - UNSTRUCTURED[1]) / UNSTRUCTURED[1])
 
     clean_errs = run(_peak_records(forward), seed=1)
     good = 0

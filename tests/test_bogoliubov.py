@@ -238,3 +238,21 @@ def test_hopfield_coefficients_on_a_stacked_sweep(photon_pair,
     weights = x ** 2 - y ** 2
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_allclose(weights, vecs ** 2, atol=1e-9)
+
+
+@pytest.mark.parametrize("vectors, solver", [(True, "eigh"),
+                                             (False, "eigvalsh")])
+def test_eigensolver_failure_is_a_numerical_error(photon_pair,
+                                                   structured_coupling,
+                                                   monkeypatch, vectors,
+                                                   solver):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    diag, inter = _at(photon_pair, 1.3, structured_coupling)
+    with pytest.raises(mm.NumericalError) as err:
+        normal_modes(diag[None], inter[None], 2, vectors=vectors)
+    assert str(err.value) == ("eigensolver failed to converge: Eigenvalues "
+                              "did not converge")
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)

@@ -9,7 +9,6 @@ checks main()'s garbage-collector policy. Output files are byte-compared where
 determinism is promised.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -579,7 +578,6 @@ _PAIR = [mm.PhotonMode(index=1, frequency=0.8),
 _OVERLAP_CFG = "[overlap]\nphysical_volumes_m3 = 1e-17, 2e-17\n"
 _COMMANDS = {SWEEP_CFG: "sweep", MATERIAL_CFG: "sweep", SPECTRUM_CFG: "spectrum",
              FIT_CFG: "fit", _OVERLAP_CFG: "overlap"}
-_FIT_FIELDS = {f.name for f in dataclasses.fields(mm.FitConfig)}
 
 
 def _couplings(field):
@@ -723,8 +721,6 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
         with pytest.raises(ValueError) as info:
             library(parse(outside))
         assert str(info.value) == f"{field}: {problem}"
-        assert isinstance(info.value, mm.FitConfigError) == (
-            field in _FIT_FIELDS)
 
 
 # Faults a library caller met before the library checked its fields by the
@@ -740,7 +736,7 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
     (lambda: mm.MaterialParams(effective_mass_ratio=1e-310), ValueError,
      "effective_mass_ratio"),
     # fit raised TypeError
-    (lambda: mm.FitConfig(restarts=2.5), mm.FitConfigError, "restarts"),
+    (lambda: mm.FitConfig(restarts=2.5), ValueError, "restarts"),
     # the one-mode ratio is W_11/w_1, under the ratio_11 rule: sweep raised
     # InstabilityError on a nan THz^2, -1 was accepted, and inf failed in
     # CouplingSet without naming the ratio
@@ -748,8 +744,8 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
        ValueError, "ratio_11") for ratio in (1e200, -1.0, math.inf)],
     # accepted, as random.Random takes a float seed; a rule through int(v)
     # would raise OverflowError on inf
-    (lambda: mm.FitConfig(seed=2.5), mm.FitConfigError, "seed"),
-    (lambda: mm.FitConfig(seed=math.inf), mm.FitConfigError, "seed"),
+    (lambda: mm.FitConfig(seed=2.5), ValueError, "seed"),
+    (lambda: mm.FitConfig(seed=math.inf), ValueError, "seed"),
     # accepted
     (lambda: mm.MaterialParams(qw_count=2.5), ValueError, "qw_count"),
 ], ids=["ratio-overflow", "linewidth-overflow", "mass-underflow",
@@ -866,6 +862,11 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                      "ratio_2_tilde = 0.2124026\n", ""), "[coupling]",
                  "[coupling] needs ratio_11/ratio_2_tilde or mode_volumes_m3",
                  id="no-coupling-spec"),
+    pytest.param("sweep", SWEEP_CFG.replace("eta = 0.15\n", "eta = 0.15\n"
+                                            "mode_volumes_m3 = 1e-17, 2e-17\n"),
+                 "mode_volumes_m3 = 1e-17, 2e-17",
+                 "[coupling] mode_volumes_m3: give either normalized ratios "
+                 "or mode volumes, not both", id="ratios-and-volumes"),
     pytest.param("fit", FIT_CFG.replace("labels = LC, dipolar\n", "").replace(
                      "0.8, 1.6", "0.8, 1.6, 2.4"),
                  "frequencies_thz = 0.8, 1.6, 2.4",

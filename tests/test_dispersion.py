@@ -358,6 +358,21 @@ def test_unstructured_has_no_middle_branch_features(photon_pair,
     assert feats.asymptote_high is None
 
 
+@pytest.mark.parametrize("curve, expected", [
+    (lambda nu: (nu - 1.0) ** 3, 1.0),
+    (lambda nu: nu * nu, None),
+    (lambda nu: -np.exp(nu), None),
+], ids=["cubic", "convex", "concave"])
+def test_inflection_is_none_unless_the_curvature_changes_sign(curve, expected):
+    # 1.0 falls midway between two grid points
+    nu = 0.505 + 0.01 * np.arange(100)
+    found = dispersion._inflection(nu, curve(nu))
+    if expected is None:
+        assert found is None
+    else:
+        assert found == pytest.approx(expected, abs=1e-9)
+
+
 def test_gaps_bracket_photon_frequencies(photon_pair, unstructured_coupling,
                                          full_grid):
     res = mm.sweep(photon_pair, unstructured_coupling, full_grid)

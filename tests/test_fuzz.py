@@ -13,9 +13,12 @@ non-ASCII byte at the cut. The contract is the same for every case:
 - a config fault that exits 2 names the config's path and a line, and a
   faulty data file is named by its path.
 
-The full cross product is about 2,250 runs, so a seeded sample of it runs
-here; every fault found in it is pinned below as a fixed row. The sampler
-uses the standard library only.
+The full cross product is about 2,250 runs, so by default a seeded sample
+of it runs; every fault found in it is pinned below as a fixed row. The
+sampler uses the standard library only. The whole set carries the
+full_fuzz marker, which pyproject.toml deselects unless asked for:
+
+    python -m pytest -q -m full_fuzz tests/test_fuzz.py
 """
 
 import contextlib
@@ -312,19 +315,29 @@ SEED = 1958
 SAMPLE = 200
 
 
-def _sample():
-    cases = [("config",) + case for case in _config_cases()]
-    cases += [("file",) + case for case in _file_cases()]
-    return random.Random(SEED).sample(cases, SAMPLE)
+def _cases():
+    return ([("config",) + case for case in _config_cases()]
+            + [("file",) + case for case in _file_cases()])
 
 
-@pytest.mark.parametrize("case", _sample(), ids=lambda case: case[1])
-def test_sampled_mutation_keeps_the_contract(tmp_path, inputs, case):
+def _run_case(tmp_path, inputs, case):
     kind, _, *args = case
     if kind == "config":
         _run_config_case(tmp_path, inputs, *args)
     else:
         _run_file_case(tmp_path, inputs, *args)
+
+
+@pytest.mark.parametrize("case", random.Random(SEED).sample(_cases(), SAMPLE),
+                         ids=lambda case: case[1])
+def test_sampled_mutation_keeps_the_contract(tmp_path, inputs, case):
+    _run_case(tmp_path, inputs, case)
+
+
+@pytest.mark.full_fuzz
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: case[1])
+def test_every_mutation_keeps_the_contract(tmp_path, inputs, case):
+    _run_case(tmp_path, inputs, case)
 
 
 def _above(cap):

@@ -1,6 +1,8 @@
 """Parameter containers, unit conversions, and Hamiltonian assembly."""
 
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,3 +378,64 @@ def test_validation_rejects_bad_inputs():
         mm.couplings_from_ratios(pair[:1], 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         mm.CouplingSet(rabi=np.zeros((2, 1)), reference_cyclotron=0.8)
+
+
+_PAIR = [mm.PhotonMode(index=1, frequency=0.8),
+         mm.PhotonMode(index=2, frequency=1.6)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mm.CouplingSet(rabi=np.eye(2), reference_cyclotron=-0.8),
+     "reference_cyclotron must be non-negative"),
+    (lambda: mm.rabi_microscopic(mm.PhotonMode(
+        index=1, frequency=0.8, effective_mode_volume=1e-17),
+        mm.MaterialParams(), 0.0), "nu_c must be positive"),
+    (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(3), 0.8),
+     "2 photon modes but Rabi matrices of shape (3, 3)"),
+    (lambda: mm.assemble_batch(_PAIR, [[0.5]], np.eye(2), 0.8),
+     "nu_c values must form a one-dimensional grid"),
+    (lambda: mm.assemble_batch(_PAIR, [0.5, -0.5], np.eye(2), 0.8),
+     "nu_c must be finite and non-negative"),
+    (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(2), 0.0),
+     "coupling set has no positive reference cyclotron frequency"),
+], ids=["negative-reference", "microscopic-at-zero-bias", "rabi-shape",
+        "grid-not-1d", "negative-bias", "no-reference"])
+def test_model_inputs_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _array_values():
+    """One instance of each public type that holds an ndarray."""
+    coupling = mm.couplings_from_ratios(_PAIR, 0.37, 0.2124026, 0.15)
+    return [coupling, mm.sweep(_PAIR, coupling, [0.5, 0.6, 0.7]),
+            mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=0.04),
+            mm.synthetic_profile("lc", nx=4, ny=4),
+            mm.central_square_mask(4, 4, 1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("value", _array_values(),
+                         ids=lambda value: type(value).__name__)
+def test_array_holding_types_compare_and_hash_by_identity(value):
+    # a generated == would compare the arrays and raise on their truth value
+    twin = copy.copy(value)
+    assert value == value
+    assert value != twin
+    assert hash(value) == hash(value) != hash(twin)
+    assert {value, twin} == {twin, value}
+
+
+def test_value_types_keep_value_equality():
+    record = mm.PeakRecord(nu_c=0.5, peaks=[0.4, 0.6])
+    values = [
+        lambda: mm.PhotonMode(index=1, frequency=0.8),
+        lambda: mm.MaterialParams(),
+        lambda: mm.FitConfig(eta_fixed=None),
+        lambda: mm.FitResult(0.37, 0.21, 0.15, 1e-3, (1e-3,), 12, True),
+        lambda: mm.PeakRecord(nu_c=0.5, peaks=(0.4, 0.6)),
+        lambda: mm.PeakDataset(records=[record]),
+        lambda: mm.DispersionFeatures(4, 0, (0.1, 0.2), 1.2, 0.5, 1.5),
+    ]
+    for make in values:
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)

@@ -372,6 +372,10 @@ def test_mask_bulk_and_line_errors(tmp_path):
     path.write_text("2 3 1.0 1.0\n0 1 1\n1 0\n")
     with pytest.raises(mm.ProfileFormatError, match="expected nx\\*ny"):
         mm.load_mask(path)
+    path.write_text("2 3 1.0 1.0\n0 0 0\n0 0 0\n")
+    with pytest.raises(mm.ProfileFormatError) as err:
+        mm.load_mask(path)
+    assert str(err.value) == f"{path}: mask selects no cells"
 
 
 def test_grid_mismatch_rejected():
@@ -425,3 +429,45 @@ def test_vanishing_profile_rejected():
     with pytest.raises(mm.OverlapError, match="vanishes") as err:
         mm.effective_mode_volumes(gram, [1.0, 1.0])
     assert err.value.entry == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mm.FieldProfile(nx=2, ny=3, dx=1.0, dy=1.0,
+                             values=np.ones((3, 2))),
+     "values shape (3, 2) does not match (2, 3)"),
+    (lambda: mm.DomainMask(nx=2, ny=3, inside=np.ones((3, 2))),
+     "mask shape (3, 2) does not match (2, 3)"),
+    (lambda: mm.central_square_mask(8, 8, 1.0, 1.0, 0.0),
+     "half_width must be positive"),
+    # the cell centers nearest the middle sit 0.5 um off it
+    (lambda: mm.central_square_mask(8, 8, 1.0, 1.0, 0.4),
+     "half_width smaller than one grid cell"),
+    (lambda: mm.synthetic_profile("lc", center_width=0.0),
+     "gaussian widths must be positive"),
+    (lambda: mm.synthetic_profile("dipolar", corner_width=-1.0),
+     "gaussian widths must be positive"),
+    (lambda: mm.synthetic_profile("ring"), "unknown profile kind 'ring'"),
+], ids=["profile-shape", "mask-shape", "zero-half-width",
+        "sub-cell-half-width", "zero-center-width", "negative-corner-width",
+        "unknown-kind"])
+def test_overlap_inputs_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_mask_round_trip_keeps_the_spacing(tmp_path, lc_profile,
+                                           dipolar_profile):
+    f = lc_profile
+    mask = mm.central_square_mask(f.nx, f.ny, f.dx, f.dy, 7.5)
+    path = tmp_path / "patch.dat"
+    mm.save_mask(path, mask)
+    back = mm.load_mask(path)
+    assert (back.dx, back.dy) == (f.dx, f.dy)
+    assert np.array_equal(back.inside, mask.inside)
+    np.testing.assert_array_equal(mm.gram([lc_profile, dipolar_profile], back),
+                                  mm.gram([lc_profile, dipolar_profile], mask))
+    # given values win, and a mask without spacing writes 1.0
+    mm.save_mask(path, mask, 2.5, 2.5)
+    assert path.read_text().startswith(f"{f.nx} {f.ny} 2.5 2.5\n")
+    mm.save_mask(path, mm.full_mask(4, 4))
+    assert path.read_text().startswith("4 4 1.0 1.0\n")
