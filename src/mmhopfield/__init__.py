@@ -27,9 +27,9 @@ _SOURCES = {
             "load_peaks", "save_peaks"),
     "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
               "couplings_from_ratios", "cyclotron_frequency",
-              "rabi_from_gram", "rabi_microscopic", "single_mode_coupling"),
+              "rabi_from_gram", "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
-                "effective_mode_volumes", "full_mask", "gram", "load_mask",
+                "full_mask", "gram", "load_mask",
                 "load_profile", "overlap_parameters", "save_mask",
                 "save_profile", "synthetic_profile"),
 }

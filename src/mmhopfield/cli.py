@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: sweep, fit, overlap, spectrum. All take an INI-style config;
-results are written to --out as CSV/JSON with fixed formatting so identical
-configs and seeds reproduce byte-identical files. Exit codes: 0 success,
-2 config or file-format error, 3 numerical error, 4 missing or insufficient
-data. Errors print a single "ERROR <code>: ..." line on stderr.
+Subcommands: sweep, fit, overlap, spectrum; all but overlap take an
+INI-style config. Results are written to --out as CSV/JSON with fixed
+formatting so identical configs and seeds reproduce byte-identical files.
+Exit codes: 0 success, 2 config or file-format error, 3 numerical error,
+4 missing or insufficient data. Errors print a single "ERROR <code>: ..."
+line on stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import tempfile
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, OverlapError, fault, feature_span_fault,
-                     ratio_cap)
+                     NumericalError, OverlapError, fault, feature_span_fault)
 
 
 class ConfigError(ValueError):
@@ -59,14 +59,8 @@ _KEYS = {
     "coupling": {
         "ratio_11": (float, "ratio_11"),
         "ratio_2_tilde": (float, "ratio_2_tilde"),
-        "eta": (float, "eta"),
-        "mode_volumes_m3": (_floats, "effective_mode_volume")},
-    "material": {
-        "effective_mass_ratio": (float, "effective_mass_ratio"),
-        # in the m^-2 of MaterialParams
-        "sheet_density_per_cm2": (lambda raw: float(raw) * 1e4, "sheet_density"),
-        "qw_count": (int, "qw_count"),
-        "background_permittivity": (float, "background_permittivity")},
+        "eta": (float, "eta")},
+    "material": {"effective_mass_ratio": (float, "effective_mass_ratio")},
     "sweep": dict.fromkeys(_SWEEP_THZ + _SWEEP_TESLA, _GRID_KEY),
     "spectrum": {
         "linewidth_thz": (_floats, "linewidths"),
@@ -78,7 +72,6 @@ _KEYS = {
            for key in ("ratio_11_bounds", "ratio_2_bounds", "eta_bounds")},
         "eta_mode": (str, "eta_mode"),
         "restarts": (int, "restarts")},
-    "overlap": {"physical_volumes_m3": (_floats, "physical_volumes")},
 }
 
 _COMMENT = re.compile(r"(?:^|\s)[;#]")
@@ -176,7 +169,7 @@ class _Config:
         return ConfigError(f"{where}: {about} {problem}")
 
 
-def _read_photons(cfg, volumes=None):
+def _read_photons(cfg):
     """The [photon_modes] keys, checked without numpy: the PhotonMode
     fields of each mode. labels only name the modes, so they are only
     counted."""
@@ -186,13 +179,7 @@ def _read_photons(cfg, volumes=None):
     if len(labels) != len(freqs):
         raise cfg.error("photon_modes", "labels",
                         f"{len(labels)} labels for {len(freqs)} modes")
-    if volumes is None:
-        volumes = [None] * len(freqs)
-    elif len(volumes) != len(freqs):
-        raise cfg.error("coupling", "mode_volumes_m3",
-                        f"{len(volumes)} volumes for {len(freqs)} modes")
-    return [dict(index=i + 1, frequency=f, effective_mode_volume=vol)
-            for i, (f, vol) in enumerate(zip(freqs, volumes))]
+    return [dict(index=i + 1, frequency=f) for i, f in enumerate(freqs)]
 
 
 def _fields(cfg, section, keys=None):
@@ -204,29 +191,14 @@ def _fields(cfg, section, keys=None):
 
 
 def _read_coupling(cfg):
-    """Exactly one two-mode coupling spec, checked without numpy: (modes of
-    _read_photons, the two ratios or None for mode volumes, eta). Mode
-    volumes check [material] too."""
+    """The two-mode coupling spec, checked without numpy: (modes of
+    _read_photons, the two ratios, eta)."""
     cfg.require("coupling")
-    has_ratios = cfg.has("coupling", "ratio_11")
-    has_micro = cfg.has("coupling", "mode_volumes_m3")
-    if has_ratios and has_micro:
-        raise cfg.error("coupling", "mode_volumes_m3",
-                        "give either normalized ratios or mode volumes, not both")
-    if not has_ratios and not has_micro:
-        raise cfg.error("coupling", None,
-                        "needs ratio_11/ratio_2_tilde or mode_volumes_m3")
+    if not cfg.has("coupling", "ratio_11"):
+        raise cfg.error("coupling", None, "needs ratio_11/ratio_2_tilde")
     eta = cfg.get("coupling", "eta")
-
-    if has_ratios:
-        ratios = [cfg.get("coupling", key)
-                  for key in ("ratio_11", "ratio_2_tilde")]
-        modes = _read_photons(cfg)
-    else:
-        ratios = None
-        modes = _read_photons(
-            cfg, volumes=cfg.get("coupling", "mode_volumes_m3"))
-        _fields(cfg, "material")
+    ratios = [cfg.get("coupling", key) for key in ("ratio_11", "ratio_2_tilde")]
+    modes = _read_photons(cfg)
     if len(modes) != 2:
         raise cfg.error("photon_modes", "frequencies_thz",
                         "the two-mode model needs exactly two frequencies")
@@ -298,21 +270,11 @@ def _sweep_grid(cfg):
     raise cfg.error("sweep", None, "needs start/stop/step in THz or tesla")
 
 
-def _solve(cfg, modes, ratios, eta, grid):
+def _solve(modes, ratios, eta, grid):
     """(photon modes, dispersion sweep) of a _read_coupling spec over a
-    _sweep_grid; mode volumes take the [material] section."""
+    _sweep_grid."""
     from . import dispersion, model
     photons = [model.PhotonMode(**mode) for mode in modes]
-    if ratios is None:
-        material = model.MaterialParams(**_fields(cfg, "material"))
-        try:
-            ratios = [model.rabi_microscopic(m, material, m.frequency) / m.omega
-                      for m in photons]
-        except ZeroDivisionError:  # the denominator underflowed to 0
-            ratios = [math.inf]
-        ok, problem = ratio_cap("give coupling ratios above")
-        if not all(map(ok, ratios)):
-            raise cfg.error("coupling", "mode_volumes_m3", problem)
     coupling = model.couplings_from_ratios(photons, *ratios, eta)
     return photons, dispersion.sweep(photons, coupling, _points(grid))
 
@@ -343,7 +305,7 @@ def _run_sweep(args):
     keys, start, step, n = grid
     if found := feature_span_fault(start, start + step * (n - 1)):
         raise cfg.error("sweep", keys[found[0]], found[1])
-    photons, result = _solve(cfg, modes, ratios, eta, grid)
+    photons, result = _solve(modes, ratios, eta, grid)
     from . import dispersion
     features = dispersion.detect_features(result, photons)
 
@@ -375,7 +337,7 @@ def _run_spectrum(args):
                                     "freq_step_thz"))
     weighting = _fields(cfg, "spectrum", ("weight_mode",))
 
-    _, result = _solve(cfg, modes, ratios, eta, grid)
+    _, result = _solve(modes, ratios, eta, grid)
     from . import dispersion
     spec_cfg = dispersion.SpectrumConfig(
         frequency_grid=_points(probe),
@@ -455,13 +417,6 @@ def _run_overlap(args):
             raise DataCoverageError(f"profile file not found: {path}")
     if args.mask is not None and not os.path.exists(args.mask):
         raise DataCoverageError(f"mask file not found: {args.mask}")
-    volumes = [1.0] * n
-    if args.config is not None:
-        cfg = _Config(args.config)
-        volumes = cfg.get("overlap", "physical_volumes_m3", volumes)
-        if len(volumes) != n:
-            raise cfg.error("overlap", "physical_volumes_m3",
-                            f"{len(volumes)} volumes for {n} profiles")
 
     from . import overlap
     profiles = [overlap.load_profile(p) for p in args.profiles]
@@ -473,7 +428,6 @@ def _run_overlap(args):
     try:
         gram = overlap.gram(profiles, mask)
         eta = overlap.overlap_parameters(gram)
-        eff_volumes = overlap.effective_mode_volumes(gram, volumes)
     except OverlapError as exc:  # name the file at fault
         path = args.mask if exc.entry is None else args.profiles[exc.entry]
         raise OverlapError(f"{path}: {exc}", exc.entry) from exc
@@ -482,7 +436,6 @@ def _run_overlap(args):
         "profiles": list(args.profiles),
         "overlap_integrals_um2": gram.view(float).reshape(n, n, 2).tolist(),
         "overlap_parameters": eta.tolist(),
-        "effective_mode_volumes_m3": eff_volumes.tolist(),
     })
     return 0
 
@@ -500,8 +453,8 @@ def _build_parser():
             ("overlap", "overlap integrals of sampled near-field profiles"),
             ("spectrum", "transmission-proxy map over the sweep grid")):
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--config", required=(name != "overlap"),
-                         help="INI config file")
+        if name != "overlap":
+            cmd.add_argument("--config", required=True, help="INI config file")
         cmd.add_argument("--out", default=".", help="output directory")
         if name == "fit":
             cmd.add_argument("--seed", type=int, default=0,

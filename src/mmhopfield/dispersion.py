@@ -26,7 +26,6 @@ from .model import assemble_batch
 VARIATION_TOL = 0.02        # minimum total frequency variation of a coupled branch
 MATTER_FRACTION_FLOOR = 1e-3  # minimum peak matter weight of a coupled branch
 CR_LINE_TOL = 0.05          # maximum deviation from nu = nu_c for the bare line
-JUMP_TOL = 0.05             # continuity bound between adjacent points at step <= 0.01
 FRACTION_MATCH_WEIGHT = 0.05  # THz penalty per unit L1 fraction distance
 
 

@@ -69,7 +69,6 @@ MAX_RATIO = 1e6
 MAX_LINEWIDTH_THZ = 1e150  # squared in every dip, which overflows near 1.3e154
 MAX_RESTARTS = 1000  # the restarts run in lockstep, as one stack
 MIN_MASS_RATIO = 1e-3  # under any band mass (InSb: 0.014); nu_c per tesla divides by it
-MAX_QW_COUNT = 10_000  # far above any grown stack; a huge int overflows a float
 FEATURE_SPAN_THZ = (0.05, 2.0)  # the nu_c span that feature detection needs
 
 
@@ -101,8 +100,6 @@ _BOUNDS = ((lambda v: len(v) == 2, lambda v: f"needs exactly two values, got {le
 RULES = {
     "frequency": ((lambda v: 0.0 < v < math.inf,
                    "frequencies must be finite and positive"),),
-    **dict.fromkeys(("effective_mode_volume", "physical_volumes"), (
-        (lambda v: 0.0 < v < math.inf, "volumes must be finite and positive"),)),
     **dict.fromkeys(("ratio_11", "ratio_2_tilde"), (
         (lambda v: not v < 0.0, "ratios must be non-negative"),
         (lambda v: v < math.inf, "ratios must be finite"),
@@ -112,13 +109,6 @@ RULES = {
     "effective_mass_ratio": (
         (lambda v: 0.0 < v < math.inf, "must be finite and positive"),
         (lambda v: v >= MIN_MASS_RATIO, f"must be at least {MIN_MASS_RATIO:g}")),
-    "sheet_density": ((lambda v: 0.0 <= v < math.inf,
-                       "must be finite and non-negative"),),
-    "qw_count": ((lambda v: v >= 1, "must be at least 1"),
-                 (lambda v: v <= MAX_QW_COUNT, f"must not exceed {MAX_QW_COUNT}"),
-                 _INTEGER),
-    "background_permittivity": ((lambda v: 1.0 <= v < math.inf,
-                                 "must be finite and >= 1"),),
     "linewidths": ((math.isfinite, "linewidths must be finite"),
                    (lambda v: v > 0.0, "linewidths must be positive"),
                    (lambda v: v <= MAX_LINEWIDTH_THZ,

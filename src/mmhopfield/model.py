@@ -28,7 +28,6 @@ from .errors import fault
 # CODATA 2018
 ELEMENTARY_CHARGE = 1.602176634e-19     # C (exact)
 ELECTRON_MASS = 9.1093837015e-31        # kg
-VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
 RAD_PER_SEC_PER_THZ = 2.0 * math.pi * 1e12
 
@@ -49,16 +48,11 @@ def _frozen_array(obj, name, value, dtype=float):
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Two-dimensional electron gas hosting the cyclotron transition.
-
-    Defaults describe a GaAs triple quantum well stack:
-    m*/m_e = 0.07, 1.25e12 cm^-2 per well, eps_r = 12.9.
-    """
+    """Two-dimensional electron gas hosting the cyclotron transition; its
+    band mass converts a field in tesla to nu_c. The default is GaAs's
+    m*/m_e = 0.07."""
 
     effective_mass_ratio: float = 0.07
-    sheet_density: float = 1.25e16       # electrons per m^2 per well
-    qw_count: int = 3
-    background_permittivity: float = 12.9
 
     def __post_init__(self):
         if found := fault(**vars(self)):
@@ -72,20 +66,15 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class PhotonMode:
-    """One resonator mode. frequency in THz; effective_mode_volume in m^3
-    (already divided by the self-overlap of the mode profile), only needed
-    for the microscopic coupling route."""
+    """One resonator mode; frequency in THz."""
 
     index: int
     frequency: float
-    effective_mode_volume: float | None = None
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("mode index must be >= 1")
-        volume = self.effective_mode_volume
-        if found := fault(frequency=self.frequency, **(
-                {} if volume is None else {"effective_mode_volume": volume})):
+        if found := fault(frequency=self.frequency):
             raise ValueError(": ".join(found))
 
     @property
@@ -98,7 +87,8 @@ class PhotonMode:
 @dataclass(frozen=True, eq=False)
 class CouplingSet:
     """Rabi couplings W[nu, mu] (rad/s) between photon mode nu and matter
-    mode mu, quoted at cyclotron frequency reference_cyclotron (THz).
+    mode mu, quoted at the finite, positive cyclotron frequency
+    reference_cyclotron (THz).
 
     W is square and its entries finite, of either sign: the physics sees W
     only through W W^T. rabi_from_gram makes it lower triangular, each
@@ -114,8 +104,8 @@ class CouplingSet:
             raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
         if not np.all(np.isfinite(rabi)):
             raise ValueError("rabi entries must be finite")
-        if not np.isfinite(self.reference_cyclotron) or self.reference_cyclotron < 0.0:
-            raise ValueError("reference_cyclotron must be non-negative")
+        if not 0.0 < self.reference_cyclotron < math.inf:
+            raise ValueError("reference_cyclotron must be finite and positive")
 
     @property
     def n_photon(self):
@@ -203,25 +193,6 @@ def single_mode_coupling(photon, ratio):
     """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency;
     the ratio is W_11/w_1, checked by the ratio_11 rule."""
     return _from_ratios([photon], [ratio], [[1.0]], ratio_11=ratio)
-
-
-def rabi_microscopic(mode, material, nu_c):
-    """Microscopic vacuum Rabi frequency (rad/s) of one photon mode.
-
-        W = sqrt( w_c n_qw rho e^2 / (2 m* eps0 eps_r w_nu V_nu) )
-
-    with w_c = 2 pi nu_c and V_nu the effective mode volume."""
-    if nu_c <= 0.0:
-        raise ValueError("nu_c must be positive")
-    if mode.effective_mode_volume is None:
-        raise ValueError(f"photon mode {mode.index} has no effective mode volume")
-    w_c = nu_c * RAD_PER_SEC_PER_THZ
-    num = (w_c * material.qw_count * material.sheet_density
-           * ELEMENTARY_CHARGE ** 2)
-    den = (2.0 * material.effective_mass * VACUUM_PERMITTIVITY
-           * material.background_permittivity * mode.omega
-           * mode.effective_mode_volume)
-    return math.sqrt(num / den)
 
 
 def _gram(rabi, w_c):

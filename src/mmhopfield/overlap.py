@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import OverlapError, ProfileFormatError, fault, read_ascii
+from .errors import OverlapError, ProfileFormatError, read_ascii
 
 
 def _check_grid(nx, ny, dx, dy):
@@ -99,32 +99,20 @@ def gram(profiles, mask):
     return (np.conj(stack)[:, None] * stack).sum(axis=-1) * first.dx * first.dy
 
 
-def _self_overlaps(gram, undefined):
-    """Real F_ii; an OverlapError names the first profile that vanishes."""
-    diag = np.asarray(gram).diagonal().real
-    if np.any(diag <= 0.0):
-        raise OverlapError(f"profile vanishes on the mask; {undefined} "
-                           "undefined", int(np.argmax(diag <= 0.0)))
-    return diag
-
-
 def overlap_parameters(gram):
     """Normalized overlaps eta_ij = |F_ij| / sqrt(F_ii F_jj), in [0, 1], of a
     Gram matrix; the diagonal is exactly one. |F_ij| is np.hypot of its parts,
-    rounded as abs() of one complex is, which np.abs need not be."""
-    root = np.sqrt(_self_overlaps(gram, "overlap"))
+    rounded as abs() of one complex is, which np.abs need not be. An
+    OverlapError names the first profile that vanishes (F_ii <= 0)."""
+    gram = np.asarray(gram)
+    diag = gram.diagonal().real
+    if np.any(diag <= 0.0):
+        raise OverlapError("profile vanishes on the mask; overlap undefined",
+                           int(np.argmax(diag <= 0.0)))
+    root = np.sqrt(diag)
     eta = np.minimum(np.hypot(gram.real, gram.imag) / (root[:, None] * root), 1.0)
     np.fill_diagonal(eta, 1.0)
     return eta
-
-
-def effective_mode_volumes(gram, physical_volumes):
-    """Effective volumes V_i / F_ii steering the microscopic coupling
-    strength; a profile of unit self-overlap keeps its physical volume."""
-    volumes = np.asarray(physical_volumes, dtype=float)
-    if found := fault(physical_volumes=volumes.ravel().tolist()):
-        raise ValueError(": ".join(found))
-    return volumes / _self_overlaps(gram, "mode volume")
 
 
 def full_mask(nx, ny):

@@ -305,19 +305,9 @@ def overlap_parameter(f, g, mask):
     return min(eta, 1.0)
 
 
-def effective_mode_volume(f, mask, physical_volume):
-    """Effective volume V / F_ff of one profile."""
-    if not 0.0 < physical_volume < math.inf:
-        raise ValueError("physical volume must be finite and positive")
-    f_self = overlap_integral(f, f, mask).real
-    if f_self <= 0.0:
-        raise ValueError("profile vanishes on the mask; mode volume undefined")
-    return physical_volume / f_self
-
-
-def overlap_json_per_pair(paths, profiles, mask, volumes):
+def overlap_json_per_pair(paths, profiles, mask):
     """The text of overlap.json for the profiles read from paths, from the
-    per-pair integrals, parameters and volumes."""
+    per-pair integrals and parameters."""
     n = len(profiles)
     doc = {
         "profiles": list(paths),
@@ -328,9 +318,6 @@ def overlap_json_per_pair(paths, profiles, mask, volumes):
         "overlap_parameters": [
             [overlap_parameter(profiles[i], profiles[j], mask)
              for j in range(n)] for i in range(n)],
-        "effective_mode_volumes_m3": [
-            effective_mode_volume(profiles[i], mask, volumes[i])
-            for i in range(n)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

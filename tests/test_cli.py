@@ -250,20 +250,8 @@ def test_overlap_outputs_matrices(tmp_path, lc_profile, dipolar_profile):
     ints = data["overlap_integrals_um2"]
     assert len(ints) == 2 and all(len(row) == 2 for row in ints)
     assert all(len(cell) == 2 for row in ints for cell in row)
-    assert all(v > 0.0 for v in data["effective_mode_volumes_m3"])
-
-    # physical volumes from a config scale the effective volumes linearly
-    cfg = _write(tmp_path / "cfg.ini",
-                 "[overlap]\nphysical_volumes_m3 = 1.0e-16, 2.0e-16\n")
-    out2 = tmp_path / "out2"
-    rc = cli.main(["overlap", "--config", cfg, "--profiles", str(pa), str(pb),
-                   "--mask", str(pm), "--out", str(out2)])
-    assert rc == 0
-    scaled = json.loads((out2 / "overlap.json").read_text())
-    base = data["effective_mode_volumes_m3"]
-    got = scaled["effective_mode_volumes_m3"]
-    assert got[0] == pytest.approx(1.0e-16 * base[0], rel=1e-12)
-    assert got[1] == pytest.approx(2.0e-16 * base[1], rel=1e-12)
+    assert sorted(data) == ["overlap_integrals_um2", "overlap_parameters",
+                            "profiles"]
 
 
 def _save_profiles(folder, profiles):
@@ -286,11 +274,7 @@ def test_overlap_json_keeps_the_per_pair_bytes(tmp_path, lc_profile,
                             values=1e-3 * phases * dipolar_profile.values)
     paths = _save_profiles(tmp_path, [lc_profile, dipolar_profile,
                                       third][:profiles])
-    volumes = [1.3e-16, 2.7e-17, 5.1e-16][:profiles]
-    cfg = _write(tmp_path / "cfg.ini", "[overlap]\nphysical_volumes_m3 = "
-                 + ", ".join(map(repr, volumes)) + "\n")
-    argv = ["overlap", "--config", cfg, "--profiles", *paths,
-            "--out", str(tmp_path / "out")]
+    argv = ["overlap", "--profiles", *paths, "--out", str(tmp_path / "out")]
     f = lc_profile
     mask = overlap.full_mask(f.nx, f.ny)
     if masked:
@@ -299,7 +283,7 @@ def test_overlap_json_keeps_the_per_pair_bytes(tmp_path, lc_profile,
         argv += ["--mask", str(tmp_path / "mask.dat")]
     assert cli.main(argv) == 0
     expected = oracles.overlap_json_per_pair(
-        paths, [overlap.load_profile(p) for p in paths], mask, volumes)
+        paths, [overlap.load_profile(p) for p in paths], mask)
     assert (tmp_path / "out" / "overlap.json").read_bytes() == \
         expected.encode("ascii")
 
@@ -469,18 +453,12 @@ def test_non_finite_spectrum_settings_exit_2(tmp_path, capsys, line, message):
      "[photon_modes] frequencies_thz: frequencies must be finite and positive"),
     ("ratio_11 = nan", "[coupling] ratio_11: ratios must be finite"),
     ("ratio_2_tilde = inf", "[coupling] ratio_2_tilde: ratios must be finite"),
-    ("mode_volumes_m3 = nan, 1e-17",
-     "[coupling] mode_volumes_m3: volumes must be finite and positive"),
 ])
 def test_non_finite_coupling_settings_name_their_line(tmp_path, capsys, line,
                                                       message):
     key = line.split(" =")[0]
-    if key == "mode_volumes_m3":  # the microscopic route replaces the ratios
-        text = (SWEEP_CFG.replace("ratio_11 = 0.37\n", "")
-                .replace("ratio_2_tilde = 0.2124026\n", line + "\n"))
-    else:
-        old = next(ln for ln in SWEEP_CFG.splitlines() if ln.startswith(key))
-        text = SWEEP_CFG.replace(old, line)
+    old = next(ln for ln in SWEEP_CFG.splitlines() if ln.startswith(key))
+    text = SWEEP_CFG.replace(old, line)
     cfg = _write(tmp_path / "cfg.ini", text)
     lineno = text.splitlines().index(line) + 1
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -488,28 +466,16 @@ def test_non_finite_coupling_settings_name_their_line(tmp_path, capsys, line,
     assert not (tmp_path / "branches.csv").exists()
 
 
-# the microscopic coupling route reads [material]
-MATERIAL_CFG = SWEEP_CFG.replace("ratio_11 = 0.37\nratio_2_tilde = 0.2124026\n",
-                                 "mode_volumes_m3 = 1e-17, 2e-17\n") + """
+# a tesla grid reads [material]
+MATERIAL_CFG = TESLA_CFG + """
 [material]
 effective_mass_ratio = 0.07
-sheet_density_per_cm2 = 1.25e12
-qw_count = 3
-background_permittivity = 12.9
 """
 
 
 @pytest.mark.parametrize("key, value, problem", [
-    *[("effective_mass_ratio", v, "must be finite and positive")
-      for v in ("nan", "inf", "0")],
-    *[("sheet_density_per_cm2", v, "must be finite and non-negative")
-      for v in ("nan", "inf", "-1e12")],
-    *[("background_permittivity", v, "must be finite and >= 1")
-      for v in ("nan", "inf", "0.5")],
-    ("qw_count", "0", "must be at least 1"),
-    ("qw_count", "nan", "expected an integer, got 'nan'"),
-    ("qw_count", "inf", "expected an integer, got 'inf'"),
-])
+    ("effective_mass_ratio", v, "must be finite and positive")
+    for v in ("nan", "inf", "0")])
 def test_bad_material_values_name_their_line(tmp_path, capsys, key, value,
                                              problem):
     old = next(ln for ln in MATERIAL_CFG.splitlines() if ln.startswith(key))
@@ -535,49 +501,10 @@ def test_material_config_sweeps(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("freqs, volumes, line, message", [
-    ("0.8, 1.6, 2.4", "1e-17, 2e-17", "mode_volumes_m3 = 1e-17, 2e-17",
-     "[coupling] mode_volumes_m3: 2 volumes for 3 modes"),
-    ("0.8, 1.6", "1e-17, 2e-17, 3e-17", "mode_volumes_m3 = 1e-17, 2e-17, 3e-17",
-     "[coupling] mode_volumes_m3: 3 volumes for 2 modes"),
-    ("0.8, 1.6, 2.4", "1e-17, 2e-17, 3e-17", "frequencies_thz = 0.8, 1.6, 2.4",
-     "[photon_modes] frequencies_thz: "
-     "the two-mode model needs exactly two frequencies"),
-])
-def test_mode_volumes_must_match_the_modes(tmp_path, capsys, freqs, volumes,
-                                           line, message):
-    text = (MATERIAL_CFG.replace("frequencies_thz = 0.8, 1.6",
-                                 f"frequencies_thz = {freqs}")
-            .replace("labels = LC, dipolar\n", "")
-            .replace("mode_volumes_m3 = 1e-17, 2e-17",
-                     f"mode_volumes_m3 = {volumes}"))
-    cfg = _write(tmp_path / "cfg.ini", text)
-    lineno = text.splitlines().index(line) + 1
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
-
-
-@pytest.mark.parametrize("volumes", ["1e-18, nan", "1e-18, inf", "-1e-18, 1e-18"])
-def test_bad_physical_volumes_name_their_line(tmp_path, capsys, lc_profile,
-                                              dipolar_profile, volumes):
-    pa, pb = tmp_path / "lc.dat", tmp_path / "dipolar.dat"
-    overlap.save_profile(str(pa), lc_profile)
-    overlap.save_profile(str(pb), dipolar_profile)
-    cfg = _write(tmp_path / "cfg.ini",
-                 f"[overlap]\nphysical_volumes_m3 = {volumes}\n")
-    rc = cli.main(["overlap", "--config", cfg, "--profiles", str(pa), str(pb),
-                   "--out", str(tmp_path)])
-    assert rc == 2
-    assert (f"ERROR 2: {cfg}:2: [overlap] physical_volumes_m3: volumes must "
-            f"be finite and positive") in capsys.readouterr().err
-    assert not (tmp_path / "overlap.json").exists()
-
-
 _PAIR = [mm.PhotonMode(index=1, frequency=0.8),
          mm.PhotonMode(index=2, frequency=1.6)]
-_OVERLAP_CFG = "[overlap]\nphysical_volumes_m3 = 1e-17, 2e-17\n"
 _COMMANDS = {SWEEP_CFG: "sweep", MATERIAL_CFG: "sweep", SPECTRUM_CFG: "spectrum",
-             FIT_CFG: "fit", _OVERLAP_CFG: "overlap"}
+             FIT_CFG: "fit"}
 
 
 def _couplings(field):
@@ -611,11 +538,6 @@ RULE_ROWS = [
      lambda v: [mm.PhotonMode(index=1, frequency=f) for f in v]),
     ("frequency", SWEEP_CFG, "frequencies_thz", "0.8, 1.7976931348623157e308",
      "0.8, inf", lambda v: [mm.PhotonMode(index=1, frequency=f) for f in v]),
-    ("effective_mode_volume", MATERIAL_CFG, "mode_volumes_m3", "5e-324, 2e-17",
-     "0, 2e-17", lambda v: [mm.PhotonMode(index=1, frequency=0.8,
-                                          effective_mode_volume=x) for x in v]),
-    ("physical_volumes", _OVERLAP_CFG, "physical_volumes_m3", "1e-17, 5e-324",
-     "1e-17, -5e-324", lambda v: mm.effective_mode_volumes(np.eye(2), v)),
     *[(field, SWEEP_CFG, field, inside, outside, _couplings(field))
       for field in ("ratio_11", "ratio_2_tilde")
       for inside, outside in (("0", "-5e-324"), ("1e6", "nan"),
@@ -627,15 +549,6 @@ RULE_ROWS = [
      "1.7976931348623157e308", "inf", _material("effective_mass_ratio")),
     ("effective_mass_ratio", MATERIAL_CFG, "effective_mass_ratio", "0.001",
      repr(math.nextafter(0.001, 0.0)), _material("effective_mass_ratio")),
-    ("sheet_density", MATERIAL_CFG, "sheet_density_per_cm2", "0", "-5e-324",
-     _material("sheet_density")),
-    ("sheet_density", MATERIAL_CFG, "sheet_density_per_cm2", "1e304", "1e305",
-     _material("sheet_density")),
-    ("qw_count", MATERIAL_CFG, "qw_count", "1", "0", _material("qw_count")),
-    ("qw_count", MATERIAL_CFG, "qw_count", "10000", "10001",
-     _material("qw_count")),
-    ("background_permittivity", MATERIAL_CFG, "background_permittivity", "1",
-     repr(math.nextafter(1.0, 0.0)), _material("background_permittivity")),
     ("linewidths", SPECTRUM_CFG, "linewidth_thz", "1e150", "nan",
      _spectrum("linewidths")),
     ("linewidths", SPECTRUM_CFG, "linewidth_thz", "5e-324", "0",
@@ -687,8 +600,6 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
     argv = [command, "--out", str(tmp_path)]
     if command == "fit":
         argv += ["--peaks", peaks_csv]
-    elif command == "overlap":  # the config is read before the profiles
-        argv += ["--profiles", peaks_csv, peaks_csv]
 
     # just inside: the config reader (for --seed, the whole fit) and the
     # library take it
@@ -746,12 +657,10 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
     # would raise OverflowError on inf
     (lambda: mm.FitConfig(seed=2.5), ValueError, "seed"),
     (lambda: mm.FitConfig(seed=math.inf), ValueError, "seed"),
-    # accepted
-    (lambda: mm.MaterialParams(qw_count=2.5), ValueError, "qw_count"),
 ], ids=["ratio-overflow", "linewidth-overflow", "mass-underflow",
         "fractional-restarts", "one-mode-ratio-overflow",
         "one-mode-ratio-negative", "one-mode-ratio-infinite",
-        "fractional-seed", "infinite-seed", "fractional-qw-count"])
+        "fractional-seed", "infinite-seed"])
 def test_library_faults_raise_at_construction(call, error, field):
     with pytest.raises(error, match=f"^{field}: "):
         call()
@@ -772,10 +681,11 @@ def test_non_finite_peak_cell_names_its_line(tmp_path, capsys, row):
 
 @pytest.mark.parametrize("command", ["sweep", "spectrum", "overlap"])
 def test_seed_is_a_fit_option_only(tmp_path, capsys, command):
-    cfg = _write(tmp_path / "cfg.ini", SPECTRUM_CFG)
+    argv = [command, "--out", str(tmp_path), "--seed", "5"]
+    if command != "overlap":  # which takes no config
+        argv += ["--config", _write(tmp_path / "cfg.ini", SPECTRUM_CFG)]
     with pytest.raises(SystemExit) as excinfo:
-        cli.main([command, "--config", cfg, "--out", str(tmp_path),
-                  "--seed", "5"])
+        cli.main(argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
@@ -860,13 +770,13 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                  id="incomplete-grid"),
     pytest.param("sweep", SWEEP_CFG.replace("ratio_11 = 0.37\n", "").replace(
                      "ratio_2_tilde = 0.2124026\n", ""), "[coupling]",
-                 "[coupling] needs ratio_11/ratio_2_tilde or mode_volumes_m3",
+                 "[coupling] needs ratio_11/ratio_2_tilde",
                  id="no-coupling-spec"),
-    pytest.param("sweep", SWEEP_CFG.replace("eta = 0.15\n", "eta = 0.15\n"
-                                            "mode_volumes_m3 = 1e-17, 2e-17\n"),
-                 "mode_volumes_m3 = 1e-17, 2e-17",
-                 "[coupling] mode_volumes_m3: give either normalized ratios "
-                 "or mode volumes, not both", id="ratios-and-volumes"),
+    pytest.param("sweep", SWEEP_CFG.replace("labels = LC, dipolar\n", "").replace(
+                     "0.8, 1.6", "0.8, 1.6, 2.4"),
+                 "frequencies_thz = 0.8, 1.6, 2.4",
+                 "[photon_modes] frequencies_thz: the two-mode model needs "
+                 "exactly two frequencies", id="three-mode-sweep"),
     pytest.param("fit", FIT_CFG.replace("labels = LC, dipolar\n", "").replace(
                      "0.8, 1.6", "0.8, 1.6, 2.4"),
                  "frequencies_thz = 0.8, 1.6, 2.4",
@@ -941,9 +851,6 @@ ETA=0.999
 
 [material]
 effective_mass_ratio: 0.07
-sheet_density_per_cm2: 1.25e12
-qw_count: 3
-background_permittivity: 12.9
 
 [sweep]
 start_thz: 0.05
@@ -1153,6 +1060,29 @@ def test_each_command_loads_only_its_modules(tmp_path, peaks_csv, command):
     assert proc.stdout.splitlines()[-1] == f"0 {numpy} {expected}"
 
 
+# (section, line) of each key of the retired microscopic coupling route
+RETIRED_KEYS = [("coupling", "mode_volumes_m3 = 1e-17, 2e-17"),
+                ("material", "sheet_density_per_cm2 = 1.25e12"),
+                ("material", "qw_count = 3"),
+                ("material", "background_permittivity = 12.9")]
+
+
+def _retired_key_row(section, line):
+    """A row of test_front_end_exits_without_numpy: the retired key in a
+    sweep config, where the ratios or the tesla grid's [material] keys sit,
+    is an unknown key at its line."""
+    if section == "coupling":  # the volumes stood in for the ratios
+        text = SWEEP_CFG.replace("ratio_11 = 0.37\nratio_2_tilde = 0.2124026",
+                                 line)
+    else:
+        text = MATERIAL_CFG + line + "\n"
+    key = line.split(" =")[0]
+    lineno = text.splitlines().index(line) + 1
+    return pytest.param("sweep --config {cfg}", text, 2,
+                        f"ERROR 2: {{cfg}}:{lineno}: [{section}] {key}: "
+                        "unknown key\n", id=f"{section}-{key.replace('_', '-')}")
+
+
 # With None in sys.modules["numpy"], any import of numpy raises ImportError,
 # which main() does not catch: a call that reaches numpy fails with a
 # traceback instead of its exit code and message.
@@ -1248,10 +1178,15 @@ sys.exit(main(sys.argv[1:]))
                  TESLA_CFG.replace("step_tesla = 0.125", "step_tesla = 0"), 2,
                  "ERROR 2: {cfg}:13: [sweep] step_tesla: step must be "
                  "positive\n", id="tesla-step"),
-    pytest.param("sweep --config {cfg}",
-                 MATERIAL_CFG.replace("qw_count = 3", "qw_count = 0"), 2,
-                 "ERROR 2: {cfg}:17: [material] qw_count: must be at least "
-                 "1\n", id="material-qw-count"),
+    pytest.param("sweep --config {cfg}", MATERIAL_CFG.replace(
+                     "effective_mass_ratio = 0.07", "effective_mass_ratio = 0"), 2,
+                 "ERROR 2: {cfg}:16: [material] effective_mass_ratio: must be "
+                 "finite and positive\n", id="tesla-material"),
+    # the keys of the retired microscopic coupling route are unknown, and
+    # overlap takes no config
+    *[_retired_key_row(section, line) for section, line in RETIRED_KEYS],
+    pytest.param("overlap --config {cfg} --profiles {missing} {missing}",
+                 None, 2, "unrecognized arguments: --config", id="overlap-config"),
 ])
 def test_front_end_exits_without_numpy(tmp_path, argv, text, code, message):
     paths = {"cfg": str(tmp_path / "cfg.ini"),

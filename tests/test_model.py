@@ -139,20 +139,6 @@ def test_diamagnetic_bias_independence(photon_pair):
         assert np.array_equal(g[:2, :2], inter[0, :2, :2])
 
 
-def test_rabi_microscopic_scales_with_sqrt_bias():
-    material = mm.MaterialParams()
-    mode = mm.PhotonMode(index=1, frequency=0.8, effective_mode_volume=1e-17)
-    w1 = mm.rabi_microscopic(mode, material, 0.5)
-    w2 = mm.rabi_microscopic(mode, material, 2.0)
-    assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
-
-
-def test_rabi_microscopic_requires_volume():
-    with pytest.raises(ValueError):
-        mm.rabi_microscopic(mm.PhotonMode(index=1, frequency=0.8),
-                            mm.MaterialParams(), 0.8)
-
-
 def test_assemble_block_structure(photon_pair, unstructured_coupling):
     nu_c = 1.1
     diag, g = _at(photon_pair, nu_c, unstructured_coupling)
@@ -354,8 +340,6 @@ def test_photon_mode_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         mm.PhotonMode(index=1, frequency=bad)
     with pytest.raises(ValueError, match="finite"):
-        mm.PhotonMode(index=1, frequency=0.8, effective_mode_volume=bad)
-    with pytest.raises(ValueError, match="finite"):
         mm.couplings_from_ratios([mm.PhotonMode(index=1, frequency=0.8),
                                   mm.PhotonMode(index=2, frequency=1.6)],
                                  bad, 1.0, 0.5)
@@ -386,10 +370,12 @@ _PAIR = [mm.PhotonMode(index=1, frequency=0.8),
 
 @pytest.mark.parametrize("call, message", [
     (lambda: mm.CouplingSet(rabi=np.eye(2), reference_cyclotron=-0.8),
-     "reference_cyclotron must be non-negative"),
-    (lambda: mm.rabi_microscopic(mm.PhotonMode(
-        index=1, frequency=0.8, effective_mode_volume=1e-17),
-        mm.MaterialParams(), 0.0), "nu_c must be positive"),
+     "reference_cyclotron must be finite and positive"),
+    # constructed, and sweep then raised the assemble_batch error below
+    (lambda: mm.CouplingSet(rabi=[[1e12]], reference_cyclotron=0.0),
+     "reference_cyclotron must be finite and positive"),
+    (lambda: mm.CouplingSet(rabi=np.eye(2), reference_cyclotron=math.inf),
+     "reference_cyclotron must be finite and positive"),
     (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(3), 0.8),
      "2 photon modes but Rabi matrices of shape (3, 3)"),
     (lambda: mm.assemble_batch(_PAIR, [[0.5]], np.eye(2), 0.8),
@@ -398,8 +384,8 @@ _PAIR = [mm.PhotonMode(index=1, frequency=0.8),
      "nu_c must be finite and non-negative"),
     (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(2), 0.0),
      "coupling set has no positive reference cyclotron frequency"),
-], ids=["negative-reference", "microscopic-at-zero-bias", "rabi-shape",
-        "grid-not-1d", "negative-bias", "no-reference"])
+], ids=["negative-reference", "zero-reference", "infinite-reference",
+        "rabi-shape", "grid-not-1d", "negative-bias", "no-reference"])
 def test_model_inputs_raise_their_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

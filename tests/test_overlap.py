@@ -75,20 +75,6 @@ def test_gaussian_self_overlap_analytic():
     assert f_self == pytest.approx(math.pi * w * w, rel=1e-3)
 
 
-def test_gaussian_effective_volume():
-    w = 3.0
-    volume = 2.5e-17
-    got = mm.effective_mode_volumes(_lc_self_overlap(256, w), [volume])
-    assert got[0] == pytest.approx(volume / (math.pi * w * w), rel=1e-3)
-
-
-@pytest.mark.parametrize("volume", [float("nan"), float("inf"), -1e-18])
-def test_effective_volume_rejects_bad_physical_volume(lc_profile, volume):
-    mask = mm.full_mask(lc_profile.nx, lc_profile.ny)
-    with pytest.raises(ValueError, match="finite and positive"):
-        mm.effective_mode_volumes(mm.gram([lc_profile], mask), [volume])
-
-
 def test_grid_convergence():
     w = 3.0
     a = _lc_self_overlap(128, w)[0, 0].real
@@ -137,9 +123,9 @@ def test_corner_amplitude_tunes_full_plane_overlap_to_zero(lc_profile):
     assert _eta(lc_profile, tuned, plane) < 1e-6
 
 
-def _assert_per_pair_bits(profiles, mask, volumes):
-    """gram, overlap_parameters and effective_mode_volumes against the
-    per-pair reference, bit for bit (signed zeros included)."""
+def _assert_per_pair_bits(profiles, mask):
+    """gram and overlap_parameters against the per-pair reference, bit for
+    bit (signed zeros included)."""
     n = len(profiles)
     gram = mm.gram(profiles, mask)
     pairs = [[(profiles[i], profiles[j]) for j in range(n)] for i in range(n)]
@@ -149,10 +135,6 @@ def _assert_per_pair_bits(profiles, mask, volumes):
     expected = np.array([[oracles.overlap_parameter(f, g, mask)
                           for f, g in row] for row in pairs])
     assert mm.overlap_parameters(gram).tobytes() == expected.tobytes()
-    expected = np.array([oracles.effective_mode_volume(f, mask, v)
-                         for f, v in zip(profiles, volumes)])
-    assert mm.effective_mode_volumes(gram, volumes).tobytes() == \
-        expected.tobytes()
 
 
 def test_gram_keeps_the_per_pair_bits():
@@ -172,8 +154,7 @@ def test_gram_keeps_the_per_pair_bits():
         inside = rng.random((nx, ny)) < rng.uniform(0.1, 1.0)
         inside.flat[rng.integers(nx * ny)] = True
         mask = mm.DomainMask(nx=nx, ny=ny, inside=inside)
-        _assert_per_pair_bits(profiles, mask,
-                              10.0 ** rng.uniform(-20, -14, n))
+        _assert_per_pair_bits(profiles, mask)
 
 
 def test_gram_keeps_the_bits_of_a_repeated_profile():
@@ -184,7 +165,7 @@ def test_gram_keeps_the_bits_of_a_repeated_profile():
     copy = mm.FieldProfile(nx=f.nx, ny=f.ny, dx=f.dx, dy=f.dy, values=f.values)
     g = _random_profile(rng)
     mask = mm.full_mask(f.nx, f.ny)
-    _assert_per_pair_bits([f, copy, g], mask, [1.0, 2.0, 3.0])
+    _assert_per_pair_bits([f, copy, g], mask)
 
 
 @pytest.mark.parametrize("domain", ["patch", "plane"])
@@ -193,8 +174,7 @@ def test_gram_keeps_the_bits_of_the_fixture_pair(lc_profile, dipolar_profile,
     f = lc_profile
     mask = (mm.central_square_mask(f.nx, f.ny, f.dx, f.dy, half_width=7.5)
             if domain == "patch" else mm.full_mask(f.nx, f.ny))
-    _assert_per_pair_bits([lc_profile, dipolar_profile], mask,
-                          [1.0e-16, 2.0e-16])
+    _assert_per_pair_bits([lc_profile, dipolar_profile], mask)
 
 
 def test_profile_round_trip(tmp_path, dipolar_profile):
@@ -425,9 +405,6 @@ def test_vanishing_profile_rejected():
     gram = mm.gram([g, f], mm.full_mask(4, 4))
     with pytest.raises(mm.OverlapError, match="vanishes") as err:
         mm.overlap_parameters(gram)
-    assert err.value.entry == 1
-    with pytest.raises(mm.OverlapError, match="vanishes") as err:
-        mm.effective_mode_volumes(gram, [1.0, 1.0])
     assert err.value.entry == 1
 
 
