@@ -772,6 +772,12 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                      "ratio_2_tilde = 0.2124026\n", ""), "[coupling]",
                  "[coupling] needs ratio_11/ratio_2_tilde",
                  id="no-coupling-spec"),
+    # a config that gave both routes: the retired volumes are an unknown key
+    pytest.param("sweep", SWEEP_CFG.replace("eta = 0.15\n", "eta = 0.15\n"
+                                            "mode_volumes_m3 = 1e-17, 2e-17\n"),
+                 "mode_volumes_m3 = 1e-17, 2e-17",
+                 "[coupling] mode_volumes_m3: unknown key",
+                 id="ratios-and-volumes"),
     pytest.param("sweep", SWEEP_CFG.replace("labels = LC, dipolar\n", "").replace(
                      "0.8, 1.6", "0.8, 1.6, 2.4"),
                  "frequencies_thz = 0.8, 1.6, 2.4",
