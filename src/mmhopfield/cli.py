@@ -25,7 +25,8 @@ import tempfile
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, OverlapError, fault, feature_span_fault)
+                     NumericalError, OverlapError, ProfileFormatError, fault,
+                     feature_span_fault)
 
 
 class ConfigError(ValueError):
@@ -80,21 +81,23 @@ _KEY_LINE = re.compile(r"([^=:]+?)\s*[=:]\s*(.*)")
 
 
 class _Config:
-    """One INI config file, read in one pass: [section] headers, `key = value`
-    or `key: value` lines, indented continuation lines, and `;` or `#`
-    comments at the start of a line or after whitespace. Keys are
-    lower-cased, `%` is literal, and each value is parsed and checked by
-    _KEYS when it is read."""
+    """One INI config file, read and checked in one pass: [section] headers,
+    `key = value` or `key: value` lines, indented continuation lines, and
+    `;` or `#` comments at the start of a line or after whitespace, in
+    UTF-8 with or without a byte-order mark. Keys are lower-cased and `%`
+    is literal. Once the syntax has been read, every value is parsed and
+    checked by its _KEYS rule, in file order, whichever subcommand runs;
+    rules across keys are left to the subcommand that reads them."""
 
     def __init__(self, path):
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         self.path = path
         self.sections = {}  # section -> its header's line
-        self.entries = {}  # (section, key) -> [raw value, line]
+        self.entries = {}  # (section, key) -> [value, line], raw until checked
         section = entry = None  # entry: the last key's [value, line]
         try:
-            fh = open(path, "r", encoding="utf-8")
+            fh = open(path, "r", encoding="utf-8-sig")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read the config: "
                               f"{exc.strerror}") from None
@@ -130,6 +133,17 @@ class _Config:
                 if (section, key) in self.entries:
                     raise ConfigError(f"{where}: [{section}] {key}: duplicate key")
                 entry = self.entries[section, key] = [match[2], lineno]
+        for (section, key), entry in self.entries.items():
+            raw = entry[0].strip()
+            parse, rule = _KEYS[section][key]
+            try:
+                entry[0] = parse(raw)
+            except ValueError:
+                raise self.error(section, key,
+                                 f"expected {_EXPECTED.get(parse, 'a number')}, "
+                                 f"got {raw!r}") from None
+            if found := rule and fault(**{rule: entry[0]}):
+                raise self.error(section, key, found[1])
 
     def require(self, section):
         if section not in self.sections:
@@ -139,24 +153,13 @@ class _Config:
         return (section, key) in self.entries
 
     def get(self, section, key, default=None):
-        """The key's value, parsed and checked by _KEYS; the default, which
-        is returned as it is, when the file has no such key."""
-        if (section, key) not in self.entries:
-            if default is None:
-                raise ConfigError(
-                    f"{self.path}: missing key {key} in section [{section}]")
-            return default
-        raw = self.entries[section, key][0].strip()
-        parse, rule = _KEYS[section][key]
-        try:
-            value = parse(raw)
-        except ValueError:
-            raise self.error(section, key,
-                             f"expected {_EXPECTED.get(parse, 'a number')}, "
-                             f"got {raw!r}") from None
-        if found := rule and fault(**{rule: value}):
-            raise self.error(section, key, found[1])
-        return value
+        """The key's checked value; when the file has no such key, the
+        default, as it is, or without one a missing-key error."""
+        if (section, key) in self.entries:
+            return self.entries[section, key][0]
+        if default is None:
+            raise self.error(section, key, "missing key")
+        return default
 
     def error(self, section, key, problem):
         """ConfigError about a key, or about the section when key is None:
@@ -171,14 +174,17 @@ class _Config:
 
 def _read_photons(cfg):
     """The [photon_modes] keys, checked without numpy: the PhotonMode
-    fields of each mode. labels only name the modes, so they are only
-    counted."""
+    fields of each of the two modes the model takes. labels only name the
+    modes, so they are only counted."""
     cfg.require("photon_modes")
     freqs = cfg.get("photon_modes", "frequencies_thz")
     labels = cfg.get("photon_modes", "labels", [""] * len(freqs))
     if len(labels) != len(freqs):
         raise cfg.error("photon_modes", "labels",
                         f"{len(labels)} labels for {len(freqs)} modes")
+    if len(freqs) != 2:
+        raise cfg.error("photon_modes", "frequencies_thz",
+                        "the two-mode model needs exactly two frequencies")
     return [dict(index=i + 1, frequency=f) for i, f in enumerate(freqs)]
 
 
@@ -193,16 +199,10 @@ def _fields(cfg, section, keys=None):
 def _read_coupling(cfg):
     """The two-mode coupling spec, checked without numpy: (modes of
     _read_photons, the two ratios, eta)."""
-    cfg.require("coupling")
-    if not cfg.has("coupling", "ratio_11"):
-        raise cfg.error("coupling", None, "needs ratio_11/ratio_2_tilde")
-    eta = cfg.get("coupling", "eta")
-    ratios = [cfg.get("coupling", key) for key in ("ratio_11", "ratio_2_tilde")]
     modes = _read_photons(cfg)
-    if len(modes) != 2:
-        raise cfg.error("photon_modes", "frequencies_thz",
-                        "the two-mode model needs exactly two frequencies")
-    return modes, ratios, eta
+    cfg.require("coupling")
+    ratios = [cfg.get("coupling", key) for key in ("ratio_11", "ratio_2_tilde")]
+    return modes, ratios, cfg.get("coupling", "eta")
 
 
 def _grid(cfg, section, keys, to_thz=float):
@@ -243,9 +243,8 @@ def _points(grid):
 
 
 def _sweep_grid(cfg):
-    """The [sweep] grid as a _grid. It is checked without numpy, and so is
-    the [material] of a tesla grid, which loads model only to convert its
-    endpoints."""
+    """The [sweep] grid as a _grid, checked without numpy; a tesla grid
+    loads model only to convert its endpoints."""
     cfg.require("sweep")
     thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
     tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
@@ -356,9 +355,6 @@ def _run_fit(args):
     if not os.path.exists(args.peaks):
         raise DataCoverageError(f"peaks file not found: {args.peaks}")
     modes = _read_photons(cfg)
-    if len(modes) != 2:
-        raise cfg.error("photon_modes", "frequencies_thz",
-                        "the fit needs exactly two photon modes")
     # the FitConfig fields, checked without numpy
     cfg.require("fit")
     free = cfg.get("fit", "eta_mode", "fixed") == "free"
@@ -376,7 +372,10 @@ def _run_fit(args):
     from .fit import FitConfig, fit, load_peaks
     photons = [model.PhotonMode(**mode) for mode in modes]
     data = load_peaks(args.peaks)
-    result = fit(data, photons, FitConfig(**settings, seed=args.seed))
+    try:
+        result = fit(data, photons, FitConfig(**settings, seed=args.seed))
+    except ProfileFormatError as exc:  # a record the model cannot hold
+        raise ProfileFormatError(f"{args.peaks}: {exc}") from None
     if not result.converged:
         raise ConvergenceError(
             f"no restart converged (best rms {result.residual_rms:.6g} THz)")

@@ -40,7 +40,7 @@ class OverlapError(ValueError):
 
 class ProfileFormatError(ValueError):
     """Malformed field-profile, mask, or peak-list file. The message names the
-    offending file and line."""
+    offending file and line; fit() names a record's nu_c instead."""
 
 
 def read_ascii(path):

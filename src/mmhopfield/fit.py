@@ -135,8 +135,9 @@ class _Misfit:
         counts = np.array([len(rec.peaks) for rec in data.records])
         self.groups = []
         for m in sorted(set(counts.tolist())):
-            if m > n_branches:
-                raise ValueError(
+            if m > n_branches:  # the message names the first such record
+                raise ProfileFormatError(
+                    f"record at nu_c = {self.nu_c[counts == m][0]} THz: "
                     f"{m} peaks cannot be assigned to {n_branches} branches")
             rows = np.flatnonzero(counts == m)
             peaks = np.array([data.records[t].peaks for t in rows])

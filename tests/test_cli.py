@@ -679,6 +679,20 @@ def test_non_finite_peak_cell_names_its_line(tmp_path, capsys, row):
     assert err.startswith(f"ERROR 2: {peaks}:3: ") and "finite" in err
 
 
+def test_record_with_too_many_peaks_names_the_file_and_record(tmp_path,
+                                                             capsys):
+    cfg = _write(tmp_path / "cfg.ini", FIT_CFG)
+    peaks = _write(tmp_path / "peaks.csv",
+                   "nu_c_THz,peak1_THz,peak2_THz,peak3_THz,peak4_THz,peak5_THz\n"
+                   "0.4,0.3,0.5,1.1,,\n1.2,0.4,0.7,1.0,1.3,1.9\n1.8,0.9,1.7,,,\n")
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path),
+                     "--peaks", peaks]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {peaks}: record at nu_c = 1.2 THz: 5 peaks cannot be "
+        "assigned to 4 branches\n")
+    assert not (tmp_path / "fit_result.json").exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "spectrum", "overlap"])
 def test_seed_is_a_fit_option_only(tmp_path, capsys, command):
     argv = [command, "--out", str(tmp_path), "--seed", "5"]
@@ -770,8 +784,16 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                  id="incomplete-grid"),
     pytest.param("sweep", SWEEP_CFG.replace("ratio_11 = 0.37\n", "").replace(
                      "ratio_2_tilde = 0.2124026\n", ""), "[coupling]",
-                 "[coupling] needs ratio_11/ratio_2_tilde",
-                 id="no-coupling-spec"),
+                 "[coupling] ratio_11: missing key", id="no-coupling-spec"),
+    # each missing key is reported at its section's header
+    pytest.param("sweep", SWEEP_CFG.replace("eta = 0.15\n", ""), "[coupling]",
+                 "[coupling] eta: missing key", id="missing-eta"),
+    pytest.param("sweep", SWEEP_CFG.replace("frequencies_thz = 0.8, 1.6\n", ""),
+                 "[photon_modes]", "[photon_modes] frequencies_thz: missing key",
+                 id="missing-frequencies"),
+    pytest.param("spectrum", SPECTRUM_CFG.replace("freq_step_thz = 0.01\n", ""),
+                 "[spectrum]", "[spectrum] freq_step_thz: missing key",
+                 id="missing-spectrum-step"),
     # a config that gave both routes: the retired volumes are an unknown key
     pytest.param("sweep", SWEEP_CFG.replace("eta = 0.15\n", "eta = 0.15\n"
                                             "mode_volumes_m3 = 1e-17, 2e-17\n"),
@@ -786,8 +808,8 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
     pytest.param("fit", FIT_CFG.replace("labels = LC, dipolar\n", "").replace(
                      "0.8, 1.6", "0.8, 1.6, 2.4"),
                  "frequencies_thz = 0.8, 1.6, 2.4",
-                 "[photon_modes] frequencies_thz: the fit needs exactly two "
-                 "photon modes", id="three-mode-fit"),
+                 "[photon_modes] frequencies_thz: the two-mode model needs "
+                 "exactly two frequencies", id="three-mode-fit"),
     pytest.param("fit", FIT_CFG.replace("eta = 0.15\n", ""), "eta_mode = fixed",
                  "[fit] eta_mode: fixed needs [coupling] eta",
                  id="fixed-eta-without-eta"),
@@ -806,6 +828,69 @@ def test_cross_key_errors_name_their_line(tmp_path, capsys, peaks_csv, command,
         argv += ["--peaks", peaks_csv]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    pytest.param(SWEEP_CFG.replace("eta = 0.15", "eta = 2") + "[bananas]\n", 14,
+                 "unknown section [bananas]", id="syntax-before-values"),
+    pytest.param(SWEEP_CFG.replace("eta = 0.15", "eta = 2").replace(
+                     "ratio_11 = 0.37", "ratio_11 = -1"), 6,
+                 "[coupling] ratio_11: ratios must be non-negative",
+                 id="values-in-file-order"),
+    pytest.param(SWEEP_CFG.replace("0.8, 1.6", "0.8, 1.6, 2.4").replace(
+                     "step_thz = 0.05", "step_thz = nan"), 13,
+                 "[sweep] step_thz: start, stop and step must be finite",
+                 id="values-before-cross-key-rules"),
+])
+def test_several_faults_are_reported_in_order(tmp_path, capsys, text, lineno,
+                                              message):
+    cfg = _write(tmp_path / "cfg.ini", text)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"ERROR 2: {cfg}:{lineno}: {message}\n"
+
+
+# A value of a section that the command does not read is checked all the
+# same, at its line, before anything is solved: (command, line, problem)
+UNREAD_VALUES = [
+    ("sweep", "eta_mode = banana", "must be 'fixed' or 'free'"),
+    ("sweep", "restarts = 0", "need at least one restart"),
+    ("sweep", "restarts = 2.5", "expected an integer, got '2.5'"),
+    ("sweep", "ratio_2_bounds = 0.8, 0.0", "must satisfy lo < hi"),
+    ("sweep", "weight_mode = Equal", "must be 'photon_fraction' or 'equal'"),
+    ("sweep", "linewidth_thz = 0", "linewidths must be positive"),
+    ("sweep", "effective_mass_ratio = banana", "expected a number, got 'banana'"),
+    ("sweep", "effective_mass_ratio = 0", "must be finite and positive"),
+    ("spectrum", "ratio_11_bounds = -1, 0.8", "must be finite and non-negative"),
+    ("fit", "step_thz = nan", "start, stop and step must be finite"),
+    ("fit", "freq_min_thz = inf", "start, stop and step must be finite"),
+    ("fit", "linewidth_thz = 1e200", "linewidths must not exceed 1e+150"),
+    ("fit", "effective_mass_ratio = 1e-4", "must be at least 0.001"),
+]
+
+
+@pytest.mark.parametrize("command, line, problem", UNREAD_VALUES, ids=[
+    f"{command}-{line.replace(' ', '')}" for command, line, _ in UNREAD_VALUES])
+def test_values_of_unread_sections_are_checked(tmp_path, capsys, peaks_csv,
+                                               monkeypatch, command, line,
+                                               problem):
+    def explode(*args, **kwargs):
+        raise AssertionError("the command ran before its config was checked")
+
+    monkeypatch.setattr(dispersion, "sweep", explode)
+    monkeypatch.setattr(sys.modules["mmhopfield.fit"], "fit", explode)
+    key = line.split(" =")[0]
+    text = SHIPPED_STRUCTURED.read_text()
+    old = next(ln for ln in text.splitlines() if ln.startswith(key + " ="))
+    text = text.replace(old, line)
+    cfg = _write(tmp_path / "cfg.ini", text)
+    lineno = text.splitlines().index(line) + 1
+    section = next(s for s, keys in cli._KEYS.items() if key in keys)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    if command == "fit":
+        argv += ["--peaks", peaks_csv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: [{section}] {key}: {problem}\n")
 
 
 @pytest.mark.parametrize("text, lineno, message", [
@@ -889,6 +974,21 @@ def test_config_dialect_gives_the_shipped_outputs(tmp_path):
     cfg = _write(tmp_path / "dialect.cfg", STRUCTURED_DIALECT_CFG)
     assert _maps(cfg, tmp_path / "dialect") == _maps(SHIPPED_STRUCTURED,
                                                      tmp_path / "shipped")
+
+
+def test_byte_order_mark_gives_the_shipped_outputs(tmp_path):
+    # editors on some systems save UTF-8 with a leading byte-order mark
+    text = SHIPPED_STRUCTURED.read_text()
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text(text, encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf#")
+    outputs = []
+    for path, out in ((cfg, "bom"), (SHIPPED_STRUCTURED, "shipped")):
+        assert cli.main(["sweep", "--config", str(path), "--out",
+                         str(tmp_path / out)]) == 0
+        outputs.append([(tmp_path / out / name).read_bytes()
+                        for name in ("branches.csv", "features.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_percent_in_a_value_is_literal(tmp_path):
@@ -1188,6 +1288,12 @@ sys.exit(main(sys.argv[1:]))
                      "effective_mass_ratio = 0.07", "effective_mass_ratio = 0"), 2,
                  "ERROR 2: {cfg}:16: [material] effective_mass_ratio: must be "
                  "finite and positive\n", id="tesla-material"),
+    # a value is checked whether or not the command reads its section
+    pytest.param("sweep --config {cfg}", SWEEP_CFG + FIT_CFG[
+                     FIT_CFG.index("\n[fit]"):].replace("eta_mode = fixed",
+                                                        "eta_mode = banana"), 2,
+                 "ERROR 2: {cfg}:18: [fit] eta_mode: must be 'fixed' or "
+                 "'free'\n", id="sweep-unread-fit-value"),
     # the keys of the retired microscopic coupling route are unknown, and
     # overlap takes no config
     *[_retired_key_row(section, line) for section, line in RETIRED_KEYS],

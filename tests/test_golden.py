@@ -4,7 +4,8 @@ configs and the fixture profiles.
 The test runs cli.main in process, in a scratch directory, and compares the
 SHA-256 and size of each output with tests/golden.json:
 
-- sweep: branches.csv and features.json of both shipped configs;
+- sweep: branches.csv and features.json of both shipped configs, and of
+  structured.cfg on the same span given in tesla;
 - spectrum: spectrum.csv of both, with photon-fraction and equal weighting;
 - fit: fit_result.json and fit_residuals.csv of both, with eta fixed and
   free, on peak files that save_peaks writes from seeded noise;
@@ -46,6 +47,9 @@ PEAK_NU_C = np.linspace(0.3, 2.15, 12)
 PEAK_NOISE_THZ = 0.01
 PEAK_SEED = 2010
 FIT_SEED = 7
+# structured.cfg's THz grid, and the tesla grid that stands in for it
+THZ_GRID = "start_thz = 0.05\nstop_thz = 2.2\nstep_thz = 0.01"
+TESLA_GRID = "start_tesla = 0.125\nstop_tesla = 5.5\nstep_tesla = 0.025"
 
 
 def fingerprint():
@@ -84,7 +88,7 @@ def _peaks(path, name, rng):
 
 
 def _variant(path, name, old, new):
-    """A copy of a shipped config with one line changed."""
+    """A copy of a shipped config with its one copy of old replaced."""
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert text.count(old) == 1, (name, old)
     path.write_text(text.replace(old, new))
@@ -94,7 +98,9 @@ def _variant(path, name, old, new):
 def _runs(work):
     """(output folder, argv) of every golden command, its inputs written
     under work, which must be the working directory."""
-    runs = []
+    tesla = _variant(work / "structured-tesla.cfg", "structured",
+                     THZ_GRID, TESLA_GRID)
+    runs = [("sweep/structured-tesla", ["sweep", "--config", tesla])]
     rng = np.random.default_rng(PEAK_SEED)
     for name in SHIPPED:
         cfg = str(CONFIGS / f"{name}.cfg")
