@@ -25,7 +25,7 @@ _SOURCES = {
                "NumericalError", "OverlapError", "ProfileFormatError"),
     "fit": ("FitConfig", "FitResult", "PeakDataset", "PeakRecord", "fit",
             "load_peaks", "save_peaks"),
-    "model": ("CouplingSet", "MaterialParams", "PhotonMode", "assemble_batch",
+    "model": ("MaterialParams", "PhotonMode", "assemble_batch",
               "couplings_from_ratios", "cyclotron_frequency",
               "rabi_from_gram", "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",

@@ -35,9 +35,9 @@ from .model import RAD_PER_SEC_PER_THZ
 DEGENERACY_TOL = 1e-9
 
 
-def _branch_order(freqs, fractions, n_photon):
-    """Ascending order; within degenerate groups photon-heavy branches come
-    first, then lower dominant bare-mode index."""
+def _branch_order(freqs, fractions):
+    """Ascending order; within degenerate groups photon-heavy branches (the
+    first half of the modes) come first, then lower dominant mode index."""
     order = list(np.argsort(freqs, kind="stable"))
     i = 0
     while i < len(order):
@@ -48,14 +48,14 @@ def _branch_order(freqs, fractions, n_photon):
             j += 1
         if j - i > 1:
             group = order[i:j]
-            photon = fractions[:, :n_photon].sum(axis=1)
+            photon = fractions[:, :len(freqs) // 2].sum(axis=1)
             group.sort(key=lambda k: (-photon[k], int(np.argmax(fractions[k]))))
             order[i:j] = group
         i = j
     return np.array(order)
 
 
-def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
+def normal_modes(diag_freqs, interaction, vectors=True):
     """Polariton modes of a stack of quadratic forms.
 
     diag_freqs (T, n) and interaction (..., T, n, n) are in rad/s, laid out
@@ -69,9 +69,9 @@ def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
     vectors=False only eigenvalues are computed and vecs is None. eigh picks
     arbitrary vectors inside a degenerate subspace, so at points with
     frequencies degenerate within DEGENERACY_TOL the branches are reordered
-    deterministically, photon-heavy (counting the first n_photon modes)
-    first. Raises InstabilityError, with the flat index of the first failing
-    form as its entry, unless every S is positive definite.
+    deterministically, photon-heavy (the first n // 2 modes, as laid out by
+    assemble_batch) first. Raises InstabilityError, with the flat index of
+    the first failing form as its entry, unless every S is positive definite.
     """
     root = np.sqrt(diag_freqs)
     s = 2.0 * np.asarray(interaction, dtype=float)
@@ -102,7 +102,7 @@ def normal_modes(diag_freqs, interaction, n_photon, vectors=True):
     vecs = np.swapaxes(evecs, -1, -2)
     degenerate = np.diff(freqs, axis=-1) <= DEGENERACY_TOL * freqs[..., 1:]
     for t in zip(*np.nonzero(degenerate.any(axis=-1))):
-        order = _branch_order(freqs[t], vecs[t] ** 2, n_photon)
+        order = _branch_order(freqs[t], vecs[t] ** 2)
         freqs[t] = freqs[t][order]
         vecs[t] = vecs[t][order]
     return freqs, vecs

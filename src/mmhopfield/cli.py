@@ -95,44 +95,48 @@ class _Config:
         self.entries = {}  # (section, key) -> [value, line], raw until checked
         section = entry = None  # entry: the last key's [value, line]
         try:
-            fh = open(path, "r", encoding="utf-8-sig")
+            with open(path, "rb") as fh:
+                lines = io.StringIO(fh.read().decode("utf-8-sig"), newline=None)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read the config: "
                               f"{exc.strerror}") from None
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = _COMMENT.split(line, 1)[0].strip()
-                if not text:
-                    continue
-                depth = len(line) - len(line.lstrip())
-                if entry and depth > indent:  # deeper than its key: continues it
-                    entry[0] += "\n" + text
-                    continue
-                indent, entry = depth, None
-                where = f"{path}:{lineno}"
-                header = _HEADER.match(text)
-                if header:
-                    section = header[1]
-                    if section not in _KEYS:
-                        raise ConfigError(f"{where}: unknown section [{section}]")
-                    if section in self.sections:
-                        raise ConfigError(f"{where}: duplicate section [{section}]")
-                    self.sections[section] = lineno
-                    continue
-                if section is None:
-                    raise ConfigError(f"{where}: key outside any section")
-                match = _KEY_LINE.fullmatch(text)
-                if match is None:
-                    raise ConfigError(f"{where}: expected 'key = value', "
-                                      f"got {text!r}")
-                key = match[1].lower()
-                if key not in _KEYS[section]:
-                    raise ConfigError(f"{where}: [{section}] {key}: unknown key")
-                if (section, key) in self.entries:
-                    raise ConfigError(f"{where}: [{section}] {key}: duplicate key")
-                entry = self.entries[section, key] = [match[2], lineno]
+        except UnicodeDecodeError as exc:  # exc.object: the bytes after a BOM
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}:{line}: non-UTF-8 byte "
+                              f"0x{exc.object[exc.start]:02x}") from None
+        for lineno, line in enumerate(lines, start=1):
+            text = _COMMENT.split(line, 1)[0].strip()
+            if not text:
+                continue
+            depth = len(line) - len(line.lstrip())
+            if entry and depth > indent:  # deeper than its key: continues it
+                entry[0] += "\n" + text
+                continue
+            indent, entry = depth, None
+            where = f"{path}:{lineno}"
+            header = _HEADER.match(text)
+            if header:
+                section = header[1]
+                if section not in _KEYS:
+                    raise ConfigError(f"{where}: unknown section [{section}]")
+                if section in self.sections:
+                    raise ConfigError(f"{where}: duplicate section [{section}]")
+                self.sections[section] = lineno
+                continue
+            if section is None:
+                raise ConfigError(f"{where}: key outside any section")
+            match = _KEY_LINE.fullmatch(text)
+            if match is None:
+                raise ConfigError(f"{where}: expected 'key = value', "
+                                  f"got {text!r}")
+            key = match[1].lower()
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{where}: [{section}] {key}: unknown key")
+            if (section, key) in self.entries:
+                raise ConfigError(f"{where}: [{section}] {key}: duplicate key")
+            entry = self.entries[section, key] = [match[2], lineno]
         for (section, key), entry in self.entries.items():
             raw = entry[0].strip()
             parse, rule = _KEYS[section][key]
@@ -383,7 +387,7 @@ def _run_fit(args):
     w1, w2 = photons[0].omega, photons[1].omega
     coupling = model.couplings_from_ratios(photons, result.ratio_11,
                                            result.ratio_2_tilde, result.eta)
-    back_21, back_22 = coupling.rabi[1] / math.sqrt(
+    back_21, back_22 = coupling[1] / math.sqrt(
         photons[0].frequency / photons[1].frequency)
     _write(args, "fit_result.json", {
         "omega_r_11_rad_s": result.ratio_11 * w1,

@@ -42,7 +42,6 @@ class SweepResult:
     nu_c_values: np.ndarray
     branches: np.ndarray
     fractions: np.ndarray
-    n_photon: int
 
     def __post_init__(self):
         for name in ("nu_c_values", "branches", "fractions"):
@@ -53,6 +52,10 @@ class SweepResult:
     @property
     def n_branches(self):
         return self.branches.shape[1]
+
+    @property
+    def n_photon(self):  # photon modes come first, as many as matter modes
+        return self.branches.shape[1] // 2
 
     def photon_fractions(self):
         """Total photon weight per point and branch."""
@@ -187,8 +190,9 @@ def _min_cost_assignment(cost):
     return perm
 
 
-def sweep(photons, coupling, nu_c_grid):
-    """Diagonalize over a grid of cyclotron frequencies (THz, ascending).
+def sweep(photons, rabi, nu_c_grid):
+    """Diagonalize over a grid of cyclotron frequencies (THz, ascending),
+    for the Rabi matrix rabi (N, N) in rad/s, quoted at nu_c = nu_1.
 
     Branch column k starts as the k-th lowest mode at the first point and
     follows the minimum-cost assignment between adjacent points. The
@@ -197,6 +201,11 @@ def sweep(photons, coupling, nu_c_grid):
     step of _min_cost_assignment. Only the steps that permute are composed,
     in order, and every point between two of them carries the composition
     reached so far."""
+    rabi = np.asarray(rabi, dtype=float)
+    if rabi.ndim != 2 or rabi.shape[0] != rabi.shape[1] or rabi.size == 0:
+        raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
+    if not np.all(np.isfinite(rabi)):
+        raise ValueError("rabi entries must be finite")
     grid = np.asarray(nu_c_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("nu_c grid must contain at least two points")
@@ -206,10 +215,7 @@ def sweep(photons, coupling, nu_c_grid):
         raise ValueError("nu_c grid must be strictly ascending")
 
     try:
-        freqs, vecs = normal_modes(
-            *assemble_batch(photons, grid, coupling.rabi,
-                            coupling.reference_cyclotron),
-            coupling.n_photon)
+        freqs, vecs = normal_modes(*assemble_batch(photons, grid, rabi))
     except InstabilityError as exc:
         raise InstabilityError(f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
                                entry=exc.entry) from exc
@@ -228,8 +234,7 @@ def sweep(photons, coupling, nu_c_grid):
         order = orders[np.searchsorted(moving, np.arange(len(grid)))]
         points = np.arange(len(grid))[:, None]
         freqs, fracs = freqs[points, order], fracs[points, order]
-    return SweepResult(nu_c_values=grid, branches=freqs, fractions=fracs,
-                       n_photon=coupling.n_photon)
+    return SweepResult(nu_c_values=grid, branches=freqs, fractions=fracs)
 
 
 def _middle_branch(result, coupled):

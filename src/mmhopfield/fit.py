@@ -158,9 +158,7 @@ class _Misfit:
                               gram)
         try:
             freqs, _ = normal_modes(
-                *assemble_batch(self.photons, self.nu_c, rabi,
-                                self.photons[0].frequency),
-                len(self.photons), vectors=False)
+                *assemble_batch(self.photons, self.nu_c, rabi), vectors=False)
         except InstabilityError as exc:
             k, t = divmod(exc.entry, len(self.nu_c))
             ratio_11, ratio_2, eta = sets[k]

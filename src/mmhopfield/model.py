@@ -1,4 +1,4 @@
-"""Material parameters, coupling sets, and multi-mode Hamiltonian assembly.
+"""Material parameters, Rabi couplings, and multi-mode Hamiltonian assembly.
 
 Internally every computation runs in angular frequency (rad/s). Public
 inputs and outputs are ordinary frequencies in THz; the 2*pi*1e12 conversion
@@ -14,6 +14,10 @@ cyclotron (matter) modes b_mu is, with hbar = 1,
 where W is the Rabi coupling matrix and h = W W^T / w_c the diamagnetic
 matrix. Because each Rabi entry scales as sqrt(w_c), h is independent of the
 cyclotron frequency.
+
+A coupling is a plain (N, N) array W in rad/s, quoted at w_c = w_1 of
+photons[0], with finite entries of either sign: the physics sees W only
+through W W^T.
 """
 
 from __future__ import annotations
@@ -37,13 +41,6 @@ MATTER_FREQ_FLOOR_THZ = 1e-6
 
 # depth, relative to Gamma_jj, of the negative pivots of a singular Gamma
 GRAM_PIVOT_TOL = 1e-12
-
-
-def _frozen_array(obj, name, value, dtype=float):
-    arr = np.array(value, dtype=dtype)
-    arr.flags.writeable = False
-    object.__setattr__(obj, name, arr)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -81,36 +78,6 @@ class PhotonMode:
     def omega(self):
         """Angular frequency in rad/s."""
         return self.frequency * RAD_PER_SEC_PER_THZ
-
-
-# eq=False: == and hash by identity, as an array == gives no single bool
-@dataclass(frozen=True, eq=False)
-class CouplingSet:
-    """Rabi couplings W[nu, mu] (rad/s) between photon mode nu and matter
-    mode mu, quoted at the finite, positive cyclotron frequency
-    reference_cyclotron (THz).
-
-    W is square and its entries finite, of either sign: the physics sees W
-    only through W W^T. rabi_from_gram makes it lower triangular, each
-    matter mode orthogonal to those of the photon modes before it.
-    """
-
-    rabi: np.ndarray
-    reference_cyclotron: float
-
-    def __post_init__(self):
-        rabi = _frozen_array(self, "rabi", self.rabi)
-        if rabi.ndim != 2 or rabi.shape[0] != rabi.shape[1] or rabi.size == 0:
-            raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
-        if not np.all(np.isfinite(rabi)):
-            raise ValueError("rabi entries must be finite")
-        if not 0.0 < self.reference_cyclotron < math.inf:
-            raise ValueError("reference_cyclotron must be finite and positive")
-
-    @property
-    def n_photon(self):
-        """Number of photon modes, and of matter modes."""
-        return self.rabi.shape[0]
 
 
 def cyclotron_frequency(field_tesla, material=MaterialParams()):
@@ -170,17 +137,15 @@ def strengths_from_ratios(photons, ratios):
 
 
 def _from_ratios(photons, ratios, gram, **fields):
-    """Coupling set, quoted at nu_1, of the ratios of strengths_from_ratios
+    """Rabi matrix, quoted at nu_1, of the ratios of strengths_from_ratios
     and an overlap Gram matrix, once fields, keyed by their rule, pass."""
     if found := fault(**fields):
         raise ValueError(": ".join(found))
-    return CouplingSet(
-        rabi=rabi_from_gram(strengths_from_ratios(photons, ratios), gram),
-        reference_cyclotron=photons[0].frequency)
+    return rabi_from_gram(strengths_from_ratios(photons, ratios), gram)
 
 
 def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
-    """Two-mode coupling set of the ratios of strengths_from_ratios and the
+    """Two-mode Rabi matrix of the ratios of strengths_from_ratios and the
     overlap eta in [0, 1], Gamma = [[1, eta], [eta, 1]], quoted at nu_1."""
     if len(photons) != 2:
         raise ValueError("ratio constructor expects exactly two photon modes")
@@ -190,7 +155,7 @@ def couplings_from_ratios(photons, ratio_11, ratio_2_tilde, eta):
 
 
 def single_mode_coupling(photon, ratio):
-    """1+1 coupling set with W/w = ratio quoted at nu_c = photon.frequency;
+    """1+1 Rabi matrix with W/w = ratio quoted at nu_c = photon.frequency;
     the ratio is W_11/w_1, checked by the ratio_11 rule."""
     return _from_ratios([photon], [ratio], [[1.0]], ratio_11=ratio)
 
@@ -202,13 +167,13 @@ def _gram(rabi, w_c):
     return 0.5 * (gram + np.swapaxes(gram, -1, -2))
 
 
-def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
+def assemble_batch(photons, nu_c_values, rabi):
     """Quadratic forms of the coupled system on a grid of cyclotron
     frequencies (THz), for one Rabi matrix or a stack of them.
 
-    rabi (..., N, N) holds Rabi matrices W (rad/s) quoted at
-    reference_cyclotron (THz), as CouplingSet.rabi, with N the number of
-    photon modes; each is rescaled from the reference by sqrt(w_c). Returns
+    rabi (..., N, N) holds Rabi matrices W (rad/s) quoted at nu_c = nu_1,
+    with N the number of photon modes; each is rescaled from nu_1 by
+    sqrt(w_c). Returns
     the bare angular frequencies w, shape (T, n), photon modes first, then
     matter modes, shared by every matrix of the stack, and the symmetric
     interaction matrices G, shape (..., T, n, n), for n = 2 N and T grid
@@ -221,7 +186,7 @@ def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
     the grid [nu_c], T = 1.
 
     The diamagnetic block is evaluated in its nu_c-independent closed form
-    from the reference-quoted couplings, so nu_c = 0 is legal: the matter
+    from the nu_1-quoted couplings, so nu_c = 0 is legal: the matter
     oscillators then sit at the MATTER_FREQ_FLOOR_THZ regularization floor
     with vanishing Rabi coupling while the diamagnetic blue shift survives.
     """
@@ -235,12 +200,9 @@ def assemble_batch(photons, nu_c_values, rabi, reference_cyclotron):
         raise ValueError("nu_c values must form a one-dimensional grid")
     if not np.all(np.isfinite(nu_c)) or np.any(nu_c < 0.0):
         raise ValueError("nu_c must be finite and non-negative")
-    if not reference_cyclotron > 0.0:
-        raise ValueError(
-            "coupling set has no positive reference cyclotron frequency")
-    blueshift = _gram(rabi, reference_cyclotron * RAD_PER_SEC_PER_THZ)
-    scaled = (rabi[..., None, :, :]
-              * np.sqrt(nu_c / reference_cyclotron)[:, None, None])
+    nu_1 = photons[0].frequency
+    blueshift = _gram(rabi, nu_1 * RAD_PER_SEC_PER_THZ)
+    scaled = rabi[..., None, :, :] * np.sqrt(nu_c / nu_1)[:, None, None]
 
     n = 2 * n_ph
     freqs = np.empty((len(nu_c), n))

@@ -352,10 +352,10 @@ def two_mode_rabi(strengths, eta):
     return np.asarray(strengths, dtype=float)[..., :, None] * factor
 
 
-def rabi_at(rabi, nu_c, reference_cyclotron):
-    """Rabi matrix quoted at reference_cyclotron, re-quoted at nu_c (both
-    THz): every entry times sqrt(nu_c / reference_cyclotron)."""
-    factor = math.sqrt(nu_c / reference_cyclotron)
+def rabi_at(rabi, nu_c, nu_ref):
+    """Rabi matrix quoted at nu_ref, re-quoted at nu_c (both THz): every
+    entry times sqrt(nu_c / nu_ref)."""
+    factor = math.sqrt(nu_c / nu_ref)
     return np.array([[w * factor for w in row]
                      for row in np.asarray(rabi).tolist()])
 

@@ -78,7 +78,11 @@ step_tesla = 0.125
 
 
 def _write(path, text):
-    path.write_text(text)
+    """Write a config's text, or, given bytes, those bytes as they are."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -649,8 +653,8 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
     # fit raised TypeError
     (lambda: mm.FitConfig(restarts=2.5), ValueError, "restarts"),
     # the one-mode ratio is W_11/w_1, under the ratio_11 rule: sweep raised
-    # InstabilityError on a nan THz^2, -1 was accepted, and inf failed in
-    # CouplingSet without naming the ratio
+    # InstabilityError on a nan THz^2, -1 was accepted, and inf failed the
+    # Rabi matrix's finite check without naming the ratio
     *[(lambda ratio=ratio: mm.single_mode_coupling(_PAIR[0], ratio),
        ValueError, "ratio_11") for ratio in (1e200, -1.0, math.inf)],
     # accepted, as random.Random takes a float seed; a rule through int(v)
@@ -991,6 +995,24 @@ def test_byte_order_mark_gives_the_shipped_outputs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("bom, old, new, lineno", [
+    (b"", b"labels = LC, dipolar", b"labels = caf\xe9, x", 8),
+    (b"", b"# patch, eta", b"# patch, \xe9ta", 4),
+    # the line is counted in the bytes after the mark
+    (b"\xef\xbb\xbf", b"labels = LC, dipolar", b"labels = caf\xe9, x", 8),
+], ids=["value", "comment", "after-byte-order-mark"])
+def test_non_utf8_byte_names_its_line(tmp_path, capsys, bom, old, new,
+                                      lineno):
+    # a Latin-1 config: the whole file is decoded before a line is read
+    data = SHIPPED_STRUCTURED.read_bytes()
+    assert data.count(old) == 1
+    cfg = _write(tmp_path / "latin1.cfg", bom + data.replace(old, new))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR 2: {cfg}:{lineno}: non-UTF-8 byte 0xe9\n")
+    assert not (tmp_path / "branches.csv").exists()
+
+
 def test_percent_in_a_value_is_literal(tmp_path):
     text = SHIPPED_STRUCTURED.read_text()
     assert "labels = LC, dipolar" in text
@@ -1214,6 +1236,9 @@ sys.exit(main(sys.argv[1:]))
                  SWEEP_CFG.replace("eta = 0.15", "eta = 0.15\neta = 0.2"), 2,
                  "ERROR 2: {cfg}:9: [coupling] eta: duplicate key\n",
                  id="duplicate-key"),
+    pytest.param("sweep --config {cfg}", SWEEP_CFG.encode().replace(
+                     b"labels = LC, dipolar", b"labels = caf\xe9, x"), 2,
+                 "ERROR 2: {cfg}:3: non-UTF-8 byte 0xe9\n", id="non-utf8-byte"),
     pytest.param("fit --config {cfg} --peaks {missing}", FIT_CFG, 4,
                  "ERROR 4: peaks file not found: {missing}\n",
                  id="missing-peaks"),

@@ -24,12 +24,10 @@ JUMP_TOL = 0.05
 PINCH_RIPPLE = 2e-3
 
 
-def _point(photons, nu_c, coupling):
+def _point(photons, nu_c, rabi):
     """Frequencies (THz, ascending) and bare-mode fractions of one operating
     point, solved as a grid of one."""
-    freqs, vecs = normal_modes(
-        *assemble_batch(photons, [nu_c], coupling.rabi,
-                        coupling.reference_cyclotron), len(photons))
+    freqs, vecs = normal_modes(*assemble_batch(photons, [nu_c], rabi))
     return freqs[0], vecs[0] ** 2
 
 
@@ -81,7 +79,8 @@ def _three_mode_set(pair):
     omegas = np.array([m.omega for m in photons])
     rabi = np.tril(rng.uniform(0.0, 0.5, (3, 3))) * omegas[:, None]
     rabi[:, 2] = 0.0  # a dark nu = nu_c line crosses every branch
-    return photons, mm.CouplingSet(rabi=rabi, reference_cyclotron=1.0)
+    # drawn as quoted at nu_c = 1 THz, re-quoted at nu_1
+    return photons, rabi * np.sqrt(photons[0].frequency / 1.0)
 
 
 MATCH_CASES = {
@@ -105,10 +104,7 @@ def test_sweep_matches_greedy_reference(case, photon_pair, full_grid):
     # assignment must reproduce it bit for bit
     photons, coupling = MATCH_CASES[case](photon_pair)
     res = mm.sweep(photons, coupling, full_grid)
-    freqs, vecs = normal_modes(
-        *assemble_batch(photons, full_grid, coupling.rabi,
-                        coupling.reference_cyclotron),
-        coupling.n_photon)
+    freqs, vecs = normal_modes(*assemble_batch(photons, full_grid, coupling))
     branches, fractions = oracles.greedy_branches(freqs, vecs ** 2)
     assert np.array_equal(res.branches, branches)
     assert np.array_equal(res.fractions, fractions)
@@ -186,10 +182,7 @@ def test_sweep_composes_every_moving_step(case, photon_pair, full_grid):
     # permutes, so the sweep skips the gather and keeps the eigen-order
     photons, coupling = MATCH_CASES[case](photon_pair)
     res = mm.sweep(photons, coupling, full_grid)
-    freqs, vecs = normal_modes(
-        *assemble_batch(photons, full_grid, coupling.rabi,
-                        coupling.reference_cyclotron),
-        coupling.n_photon)
+    freqs, vecs = normal_modes(*assemble_batch(photons, full_grid, coupling))
     steps = _min_cost_assignment(_match_cost(freqs, vecs ** 2))
     identity = np.arange(freqs.shape[1])
     assert (np.count_nonzero(np.any(steps != identity, axis=1))
@@ -283,8 +276,7 @@ def test_gram_rank_sets_the_coupled_modes(rank, full_grid):
     rng = np.random.default_rng(30 + rank)
     rabi = rabi_from_gram(strengths_from_ratios(THREE_PHOTONS, [0.3] * 3),
                           _gram_of_rank(rank, rng))
-    coupling = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.8)
-    feats = mm.detect_features(mm.sweep(THREE_PHOTONS, coupling, full_grid),
+    feats = mm.detect_features(mm.sweep(THREE_PHOTONS, rabi, full_grid),
                                THREE_PHOTONS)
     assert (feats.n_coupled_branches, feats.n_cr_lines) == (3 + rank, 3 - rank)
 
@@ -305,16 +297,12 @@ def test_block_diagonal_gram_is_the_union_of_its_blocks(blocks, full_grid):
         block[~np.eye(size, dtype=bool)] = rng.uniform(-0.9, 0.9)
         gram[part, part] = block
         photons = THREE_PHOTONS[part]
-        coupling = mm.CouplingSet(
-            rabi=rabi_from_gram(strengths_from_ratios(photons, ratios[part]),
-                                block),
-            reference_cyclotron=photons[0].frequency)
-        union.append(mm.sweep(photons, coupling, full_grid).branches)
+        rabi = rabi_from_gram(strengths_from_ratios(photons, ratios[part]),
+                              block)
+        union.append(mm.sweep(photons, rabi, full_grid).branches)
         start += size
-    coupling = mm.CouplingSet(
-        rabi=rabi_from_gram(strengths_from_ratios(THREE_PHOTONS, ratios), gram),
-        reference_cyclotron=0.8)
-    res = mm.sweep(THREE_PHOTONS, coupling, full_grid)
+    rabi = rabi_from_gram(strengths_from_ratios(THREE_PHOTONS, ratios), gram)
+    res = mm.sweep(THREE_PHOTONS, rabi, full_grid)
     np.testing.assert_allclose(np.sort(res.branches, axis=1),
                                np.sort(np.hstack(union), axis=1),
                                rtol=1e-12, atol=0.0)
@@ -331,8 +319,7 @@ def test_block_diagonal_gram_is_the_union_of_its_blocks(blocks, full_grid):
 ], ids=["near-zero-field", "deep-strong"])
 def test_identity_gram_is_stable(photon_pair, ratios, grid):
     rabi = rabi_from_gram(strengths_from_ratios(photon_pair, ratios), np.eye(2))
-    coupling = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.8)
-    res = mm.sweep(photon_pair, coupling, grid)
+    res = mm.sweep(photon_pair, rabi, grid)
     assert np.all(res.branches > 0.0)
 
 
@@ -412,8 +399,8 @@ def test_instability_error_names_grid_point(photon_pair,
 
     real_assembly = disp.assemble_batch
 
-    def unstable_at_second_point(photons, grid, rabi, reference_cyclotron):
-        freqs, inter = real_assembly(photons, grid, rabi, reference_cyclotron)
+    def unstable_at_second_point(photons, grid, rabi):
+        freqs, inter = real_assembly(photons, grid, rabi)
         inter[1, 0, 0] = -freqs[1, 0]
         return freqs, inter
 

@@ -148,8 +148,8 @@ def test_instability_error_names_parameters_and_record(photon_pair,
     fit_module = sys.modules["mmhopfield.fit"]
     real_assembly = fit_module.assemble_batch
 
-    def unstable_eta_half(photons, grid, rabi, reference_cyclotron):
-        freqs, inter = real_assembly(photons, grid, rabi, reference_cyclotron)
+    def unstable_eta_half(photons, grid, rabi):
+        freqs, inter = real_assembly(photons, grid, rabi)
         # rabi[k, 1, 0] = eta Wt_2, so this picks the eta = 0.5 set
         eta_half = np.isclose(rabi[:, 1, 0] / np.hypot(rabi[:, 1, 0],
                                                        rabi[:, 1, 1]), 0.5)
@@ -177,11 +177,10 @@ def test_stacked_frequencies_equal_separate_sweeps(photon_pair):
     assert stacked.shape == (len(sets), 12, 4)
     for k, row in enumerate(sets.tolist()):
         coupling = mm.couplings_from_ratios(photon_pair, *row)
-        # the eigenvalue-only solve of one validated coupling set, bit for bit
+        # the eigenvalue-only solve of one Rabi matrix, bit for bit
         alone, _ = normal_modes(
-            *assemble_batch(photon_pair, data.nu_c_values, coupling.rabi,
-                            coupling.reference_cyclotron),
-            2, vectors=False)
+            *assemble_batch(photon_pair, data.nu_c_values, coupling),
+            vectors=False)
         assert np.array_equal(stacked[k], alone)
         # a sweep's eigh (with vectors) rounds apart from eigvalsh by ~1e-15
         swept = mm.sweep(photon_pair, coupling, data.nu_c_values)
@@ -415,7 +414,7 @@ def test_fit_config_rejects_settings_the_solver_cannot_honour(fields, field):
     (dict(ratio_2_bounds=(0.0, float("inf"))), "ratio_2_bounds"),
     (dict(ratio_11_bounds=(-float("inf"), 0.8)), "ratio_11_bounds")])
 def test_fit_config_rejects_negative_or_infinite_ratio_bounds(fields, field):
-    # the stacked misfit builds no validated coupling set per trial point,
+    # the stacked misfit checks no ratio rule at its trial points,
     # so a bound that would reach one is rejected here
     with pytest.raises(ValueError,
                        match=f"^{field}: must be finite and non-negative$"):

@@ -75,19 +75,17 @@ def test_unit_overlap_kills_second_diagonal_coupling():
     assert rabi[1, 0] == 2.0
 
 
-def _at(photons, nu_c, coupling):
+def _at(photons, nu_c, rabi):
     """Bare frequencies and interaction of one operating point."""
-    diag, inter = mm.assemble_batch(photons, [nu_c], coupling.rabi,
-                                    coupling.reference_cyclotron)
+    diag, inter = mm.assemble_batch(photons, [nu_c], rabi)
     return diag[0], inter[0]
 
 
 def test_ratio_constructor_reference_quoting(photon_pair):
-    # each ratio is quoted at its own mode's resonance; the stored set lives
+    # each ratio is quoted at its own mode's resonance; the Rabi matrix lives
     # at nu_1, so re-quoting at nu_2 must reproduce ratio_2_tilde exactly
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
-    assert c.reference_cyclotron == photon_pair[0].frequency
-    assert c.rabi[0, 0] == pytest.approx(0.37 * photon_pair[0].omega, rel=1e-15)
+    assert c[0, 0] == pytest.approx(0.37 * photon_pair[0].omega, rel=1e-15)
     _, inter = _at(photon_pair, photon_pair[1].frequency, c)
     wt2 = math.hypot(inter[1, 2], inter[1, 3])
     assert wt2 == pytest.approx(0.21 * photon_pair[1].omega, rel=1e-12)
@@ -95,12 +93,11 @@ def test_ratio_constructor_reference_quoting(photon_pair):
 
 def test_rescale_quadrupled_bias_doubles_entries(photon_pair):
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
-    nu_c = 4.0 * c.reference_cyclotron
-    _, inter = _at(photon_pair, nu_c, c)
-    assert np.array_equal(inter[:2, 2:], 2.0 * c.rabi)
+    nu_1 = photon_pair[0].frequency
+    _, inter = _at(photon_pair, 4.0 * nu_1, c)
+    assert np.array_equal(inter[:2, 2:], 2.0 * c)
     np.testing.assert_allclose(
-        inter[:2, 2:], oracles.rabi_at(c.rabi, nu_c, c.reference_cyclotron),
-        rtol=1e-15)
+        inter[:2, 2:], oracles.rabi_at(c, 4.0 * nu_1, nu_1), rtol=1e-15)
 
 
 def test_rescale_to_zero_field(photon_pair):
@@ -111,11 +108,13 @@ def test_rescale_to_zero_field(photon_pair):
 
 
 def test_diamagnetic_shared_matter_mode_cross_term():
+    # W quoted at 0.9 THz, re-quoted at nu_1 = 0.8 THz for the assembly
     a, b = 1.3e12, 0.4e12
     rabi = np.array([[a, 0.0], [b, 0.0]])
     photons = [mm.PhotonMode(index=1, frequency=0.8),
                mm.PhotonMode(index=2, frequency=1.6)]
-    _, inter = mm.assemble_batch(photons, [0.9], rabi, 0.9)
+    _, inter = mm.assemble_batch(photons, [0.9],
+                                 rabi * math.sqrt(0.8 / 0.9))
     h = 0.5 * inter[0, :2, :2]
     w_c = 0.9 * RAD_PER_SEC_PER_THZ
     assert h[0, 1] == pytest.approx(a * b / w_c, rel=1e-14)
@@ -130,11 +129,10 @@ def test_diamagnetic_bias_independence(photon_pair):
     # one the assembly puts on the photon block at every bias
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
     grid = [0.05, 0.3, 0.8, 1.6, 2.2]
-    _, inter = mm.assemble_batch(photon_pair, grid, c.rabi,
-                                 c.reference_cyclotron)
+    _, inter = mm.assemble_batch(photon_pair, grid, c)
     for nu_c, g in zip(grid, inter):
         h = oracles.diamagnetic_reference(
-            oracles.rabi_at(c.rabi, nu_c, c.reference_cyclotron), nu_c)
+            oracles.rabi_at(c, nu_c, photon_pair[0].frequency), nu_c)
         np.testing.assert_allclose(g[:2, :2], 2.0 * h, rtol=1e-12)
         assert np.array_equal(g[:2, :2], inter[0, :2, :2])
 
@@ -149,8 +147,8 @@ def test_assemble_block_structure(photon_pair, unstructured_coupling):
     assert g.shape == (4, 4)
     assert np.array_equal(g, g.T)
     assert np.all(g[2:, 2:] == 0.0)
-    at_field = oracles.rabi_at(unstructured_coupling.rabi, nu_c,
-                               unstructured_coupling.reference_cyclotron)
+    at_field = oracles.rabi_at(unstructured_coupling, nu_c,
+                               photon_pair[0].frequency)
     np.testing.assert_allclose(g[:2, 2:], at_field, rtol=1e-12)
     np.testing.assert_allclose(
         g[:2, :2], 2.0 * oracles.diamagnetic_reference(at_field, nu_c),
@@ -162,8 +160,8 @@ def test_assemble_matches_quadrature_oracle_form(photon_pair,
     # same G as the independent oracle assembly used throughout the tests
     nu_c = 0.7
     _, inter = _at(photon_pair, nu_c, unstructured_coupling)
-    at_field = oracles.rabi_at(unstructured_coupling.rabi, nu_c,
-                               unstructured_coupling.reference_cyclotron)
+    at_field = oracles.rabi_at(unstructured_coupling, nu_c,
+                               photon_pair[0].frequency)
     g = oracles.hamiltonian_interaction(
         [m.omega for m in photon_pair], at_field, nu_c * RAD_PER_SEC_PER_THZ)
     np.testing.assert_allclose(inter, g, rtol=1e-12, atol=1e-3)
@@ -174,8 +172,8 @@ def test_assemble_zero_field_keeps_blueshift(photon_pair,
     diag, inter = _at(photon_pair, 0.0, unstructured_coupling)
     assert np.all(diag > 0.0)
     assert np.all(inter[:2, 2:] == 0.0)
-    ref = oracles.diamagnetic_reference(
-        unstructured_coupling.rabi, unstructured_coupling.reference_cyclotron)
+    ref = oracles.diamagnetic_reference(unstructured_coupling,
+                                        photon_pair[0].frequency)
     np.testing.assert_allclose(inter[:2, :2], 2.0 * ref, rtol=1e-12)
 
 
@@ -183,10 +181,10 @@ def test_assemble_photon_order_permutation(photon_pair):
     c = mm.couplings_from_ratios(photon_pair, 0.37, 0.21, 0.15)
     diag, inter = _at(photon_pair, 0.9, c)
 
+    # W re-quoted from 0.8 THz at the new nu_1 = 1.6 THz
     swapped_photons = [mm.PhotonMode(index=1, frequency=1.6),
                        mm.PhotonMode(index=2, frequency=0.8)]
-    swapped = mm.CouplingSet(rabi=c.rabi[::-1].copy(),
-                             reference_cyclotron=c.reference_cyclotron)
+    swapped = c[::-1] * math.sqrt(1.6 / 0.8)
     diag_swapped, inter_swapped = _at(swapped_photons, 0.9, swapped)
 
     perm = np.array([1, 0, 2, 3])
@@ -216,7 +214,7 @@ def test_two_mode_rabi_equals_scalar_formula(photon_pair):
                              [e * wt2, math.sqrt(1.0 - e * e) * wt2]])
         assert np.array_equal(rabi, expected)
         assert np.array_equal(
-            mm.couplings_from_ratios(photon_pair, r11, r2, e).rabi, expected)
+            mm.couplings_from_ratios(photon_pair, r11, r2, e), expected)
 
 
 def test_single_mode_coupling_keeps_its_bits():
@@ -224,8 +222,7 @@ def test_single_mode_coupling_keeps_its_bits():
     for ratio in [0.0, *rng.uniform(0.0, 5.0, 50).tolist()]:
         photon = mm.PhotonMode(index=1, frequency=rng.uniform(0.5, 2.0))
         coupling = mm.single_mode_coupling(photon, ratio)
-        assert coupling.rabi.tolist() == [[ratio * photon.omega]]
-        assert coupling.reference_cyclotron == photon.frequency
+        assert coupling.tolist() == [[ratio * photon.omega]]
 
 
 def test_strengths_from_ratios_any_mode_count():
@@ -302,7 +299,7 @@ def test_rabi_from_gram_rejects_complex_and_misshapen_grams():
 
 
 def test_coupling_sign_gauge_leaves_frequencies():
-    # a signed Gamma gives signed Rabi entries, which CouplingSet keeps;
+    # a signed Gamma gives signed Rabi entries, which sweep keeps;
     # flipping the sign of a photon row (a -> -a) or of a matter column
     # (b -> -b) is a gauge and leaves every branch frequency as it was.
     # This Gamma is frustrated, Gamma_12 Gamma_23 Gamma_31 < 0, so no
@@ -316,8 +313,7 @@ def test_coupling_sign_gauge_leaves_frequencies():
     grid = 0.05 + 0.01 * np.arange(216)
 
     def branches(rabi):
-        coupling = mm.CouplingSet(rabi=rabi, reference_cyclotron=0.8)
-        return np.sort(mm.sweep(photons, coupling, grid).branches, axis=1)
+        return np.sort(mm.sweep(photons, rabi, grid).branches, axis=1)
 
     base = branches(rabi)
     for rows, cols in (([1.0, -1.0, 1.0], [1.0, 1.0, 1.0]),
@@ -329,10 +325,12 @@ def test_coupling_sign_gauge_leaves_frequencies():
     assert not np.allclose(branches(np.abs(rabi)), base, rtol=1e-6, atol=0.0)
 
 
-def test_coupling_set_derives_its_mode_count():
-    assert mm.CouplingSet(rabi=np.eye(3), reference_cyclotron=1.0).n_photon == 3
-    with pytest.raises(ValueError, match="square"):
-        mm.CouplingSet(rabi=np.zeros((2, 2, 2)), reference_cyclotron=1.0)
+def test_sweep_result_derives_its_mode_count():
+    photons = [mm.PhotonMode(index=i + 1, frequency=f)
+               for i, f in enumerate((0.8, 1.6, 2.4))]
+    result = mm.sweep(photons, 1e12 * np.eye(3), [0.5, 0.6])
+    assert result.n_photon == 3 and result.n_branches == 6
+    assert result.photon_fractions().shape == (2, 6)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -344,7 +342,7 @@ def test_photon_mode_rejects_non_finite_values(bad):
                                   mm.PhotonMode(index=2, frequency=1.6)],
                                  bad, 1.0, 0.5)
     with pytest.raises(ValueError, match="finite"):
-        mm.CouplingSet(rabi=[[1.0, 0.0], [bad, 1.0]], reference_cyclotron=0.8)
+        mm.sweep(_PAIR, [[1.0, 0.0], [bad, 1.0]], [0.5, 0.6])
 
 
 def test_validation_rejects_bad_inputs():
@@ -360,8 +358,6 @@ def test_validation_rejects_bad_inputs():
         mm.couplings_from_ratios(pair, -1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="exactly two photon modes"):
         mm.couplings_from_ratios(pair[:1], 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        mm.CouplingSet(rabi=np.zeros((2, 1)), reference_cyclotron=0.8)
 
 
 _PAIR = [mm.PhotonMode(index=1, frequency=0.8),
@@ -369,23 +365,26 @@ _PAIR = [mm.PhotonMode(index=1, frequency=0.8),
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: mm.CouplingSet(rabi=np.eye(2), reference_cyclotron=-0.8),
-     "reference_cyclotron must be finite and positive"),
-    # constructed, and sweep then raised the assemble_batch error below
-    (lambda: mm.CouplingSet(rabi=[[1e12]], reference_cyclotron=0.0),
-     "reference_cyclotron must be finite and positive"),
-    (lambda: mm.CouplingSet(rabi=np.eye(2), reference_cyclotron=math.inf),
-     "reference_cyclotron must be finite and positive"),
-    (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(3), 0.8),
+    (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(3)),
      "2 photon modes but Rabi matrices of shape (3, 3)"),
-    (lambda: mm.assemble_batch(_PAIR, [[0.5]], np.eye(2), 0.8),
+    (lambda: mm.assemble_batch(_PAIR, [[0.5]], np.eye(2)),
      "nu_c values must form a one-dimensional grid"),
-    (lambda: mm.assemble_batch(_PAIR, [0.5, -0.5], np.eye(2), 0.8),
+    (lambda: mm.assemble_batch(_PAIR, [0.5, -0.5], np.eye(2)),
      "nu_c must be finite and non-negative"),
-    (lambda: mm.assemble_batch(_PAIR, [0.5], np.eye(2), 0.0),
-     "coupling set has no positive reference cyclotron frequency"),
-], ids=["negative-reference", "zero-reference", "infinite-reference",
-        "rabi-shape", "grid-not-1d", "negative-bias", "no-reference"])
+    # sweep takes one matrix: a stack that assemble_batch would take is not
+    (lambda: mm.sweep(_PAIR, np.zeros((3, 2, 2)), [0.5, 0.6]),
+     "rabi must be square and non-empty, not (3, 2, 2)"),
+    (lambda: mm.sweep(_PAIR, np.zeros((2, 3)), [0.5, 0.6]),
+     "rabi must be square and non-empty, not (2, 3)"),
+    (lambda: mm.sweep(_PAIR, np.zeros((0, 0)), [0.5, 0.6]),
+     "rabi must be square and non-empty, not (0, 0)"),
+    (lambda: mm.sweep(_PAIR, [[1e12, 0.0], [math.nan, 1e12]], [0.5, 0.6]),
+     "rabi entries must be finite"),
+    (lambda: mm.sweep(_PAIR, 1e12 * np.eye(3), [0.5, 0.6]),
+     "2 photon modes but Rabi matrices of shape (3, 3)"),
+], ids=["rabi-shape", "grid-not-1d", "negative-bias", "sweep-stacked-rabi",
+        "sweep-non-square-rabi", "sweep-empty-rabi", "sweep-nan-rabi",
+        "sweep-rabi-for-other-photons"])
 def test_model_inputs_raise_their_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -394,7 +393,7 @@ def test_model_inputs_raise_their_message(call, message):
 def _array_values():
     """One instance of each public type that holds an ndarray."""
     coupling = mm.couplings_from_ratios(_PAIR, 0.37, 0.2124026, 0.15)
-    return [coupling, mm.sweep(_PAIR, coupling, [0.5, 0.6, 0.7]),
+    return [mm.sweep(_PAIR, coupling, [0.5, 0.6, 0.7]),
             mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=0.04),
             mm.synthetic_profile("lc", nx=4, ny=4),
             mm.central_square_mask(4, 4, 1.0, 1.0, 1.0)]
