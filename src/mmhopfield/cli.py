@@ -87,7 +87,8 @@ class _Config:
     UTF-8 with or without a byte-order mark. Keys are lower-cased and `%`
     is literal. Once the syntax has been read, every value is parsed and
     checked by its _KEYS rule, in file order, whichever subcommand runs;
-    rules across keys are left to the subcommand that reads them."""
+    rules across keys are left to the subcommands, each of which checks
+    the [sweep] and [spectrum] sections that the file has."""
 
     def __init__(self, path):
         self.path = path
@@ -214,13 +215,16 @@ def _grid(cfg, section, keys, to_thz=float):
     keys (finite by _KEYS) as (keys, start, step, n), checked without numpy;
     each error names the key it is about. The checks see the values as
     written, so to_thz only ever converts a valid grid, and the point count
-    is checked before any point is made."""
+    is checked before any point is made. With to_thz None the grid is
+    checked as written only, and None is returned."""
     start, stop, step = (cfg.get(section, key) for key in keys)
     for key, bad, problem in ((keys[2], step <= 0.0, "step must be positive"),
                               (keys[1], stop <= start, "stop must exceed start"),
                               (keys[0], start < 0.0, "start must be non-negative")):
         if bad:
             raise cfg.error(section, key, problem)
+    if to_thz is None:
+        return None
     start, stop, step = map(to_thz, (start, stop, step))
     # inf for a subnormal step, or one that converts to 0
     span = (stop - start) / step + 1e-9 if step else math.inf
@@ -246,9 +250,10 @@ def _points(grid):
     return start + step * np.arange(n)
 
 
-def _sweep_grid(cfg):
+def _sweep_grid(cfg, convert=True):
     """The [sweep] grid as a _grid, checked without numpy; a tesla grid
-    loads model only to convert its endpoints."""
+    loads model only to convert its endpoints, and without convert is
+    checked as written only."""
     cfg.require("sweep")
     thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
     tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
@@ -269,8 +274,21 @@ def _sweep_grid(cfg):
             from . import model
             return model.cyclotron_frequency(field,
                                              model.MaterialParams(**material))
-        return _grid(cfg, "sweep", _SWEEP_TESLA, to_thz)
+        return _grid(cfg, "sweep", _SWEEP_TESLA, to_thz if convert else None)
     raise cfg.error("sweep", None, "needs start/stop/step in THz or tesla")
+
+
+def _read_spectrum(cfg, modes):
+    """The [spectrum] keys, checked without numpy: (linewidths, probe grid
+    as a _grid, the weighting fields) for the modes of _read_photons."""
+    cfg.require("spectrum")
+    widths = cfg.get("spectrum", "linewidth_thz")
+    if len(widths) not in (1, 2 * len(modes)):
+        raise cfg.error("spectrum", "linewidth_thz",
+                        f"need one linewidth or {2 * len(modes)}")
+    probe = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
+                                    "freq_step_thz"))
+    return widths, probe, _fields(cfg, "spectrum", ("weight_mode",))
 
 
 def _solve(modes, ratios, eta, grid):
@@ -304,6 +322,8 @@ def _run_sweep(args):
     cfg = _Config(args.config)
     modes, ratios, eta = _read_coupling(cfg)
     grid = _sweep_grid(cfg)
+    if "spectrum" in cfg.sections:
+        _read_spectrum(cfg, modes)
     # the span detect_features needs; the last point as _points makes it
     keys, start, step, n = grid
     if found := feature_span_fault(start, start + step * (n - 1)):
@@ -330,15 +350,7 @@ def _run_spectrum(args):
     cfg = _Config(args.config)
     modes, ratios, eta = _read_coupling(cfg)
     grid = _sweep_grid(cfg)
-    # the [spectrum] keys, checked without numpy
-    cfg.require("spectrum")
-    widths = cfg.get("spectrum", "linewidth_thz")
-    if len(widths) not in (1, 2 * len(modes)):
-        raise cfg.error("spectrum", "linewidth_thz",
-                        f"need one linewidth or {2 * len(modes)}")
-    probe = _grid(cfg, "spectrum", ("freq_min_thz", "freq_max_thz",
-                                    "freq_step_thz"))
-    weighting = _fields(cfg, "spectrum", ("weight_mode",))
+    widths, probe, weighting = _read_spectrum(cfg, modes)
 
     _, result = _solve(modes, ratios, eta, grid)
     from . import dispersion
@@ -367,6 +379,10 @@ def _run_fit(args):
     settings = _fields(cfg, "fit", ("ratio_11_bounds", "ratio_2_bounds",
                                     "eta_bounds", "restarts"))
     settings["eta_fixed"] = None if free else cfg.get("coupling", "eta")
+    if "sweep" in cfg.sections:
+        _sweep_grid(cfg, convert=False)
+    if "spectrum" in cfg.sections:
+        _read_spectrum(cfg, modes)
     if found := fault(seed=args.seed):
         raise ConfigError(f"--seed: {found[1]}")
 

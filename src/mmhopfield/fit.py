@@ -212,23 +212,9 @@ MAX_EVALUATIONS = 4000
 # a Jacobian column shorter than this fraction of the longest (both in
 # normalized units) is zero to forward-difference precision
 FLAT_COLUMN = 1e-6
-# misfit (THz) of a converged best restart on exact data: later ones are noise
-EXACT_FIT_RMS_THZ = 1e-7
 
 
-def _stop_rule(rms, converged):
-    """Restarts in order: the best so far and the first index at which it
-    has converged below EXACT_FIT_RMS_THZ (None if it never has)."""
-    best = 0
-    for k in range(len(rms)):
-        if rms[k] < rms[best]:
-            best = k
-        if converged[best] and rms[best] < EXACT_FIT_RMS_THZ:
-            return best, k
-    return best, None
-
-
-def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
+def _levenberg_marquardt(misfit, param_sets, x, lo, hi):
     """Bounded Levenberg-Marquardt on the per-peak residuals, from each of
     the R start points x (R, P), every restart in lockstep.
 
@@ -239,12 +225,11 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
     re-solved) falls. A restart has converged once it has tried a step
     below XATOL in units of the bound widths, or once its damping
     saturates; it stops unconverged when its next iteration would exceed
-    budget evaluations. The damped step is elementwise arithmetic and a
+    MAX_EVALUATIONS. The damped step is elementwise arithmetic and a
     batched solve, so a restart's path does not depend on the others in
-    the stack. Once restarts 0..k have stopped and _stop_rule stops at k,
-    the later ones are dropped unfinished. Returns (x, rms, costs,
-    evaluations, converged), one row per restart; a row of costs holds the
-    squared error of every record at x, as _Misfit.assign gives it."""
+    the stack. Returns (x, rms, costs, evaluations, converged), one row per
+    restart; a row of costs holds the squared error of every record at x,
+    as _Misfit.assign gives it."""
     x = np.array(x, dtype=float)
     n_restarts, n_params = x.shape
     span = hi - lo
@@ -296,7 +281,8 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
         trial = np.clip(xs + delta[:, :, 0], lo, hi)
         step = (np.abs(trial - xs) / span).max(axis=-1)
         converged[live] = (step == 0.0) | (step < XATOL)
-        go = (step > 0.0) & (evaluations[live] + n_params + 1 <= budget)
+        go = (step > 0.0) & (evaluations[live] + n_params + 1
+                             <= MAX_EVALUATIONS)
         live, trial, small = live[go], trial[go], step[go] < XATOL
         if not live.size:
             break
@@ -312,9 +298,6 @@ def _levenberg_marquardt(misfit, param_sets, x, lo, hi, budget):
         saturated = lam[live] > LAMBDA_MAX
         converged[live[saturated]] = True
         live = live[~(small | saturated)]
-        done = live[0] if live.size else n_restarts
-        if done and _stop_rule(rms[:done], converged[:done])[1] is not None:
-            break
     return x, rms, costs, evaluations, converged
 
 
@@ -325,11 +308,10 @@ def fit(data, photons, config=FitConfig()):
     Each restart starts from a point drawn inside the bounds by the stdlib
     random.Random(config.seed) and may evaluate up to MAX_EVALUATIONS
     parameter sets, one per iteration for the trial point and one per fitted
-    parameter for its Jacobian. All restarts iterate in lockstep, but the
-    result is the one of running them in order, stopping once the best so
-    far has converged below EXACT_FIT_RMS_THZ: it is the best restart up to
-    that point, and n_evaluations counts the parameter sets evaluated by
-    those restarts. The model has exactly two photon modes, else ValueError."""
+    parameter for its Jacobian. All restarts iterate in lockstep, each to
+    its own end; the result is the first restart of lowest misfit, and
+    n_evaluations counts the parameter sets of every restart. The model has
+    exactly two photon modes, else ValueError."""
     if len(photons) != 2:
         raise ValueError("the fit needs exactly two photon modes")
     _check_coverage(data, photons)
@@ -353,9 +335,8 @@ def fit(data, photons, config=FitConfig()):
     starts = lo + (hi - lo) * np.array(
         [[draw.uniform(0.2, 0.8) for _ in lo] for _ in range(config.restarts)])
     x, rms, costs, evaluations, converged = _levenberg_marquardt(
-        misfit, param_sets, starts, lo, hi, MAX_EVALUATIONS)
-    best, stop = _stop_rule(rms, converged)
-    ran = config.restarts if stop is None else stop + 1
+        misfit, param_sets, starts, lo, hi)
+    best = int(np.argmin(rms))
 
     eta = param_sets(x[best:best + 1])[0, 2]
     return FitResult(ratio_11=float(x[best, 0]),
@@ -364,7 +345,7 @@ def fit(data, photons, config=FitConfig()):
                      residual_rms=float(rms[best]),
                      record_rms=tuple(np.sqrt(costs[best] / [
                          len(rec.peaks) for rec in data.records]).tolist()),
-                     n_evaluations=int(evaluations[:ran].sum()),
+                     n_evaluations=int(evaluations.sum()),
                      converged=bool(converged[best]))
 
 

@@ -95,8 +95,8 @@ def rabi_from_gram(strengths, gram):
 
     F is lower triangular, built column by column: the pivot is Gamma_jj -
     sum_k F_jk^2 and the entries below it (Gamma_ij - sum_k F_ik F_jk) /
-    sqrt(pivot); a pivot in [-GRAM_PIVOT_TOL Gamma_jj, 0] leaves its column
-    zero. A lower pivot, an entry below a zero pivot above
+    sqrt(pivot); a pivot within GRAM_PIVOT_TOL Gamma_jj of zero leaves its
+    column zero. A lower pivot, an entry below a zero pivot above
     sqrt(GRAM_PIVOT_TOL Gamma_ii Gamma_jj) (Cauchy-Schwarz) and a complex
     Gamma raise ValueError. N = 2 gives [[1, 0], [eta, sqrt(1 - eta*eta)]]."""
     if np.iscomplexobj(gram):
@@ -106,17 +106,18 @@ def rabi_from_gram(strengths, gram):
     if gram.shape[-2:] != (n, n):
         raise ValueError(f"Gram matrices of shape {gram.shape[-2:]} for {n} modes")
     factor = np.zeros(gram.shape)
+    diag = gram.diagonal(axis1=-2, axis2=-1)
     for j in range(n):
         column = gram[..., j:, j]
         if j:  # column 0 has nothing to subtract
             column = column - np.add.reduce(
                 factor[..., j:, :j] * factor[..., j, None, :j], axis=-1)
         pivot, below = column[..., 0], column[..., 1:]
-        kept = pivot > 0.0
+        floor = GRAM_PIVOT_TOL * diag[..., j]
+        kept = pivot > floor
         if not np.logical_and.reduce(kept, axis=None):
             # too deep or NaN, or beyond Cauchy-Schwarz below a zero pivot
-            diag = gram.diagonal(axis1=-2, axis2=-1)
-            deep = ~(pivot >= -GRAM_PIVOT_TOL * diag[..., j])
+            deep = ~(pivot >= -floor)
             loose = ~kept[..., None] & ~(below * below <= GRAM_PIVOT_TOL
                                          * diag[..., j, None] * diag[..., j + 1:])
             if deep.any() or loose.any():

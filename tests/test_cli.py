@@ -814,6 +814,12 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                  "frequencies_thz = 0.8, 1.6, 2.4",
                  "[photon_modes] frequencies_thz: the two-mode model needs "
                  "exactly two frequencies", id="three-mode-fit"),
+    # fit checks a tesla [sweep] as written; only a run that sweeps
+    # converts it
+    pytest.param("fit", FIT_CFG + TESLA_CFG[TESLA_CFG.index("\n[sweep]"):]
+                 .replace("stop_tesla = 5.125", "stop_tesla = 0.1"),
+                 "stop_tesla = 0.1", "[sweep] stop_tesla: stop must exceed start",
+                 id="fit-tesla-stop"),
     pytest.param("fit", FIT_CFG.replace("eta = 0.15\n", ""), "eta_mode = fixed",
                  "[fit] eta_mode: fixed needs [coupling] eta",
                  id="fixed-eta-without-eta"),
@@ -854,7 +860,8 @@ def test_several_faults_are_reported_in_order(tmp_path, capsys, text, lineno,
 
 
 # A value of a section that the command does not read is checked all the
-# same, at its line, before anything is solved: (command, line, problem)
+# same, at its line, before anything is solved, and so are the rules across
+# the keys of [sweep] and [spectrum]: (command, line, problem)
 UNREAD_VALUES = [
     ("sweep", "eta_mode = banana", "must be 'fixed' or 'free'"),
     ("sweep", "restarts = 0", "need at least one restart"),
@@ -869,6 +876,11 @@ UNREAD_VALUES = [
     ("fit", "freq_min_thz = inf", "start, stop and step must be finite"),
     ("fit", "linewidth_thz = 1e200", "linewidths must not exceed 1e+150"),
     ("fit", "effective_mass_ratio = 1e-4", "must be at least 0.001"),
+    ("sweep", "linewidth_thz = 0.04, 0.04, 0.04", "need one linewidth or 4"),
+    ("sweep", "freq_step_thz = 5.0", "grid contains fewer than two points"),
+    ("fit", "stop_thz = 0.01", "stop must exceed start"),
+    ("fit", "freq_max_thz = 0.01", "stop must exceed start"),
+    ("fit", "linewidth_thz = 0.04, 0.05", "need one linewidth or 4"),
 ]
 
 
@@ -1319,6 +1331,12 @@ sys.exit(main(sys.argv[1:]))
                                                         "eta_mode = banana"), 2,
                  "ERROR 2: {cfg}:18: [fit] eta_mode: must be 'fixed' or "
                  "'free'\n", id="sweep-unread-fit-value"),
+    # and so are the rules across the keys of a [spectrum] it does not read
+    pytest.param("sweep --config {cfg}", SWEEP_CFG + SPECTRUM_CFG[
+                     SPECTRUM_CFG.index("\n[spectrum]"):].replace(
+                     "linewidth_thz = 0.04", "linewidth_thz = 0.04, 0.04, 0.04"),
+                 2, "ERROR 2: {cfg}:16: [spectrum] linewidth_thz: need one "
+                 "linewidth or 4\n", id="sweep-unread-linewidth-count"),
     # the keys of the retired microscopic coupling route are unknown, and
     # overlap takes no config
     *[_retired_key_row(section, line) for section, line in RETIRED_KEYS],

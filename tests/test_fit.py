@@ -7,7 +7,7 @@ import pytest
 
 import mmhopfield as mm
 from mmhopfield.bogoliubov import normal_modes
-from mmhopfield.fit import EXACT_FIT_RMS_THZ, _levenberg_marquardt, _Misfit
+from mmhopfield.fit import _levenberg_marquardt, _Misfit
 from mmhopfield.model import assemble_batch
 
 import oracles
@@ -353,34 +353,61 @@ def test_lockstep_restarts_match_each_restart_alone(photon_pair, ratios,
 
     starts = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(8, n_params))
     starts[0] = lo  # every variable on a bound
-    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi, 4000)
+    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi)
     assert len(set(together[3].tolist())) > 1  # restarts end apart
     for k in range(len(starts)):
         alone = _levenberg_marquardt(misfit, param_sets, starts[k:k + 1],
-                                     lo, hi, 4000)
+                                     lo, hi)
         for stacked, single in zip(together, alone):
             assert np.array_equal(stacked[k], single[0]), k
 
 
-def test_restarts_after_an_exact_fit_are_dropped(photon_pair):
-    # restart 0 starts on the truth of exact peaks and stops at once; the
-    # in-order rule then ends the fit there, so restart 1 is dropped
-    # unfinished, and restart 0 is what it is alone
-    misfit = _Misfit(_synthetic_dataset(photon_pair, n_points=12),
-                     photon_pair)
-    lo, hi = np.zeros(2), np.array([0.8, 0.8])
+def test_fit_keeps_the_first_best_of_every_finished_restart(photon_pair,
+                                                             monkeypatch):
+    # on exact peaks every restart reaches the truth, at misfits apart by
+    # rounding alone; each runs to its own end, the fit keeps the lowest and
+    # counts the parameter sets of all of them
+    grid = np.linspace(0.3, 2.15, 12)
+    forward = mm.sweep(photon_pair, mm.couplings_from_ratios(
+        photon_pair, *_truth_params()), grid)
+    data = mm.PeakDataset(records=tuple(
+        mm.PeakRecord(nu_c=float(nu_c), peaks=tuple(np.sort(forward.branches[t])))
+        for t, nu_c in enumerate(grid)))
+    config = mm.FitConfig(ratio_11_bounds=(0.0, 0.8),
+                          ratio_2_bounds=(0.0, 0.8), eta_fixed=TRUE_ETA,
+                          restarts=8, seed=5)
+    module = sys.modules["mmhopfield.fit"]
+    runs = []
 
-    def param_sets(points):
-        return np.column_stack([points, np.full(len(points), TRUE_ETA)])
+    def recorded(*args):
+        runs.append((args, _levenberg_marquardt(*args)))
+        return runs[-1][1]
 
-    starts = np.array([[TRUE_RATIO_11, TRUE_RATIO_2], [0.75, 0.05]])
-    together = _levenberg_marquardt(misfit, param_sets, starts, lo, hi, 4000)
-    first = _levenberg_marquardt(misfit, param_sets, starts[:1], lo, hi, 4000)
-    second = _levenberg_marquardt(misfit, param_sets, starts[1:], lo, hi, 4000)
-    assert together[4][0] and together[1][0] < EXACT_FIT_RMS_THZ
-    for stacked, single in zip(together, first):
-        assert np.array_equal(stacked[0], single[0])
-    assert together[3][1] < second[3][0]
+    monkeypatch.setattr(module, "_levenberg_marquardt", recorded)
+    result = mm.fit(data, photon_pair, config)
+    (misfit, param_sets, starts, lo, hi), together = runs[0]
+    x, rms, costs, evaluations, converged = together
+    alone = [_levenberg_marquardt(misfit, param_sets, starts[k:k + 1], lo, hi)
+             for k in range(config.restarts)]
+    for k, single in enumerate(alone):
+        for stacked, own in zip(together, single):
+            assert np.array_equal(stacked[k], own[0]), k
+    best = int(np.flatnonzero(rms == rms.min())[0])
+    assert best > 0 and rms[best] < rms[0]  # the first restart is not kept
+    assert result.residual_rms == rms[best]
+    assert (result.ratio_11, result.ratio_2_tilde) == tuple(x[best])
+    assert result.converged
+    assert result.n_evaluations == sum(int(run[3][0]) for run in alone)
+
+    # on a tie the first of the tied restarts is kept
+    assert not np.array_equal(x[0], x[best])
+    tied = np.full_like(rms, rms[best])
+    monkeypatch.setattr(module, "_levenberg_marquardt", lambda *args: (
+        x, tied, costs, evaluations, converged))
+    first = mm.fit(data, photon_pair, config)
+    assert (first.ratio_11, first.ratio_2_tilde) == tuple(x[0])
+    np.testing.assert_array_equal(first.record_rms, np.sqrt(
+        costs[0] / [len(rec.peaks) for rec in data.records]))
 
 
 def test_fit_config_validation():

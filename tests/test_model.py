@@ -195,11 +195,12 @@ def test_assemble_photon_order_permutation(photon_pair):
 
 def test_two_mode_rabi_equals_scalar_formula(photon_pair):
     # the general factor at N = 2 is the two-mode formula to the last bit,
-    # down to the smallest positive pivot, 1 - eta*eta below eta = 1
+    # down to a pivot 1 - eta*eta just above GRAM_PIVOT_TOL
     rng = np.random.default_rng(5)
     ratios = rng.uniform(0.0, 1.5, (1040, 2))
     ratios[:2] = 0.0
-    eta = np.r_[0.0, 1.0, 0.999, 1.0, 1e-300, np.nextafter(1.0, 0.0),
+    eta = np.r_[0.0, 1.0, 0.999, 1.0, 1e-300,
+                math.sqrt(1.0 - 2.0 * GRAM_PIVOT_TOL),
                 rng.uniform(0.0, 1.0, 1034)]
     strengths = strengths_from_ratios(photon_pair, ratios)
     stacked = rabi_from_gram(strengths, _two_mode_gram(eta))
@@ -235,8 +236,7 @@ def test_strengths_from_ratios_any_mode_count():
 
 
 def test_rabi_from_gram_factors_any_rank():
-    # W W^T = diag(s) Gamma diag(s); each lost rank leaves a column that
-    # is zero, or holds only what a rounding pivot kept
+    # W W^T = diag(s) Gamma diag(s); each lost rank leaves a zero column
     rng = np.random.default_rng(12)
     strengths = np.array([1.0, 2.0, 3.0])
     for rank in (3, 2, 1):
@@ -250,7 +250,7 @@ def test_rabi_from_gram_factors_any_rank():
             np.testing.assert_allclose(
                 rabi @ rabi.T, strengths[:, None] * gram * strengths,
                 rtol=0.0, atol=1e-12)
-            assert np.all(np.abs(rabi[:, rank:]) < 1e-6)
+            assert not rabi[:, rank:].any()
 
 
 def test_rabi_from_gram_broadcasts_leading_axes():
@@ -282,11 +282,12 @@ def test_rabi_from_gram_rejects_an_indefinite_gram(gram):
 
 
 def test_rabi_from_gram_keeps_rounding_pivots_zero():
-    # 1 - eta*eta rounds to a tiny negative pivot; its column stays zero
-    eta = np.nextafter(1.0, 2.0)
-    assert 1.0 - eta * eta < 0.0
-    rabi = rabi_from_gram([1.0, 2.0], _two_mode_gram(eta))
-    assert rabi.tolist() == [[1.0, 0.0], [2.0 * eta, 0.0]]
+    # a pivot 1 - eta*eta within GRAM_PIVOT_TOL of zero, on either side,
+    # leaves its column zero
+    for eta in np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0 - 1e-15:
+        assert 0.0 < abs(1.0 - eta * eta) <= GRAM_PIVOT_TOL
+        rabi = rabi_from_gram([1.0, 2.0], _two_mode_gram(eta))
+        assert rabi.tolist() == [[1.0, 0.0], [2.0 * eta, 0.0]], eta
 
 
 def test_rabi_from_gram_rejects_complex_and_misshapen_grams():
