@@ -1,20 +1,18 @@
 """Magnetic-bias sweeps, branch bookkeeping, and spectrum synthesis.
 
 A sweep diagonalizes the coupled system on a whole grid of cyclotron
-frequencies in one stacked eigensolve and keeps branch columns continuous
-by matching the columns of adjacent grid points: each step takes the exact
-minimum-cost assignment under a cost of frequency distance plus Hopfield
-fraction distance, solved for every step at once. Feature
-detection classifies the matched columns into flat photon lines, the bare
-cyclotron line, and the coupled polariton branches, and extracts the
-quantities used to compare parameter sets: anticrossing gaps, the
-inflection of the middle branch, and its asymptotes.
+frequencies in one stacked eigensolve and labels the branch columns of
+each point alone, from the exact blocks of the coupling's zero pattern and
+its near-dark matter combinations, so that a finer grid never relabels a
+point. Feature detection classifies the labelled columns into flat photon
+lines, the bare cyclotron line, and the coupled polariton branches, and
+extracts the quantities used to compare parameter sets: anticrossing gaps,
+the inflection of the middle branch, and its asymptotes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +24,9 @@ from .model import assemble_batch
 VARIATION_TOL = 0.02        # minimum total frequency variation of a coupled branch
 MATTER_FRACTION_FLOOR = 1e-3  # minimum peak matter weight of a coupled branch
 CR_LINE_TOL = 0.05          # maximum deviation from nu = nu_c for the bare line
-FRACTION_MATCH_WEIGHT = 0.05  # THz penalty per unit L1 fraction distance
+# a matter combination whose singular value in its block of W is at most
+# this unitless fraction of W's largest is near-dark, a label of its own
+NEAR_DARK_FRACTION = 0.03
 
 
 # eq=False: == and hash by identity, as an array == gives no single bool
@@ -81,126 +81,70 @@ class DispersionFeatures:
     asymptote_high: float | None
 
 
-def _match_cost(freqs, fracs):
-    """Cost of continuing each column of point t-1 as each column of point t.
-
-    Columns are in the solver's ascending order. cost[t - 1, a, b] mixes
-    the frequency distance between column a of point t-1 and column b of
-    point t with the L1 distance of their Hopfield fraction rows. The
-    fraction term decides ties at (near-)degenerate crossings, so a column
-    follows its mode character diabatically through anticrossings narrower
-    than the grid step instead of swapping identity; at genuine wide
-    anticrossings the frequencies never approach and the cost reduces to
-    nearest-frequency matching.
-
-    The stack is built grid-last, from (column, mode, T) copies of the
-    fractions and (column, T) of the frequencies, so every operation runs
-    along the T - 1 steps, and the (T - 1, n, n) result is a transposed
-    view of that (n, n, T - 1) array. The fraction distance adds the
-    modes' terms in order, mode 0 first. Below 8 modes that equals, bit for
-    bit, numpy's sum over a short contiguous mode axis; from 8 up numpy
-    sums such an axis pairwise, so the last bits can differ."""
-    fracs = np.ascontiguousarray(fracs.transpose(1, 2, 0))
-    freqs = np.ascontiguousarray(freqs.T)
-    diff = fracs[:, None, :, :-1] - fracs[None, :, :, 1:]  # (a, b, mode, step)
-    cost = FRACTION_MATCH_WEIGHT * np.add.reduce(np.abs(diff, out=diff), axis=2)
-    cost += np.abs(freqs[:, None, :-1] - freqs[None, :, 1:])
-    return cost.transpose(2, 0, 1)
+def _blocks(rabi):
+    """Block of each bare mode, photon modes first: the lowest mode index in
+    its connected component, where photon i and matter mode j are linked
+    when W_ij != 0. These blocks of the form are exact. A zero column of W
+    leaves its matter mode alone, an exactly dark nu = nu_c line, and a
+    zero row leaves a bare photon."""
+    n_ph = len(rabi)
+    link = rabi != 0.0
+    photon, matter = np.arange(n_ph), np.arange(n_ph, 2 * n_ph)
+    for _ in range(n_ph):  # a pass crosses two links, a path at most 2N - 1
+        photon = np.where(link, matter, photon[:, None]).min(axis=1)
+        matter = np.where(link, photon[:, None], matter).min(axis=0)
+    return np.concatenate([photon, matter])
 
 
-@lru_cache(maxsize=None)
-def _subset_levels(n):
-    """Index tables of the subset dynamic program over n columns.
+def _branch_columns(rabi, vecs, fracs):
+    """Eigen-column order[t, i] of branch column i at every point, each point
+    labelled from its own eigenvectors vecs (T, n, n) and fractions alone.
 
-    Level k lists the column sets (bit masks) of size k, each mask's k
-    member columns ascending, and the mask left after removing each one."""
-    masks = np.arange(1 << n)
-    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
-    levels = []
-    for k in range(1, n + 1):
-        level = masks[sizes == k]
-        members = np.array([[j for j in range(n) if m >> j & 1] for m in level],
-                           dtype=np.intp)
-        rest = level[:, None] ^ (1 << members)
-        for table in (level, members, rest):
-            table.flags.writeable = False  # shared by every caller
-        levels.append((level, members, rest))
-    return levels
-
-
-def _min_cost_assignment(cost):
-    """Minimum-cost permutations of a stack of square cost matrices.
-
-    cost has shape (S, n, n); perm[s, a] is the column assigned to row a of
-    matrix s, minimizing sum_a cost[s, a, perm[s, a]] over all n!
-    permutations. Solved exactly by a dynamic program over column subsets,
-    best[mask] = min over j in mask of cost[row, j] + best[mask - j] with
-    row = n - |mask|, one pass per subset size for the whole stack. Time
-    and memory grow as n 2^n per matrix, which suits the few modes of a
-    cavity.
-
-    Tie rule: among permutations of equal cost, summed in floating point as
-    cost[0, p0] + (cost[1, p1] + (... + cost[n-1, p(n-1)])), the
-    lexicographically smallest wins: row 0 takes the lowest column it can,
-    then row 1, and so on. The members of each subset are scanned in
-    ascending order and replace the running minimum only when strictly
-    lower.
-
-    Evident matrices skip the dynamic program: where every row's diagonal
-    entry is no larger than any other entry of its row, the answer is the
-    identity. Rounded addition is monotone, so no permutation's nested sum
-    falls below the identity's, and on a tie the identity, the
-    lexicographically first permutation, is the one the tie rule picks. A
-    NaN entry makes its matrix not evident.
-
-    The work runs on the (n, n, S) transpose of cost, steps innermost: the
-    evident test compares each diagonal row with the row minima, and the
-    dynamic program gathers the pending steps' columns. A (S, n, n) view of
-    an (n, n, S) array, as _match_cost returns, is read without a copy."""
-    cost = np.asarray(cost, dtype=float).transpose(1, 2, 0)  # (n, n, S)
-    n = len(cost)
-    rows = np.arange(n)
-    perm = np.empty((cost.shape[-1], n), dtype=np.intp)
-    perm[:] = rows
-    evident = np.logical_and.reduce(cost[rows, rows] <= cost.min(axis=1))
-    pending = np.flatnonzero(~evident)
-    if len(pending) == 0:
-        return perm
-    cost = cost[..., pending]
-    n_sets = len(pending)
-    best = np.zeros((1 << n, n_sets))
-    choice = np.zeros((1 << n, n_sets), dtype=np.intp)
-    for size, (level, members, rest) in enumerate(_subset_levels(n), start=1):
-        candidates = cost[n - size][members] + best[rest]  # (masks, size, S)
-        low = candidates[:, 0]
-        pick = np.broadcast_to(members[:, :1], low.shape)
-        for m in range(1, size):
-            lower = candidates[:, m] < low
-            low = np.where(lower, candidates[:, m], low)
-            pick = np.where(lower, members[:, m:m + 1], pick)
-        best[level] = low
-        choice[level] = pick
-    picked = np.empty((n_sets, n), dtype=np.intp)
-    mask = np.full(n_sets, (1 << n) - 1)
-    sets = np.arange(n_sets)
-    for row in range(n):
-        picked[:, row] = choice[mask, sets]
-        mask ^= 1 << picked[:, row]
-    perm[pending] = picked
-    return perm
+    Each column goes to the block of _blocks that holds most of its weight,
+    and a block's columns keep their eigen-order: inside an irreducible
+    real symmetric one-parameter block, eigenvalues do not cross (von
+    Neumann and Wigner, 1929). A near-dark matter combination, a right
+    singular vector v of its block's part of W with a singular value of at
+    most NEAR_DARK_FRACTION times the largest of W, is at every point the
+    column of largest weight |v . e_matter| instead, so its nearly flat
+    nu = nu_c line crosses its block's branches. Labels are ranked block by
+    block, then the near-dark lines, so every point's labels stay a
+    permutation even where eigh mixes degenerate blocks; branch column i
+    is the i-th lowest mode at the first point."""
+    n_ph = len(rabi)
+    block = _blocks(rabi)
+    roots = np.flatnonzero(block == np.arange(2 * n_ph))
+    group = np.argmax([np.add.reduce(fracs[..., block == r], axis=-1)
+                       for r in roots], axis=0)
+    parts = []  # squared singular values, right vectors and matter modes
+    for r in roots:
+        matter = block[n_ph:] == r
+        part = rabi[block[:n_ph] == r][:, matter]
+        if part.size:
+            gram = np.add.reduce(part[:, :, None] * part[:, None, :])
+            parts.append((*np.linalg.eigh(gram), matter))
+    cut = NEAR_DARK_FRACTION ** 2 * max((p[0][-1] for p in parts), default=0.0)
+    label = len(roots)
+    for squared, right, matter in parts:
+        for v in right[:, squared <= cut].T:
+            weight = np.add.reduce(vecs[..., n_ph:][..., matter] * v, axis=-1)
+            group[np.arange(len(group)), np.abs(weight).argmax(axis=1)] = label
+            label += 1
+    # slots[t, s] is the column of label s at point t; branch column i keeps
+    # the label that column i has at the first point
+    n = group.shape[1]
+    slots = np.argsort(group * n + np.arange(n), axis=1)
+    return slots[:, np.argsort(slots[0])]
 
 
 def sweep(photons, rabi, nu_c_grid):
     """Diagonalize over a grid of cyclotron frequencies (THz, ascending),
     for the Rabi matrix rabi (N, N) in rad/s, quoted at nu_c = nu_1.
 
-    Branch column k starts as the k-th lowest mode at the first point and
-    follows the minimum-cost assignment between adjacent points. The
-    assignments do not depend on each other, so all are solved at once.
-    Away from crossings a step keeps the eigen-order, mostly as an evident
-    step of _min_cost_assignment. Only the steps that permute are composed,
-    in order, and every point between two of them carries the composition
-    reached so far."""
+    Branch column k is the k-th lowest mode at the first point, and every
+    point takes its labels from its own solution, by _branch_columns: a
+    column stays on its block's k-th eigenvalue, or on its near-dark
+    nu = nu_c line, at every point."""
     rabi = np.asarray(rabi, dtype=float)
     if rabi.ndim != 2 or rabi.shape[0] != rabi.shape[1] or rabi.size == 0:
         raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
@@ -220,21 +164,10 @@ def sweep(photons, rabi, nu_c_grid):
         raise InstabilityError(f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
                                entry=exc.entry) from exc
     fracs = vecs ** 2
-    steps = _min_cost_assignment(_match_cost(freqs, fracs))
-    # branch column i is eigen-order column order[t, i] at point t. Step s
-    # links points s and s + 1, so point t takes orders[k], the composition
-    # of the k permuting steps s < t; with none, the eigen-order stands
-    identity = np.arange(freqs.shape[1])
-    moving = np.flatnonzero(np.any(steps != identity, axis=1))
-    if len(moving):
-        orders = np.empty_like(steps, shape=(len(moving) + 1, len(identity)))
-        orders[0] = identity
-        for k, s in enumerate(moving, start=1):
-            orders[k] = steps[s, orders[k - 1]]
-        order = orders[np.searchsorted(moving, np.arange(len(grid)))]
-        points = np.arange(len(grid))[:, None]
-        freqs, fracs = freqs[points, order], fracs[points, order]
-    return SweepResult(nu_c_values=grid, branches=freqs, fractions=fracs)
+    order = _branch_columns(rabi, vecs, fracs)
+    points = np.arange(len(grid))[:, None]
+    return SweepResult(nu_c_values=grid, branches=freqs[points, order],
+                       fractions=fracs[points, order])
 
 
 def _middle_branch(result, coupled):

@@ -93,40 +93,49 @@ def rabi_from_gram(strengths, gram):
     in rad/s and real overlap Gram matrices Gamma = F F^T (..., N, N) of unit
     diagonal, leading axes broadcast; N - rank(Gamma) matter modes stay bare.
 
-    F is lower triangular, built column by column: the pivot is Gamma_jj -
-    sum_k F_jk^2 and the entries below it (Gamma_ij - sum_k F_ik F_jk) /
-    sqrt(pivot); a pivot within GRAM_PIVOT_TOL Gamma_jj of zero leaves its
-    column zero. A lower pivot, an entry below a zero pivot above
-    sqrt(GRAM_PIVOT_TOL Gamma_ii Gamma_jj) (Cauchy-Schwarz) and a complex
-    Gamma raise ValueError. N = 2 gives [[1, 0], [eta, sqrt(1 - eta*eta)]]."""
+    F is built one column per pivot: column j takes the remaining row of
+    largest diagonal in the Schur complement of the pivots before it (the
+    first on a tie), and holds sqrt(pivot) there and the complement's
+    entries of the other remaining rows divided by it, so F is lower
+    triangular once its rows are put in pivot order. A pivot within
+    GRAM_PIVOT_TOL Gamma_pp of zero leaves its column zero. A lower pivot,
+    a remaining entry beside a zero pivot above sqrt(GRAM_PIVOT_TOL Gamma_ii
+    Gamma_pp) (Cauchy-Schwarz) and a complex Gamma raise ValueError. A unit
+    diagonal takes row 0 first, so N = 2 gives
+    [[1, 0], [eta, sqrt(1 - eta*eta)]]."""
     if np.iscomplexobj(gram):
         raise ValueError("overlap Gram matrix must be real")
     strengths, gram = (np.asarray(a, dtype=float) for a in (strengths, gram))
     n = strengths.shape[-1]
     if gram.shape[-2:] != (n, n):
         raise ValueError(f"Gram matrices of shape {gram.shape[-2:]} for {n} modes")
+    shape = gram.shape
+    gram = gram.reshape(-1, n, n)  # a flat stack, for fancy indexing
+    sets = np.arange(len(gram))
     factor = np.zeros(gram.shape)
-    diag = gram.diagonal(axis1=-2, axis2=-1)
+    rest = gram.copy()  # the Schur complement of the pivots so far
+    diag = gram.diagonal(axis1=1, axis2=2)
+    free = np.ones(diag.shape, dtype=bool)  # rows not pivoted yet
     for j in range(n):
-        column = gram[..., j:, j]
-        if j:  # column 0 has nothing to subtract
-            column = column - np.add.reduce(
-                factor[..., j:, :j] * factor[..., j, None, :j], axis=-1)
-        pivot, below = column[..., 0], column[..., 1:]
-        floor = GRAM_PIVOT_TOL * diag[..., j]
-        kept = pivot > floor
-        if not np.logical_and.reduce(kept, axis=None):
-            # too deep or NaN, or beyond Cauchy-Schwarz below a zero pivot
-            deep = ~(pivot >= -floor)
-            loose = ~kept[..., None] & ~(below * below <= GRAM_PIVOT_TOL
-                                         * diag[..., j, None] * diag[..., j + 1:])
+        left = np.where(free, rest.diagonal(axis1=1, axis2=2), -np.inf)
+        p = np.argmax(left, axis=1)
+        free[sets, p] = False
+        column, scale = rest[sets, :, p], diag[sets, p]
+        pivot = column[sets, p]
+        kept = pivot > GRAM_PIVOT_TOL * scale
+        if not kept.all():
+            # too deep or NaN, or beyond Cauchy-Schwarz beside a zero pivot
+            deep = ~(pivot >= -GRAM_PIVOT_TOL * scale)
+            loose = free & ~kept[:, None] & ~(column * column <= GRAM_PIVOT_TOL
+                                              * scale[:, None] * diag)
             if deep.any() or loose.any():
                 raise ValueError("overlap Gram matrix is not positive semidefinite")
-        root = np.sqrt(pivot, out=factor[..., j, j], where=kept)
-        if j + 1 < n:
-            np.divide(below, root[..., None], out=factor[..., j + 1:, j],
-                      where=kept[..., None])
-    return strengths[..., :, None] * factor
+        root = np.sqrt(pivot, out=np.zeros(len(pivot)), where=kept)
+        np.divide(column, root[:, None], out=factor[:, :, j],
+                  where=free & kept[:, None])
+        factor[sets, p, j] = root
+        rest -= factor[:, :, j, None] * factor[:, None, :, j]
+    return strengths[..., :, None] * factor.reshape(shape)
 
 
 def strengths_from_ratios(photons, ratios):

@@ -9,8 +9,10 @@ polynomial. Any disagreement beyond round-off is a bug in one of the
 routes.
 
 The branch matcher here is the greedy assignment with pairwise-swap
-refinement that sweeps once used, one grid point after the other; the
-production sweep solves every step's exact assignment at once.
+refinement that sweeps once used, one grid point after the other, under a
+cost of frequency distance plus a 0.05 THz weight per unit fraction
+distance; the production sweep labels each point alone, from the exact
+blocks of the coupling.
 
 The CSV reference formats one cell at a time and joins each row's cells;
 the production writer fills one printf template per key.
@@ -26,12 +28,11 @@ these per-pair integrals.
 
 The spectrum reference builds its Lorentzian dips branch-minor, as a
 (..., F, n) stack summed over its short last axis; the production spectrum
-builds them branch-major and adds whole branch rows. Two more references
-keep the step-major kernels that the grid-last ones replaced: the match
-cost as a (T - 1, n, n, n) stack summed over its short last mode axis,
-and the branch-major spectrum with its linewidths as an (n or 1, 1) array,
-the weights scaled on the broadcast (..., n, 1) column, and the rows summed
-by ndarray.sum.
+builds them branch-major and adds whole branch rows. One more reference
+keeps the step-major kernel that the grid-last one replaced: the
+branch-major spectrum with its linewidths as an (n or 1, 1) array, the
+weights scaled on the broadcast (..., n, 1) column, and the rows summed by
+ndarray.sum.
 
 The ladder-basis dynamical matrix and the Hopfield weights |X|^2 - |Y|^2
 check the symplectic structure of a solution. The two-mode Rabi matrix is
@@ -51,8 +52,10 @@ import math
 
 import numpy as np
 
-from mmhopfield.dispersion import FRACTION_MATCH_WEIGHT
 from mmhopfield.errors import NumericalError
+
+# THz per unit L1 fraction distance in the greedy matching cost
+FRACTION_MATCH_WEIGHT = 0.05
 
 
 def quadrature_modes(diag_freqs, interaction):
@@ -211,15 +214,6 @@ def spectrum_reference(freqs, weights, config):
     nu = config.frequency_grid[:, None]
     dips = weights * widths ** 2 / ((nu - freqs) ** 2 + widths ** 2)
     return np.clip(1.0 - dips.sum(axis=-1), 0.0, 1.0)
-
-
-def match_cost_step_major(freqs, fracs):
-    """dispersion._match_cost laid out step-major: cost[t - 1, a, b] from a
-    (T - 1, n, n, n) fraction-distance stack summed over its last axis."""
-    diff = fracs[:-1, :, None, :] - fracs[1:, None, :, :]
-    cost = FRACTION_MATCH_WEIGHT * np.abs(diff, out=diff).sum(axis=3)
-    cost += np.abs(freqs[:-1, :, None] - freqs[1:, None, :])
-    return cost
 
 
 def spectrum_branch_major(freqs, weights, config):

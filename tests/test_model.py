@@ -246,11 +246,29 @@ def test_rabi_from_gram_factors_any_rank():
             norms = np.sqrt(gram.diagonal())
             gram = gram / norms[:, None] / norms
             rabi = rabi_from_gram(strengths, gram)
-            assert np.array_equal(rabi, np.tril(rabi))
+            # lower triangular with its rows in pivot order
+            rows = np.argsort(np.count_nonzero(rabi, axis=1), kind="stable")
+            assert np.array_equal(rabi[rows], np.tril(rabi[rows]))
             np.testing.assert_allclose(
                 rabi @ rabi.T, strengths[:, None] * gram * strengths,
                 rtol=0.0, atol=1e-12)
             assert not rabi[:, rank:].any()
+
+
+def test_rabi_from_gram_factors_a_semidefinite_gram_of_small_pivot():
+    # draw 68 of these rank-2 Gram matrices has eigenvalues 7e-17, 0.67 and
+    # 2.33; taken in row order its second pivot is 1.5e-4 and rounding
+    # leaves the third at -1.58e-12, past the cut. The largest remaining
+    # diagonal first keeps every pivot clear of that
+    rng = np.random.default_rng(3)
+    for _ in range(69):
+        vectors = rng.normal(size=(3, 2))
+    gram = vectors @ vectors.T
+    norms = np.sqrt(gram.diagonal())
+    gram = gram / norms[:, None] / norms
+    rabi = rabi_from_gram(np.ones(3), gram)
+    np.testing.assert_allclose(rabi @ rabi.T, gram, rtol=0.0, atol=1e-15)
+    assert not rabi[:, 2].any()
 
 
 def test_rabi_from_gram_broadcasts_leading_axes():
