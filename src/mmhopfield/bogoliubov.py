@@ -31,29 +31,6 @@ import numpy as np
 from .errors import InstabilityError, NumericalError
 from .model import RAD_PER_SEC_PER_THZ
 
-# relative frequency window treated as degenerate when ordering branches
-DEGENERACY_TOL = 1e-9
-
-
-def _branch_order(freqs, fractions):
-    """Ascending order; within degenerate groups photon-heavy branches (the
-    first half of the modes) come first, then lower dominant mode index."""
-    order = list(np.argsort(freqs, kind="stable"))
-    i = 0
-    while i < len(order):
-        j = i + 1
-        while (j < len(order)
-               and freqs[order[j]] - freqs[order[i]]
-               <= DEGENERACY_TOL * max(abs(freqs[order[i]]), abs(freqs[order[j]]))):
-            j += 1
-        if j - i > 1:
-            group = order[i:j]
-            photon = fractions[:, :len(freqs) // 2].sum(axis=1)
-            group.sort(key=lambda k: (-photon[k], int(np.argmax(fractions[k]))))
-            order[i:j] = group
-        i = j
-    return np.array(order)
-
 
 def normal_modes(diag_freqs, interaction, vectors=True):
     """Polariton modes of a stack of quadratic forms.
@@ -66,12 +43,12 @@ def normal_modes(diag_freqs, interaction, vectors=True):
     Returns (frequencies, vecs): frequencies (..., T, n) in THz, ascending
     per row, and vecs[..., t, k] the unit eigenvector e_k of S at
     frequencies[..., t, k], so vecs ** 2 are the bare-mode fractions. With
-    vectors=False only eigenvalues are computed and vecs is None. eigh picks
-    arbitrary vectors inside a degenerate subspace, so at points with
-    frequencies degenerate within DEGENERACY_TOL the branches are reordered
-    deterministically, photon-heavy (the first n // 2 modes, as laid out by
-    assemble_batch) first. Raises InstabilityError, with the flat index of
-    the first failing form as its entry, unless every S is positive definite.
+    vectors=False only eigenvalues are computed and vecs is None. This is
+    eigh's output as it is: inside a degenerate subspace its vectors are
+    arbitrary, so a caller that knows the form's exact blocks solves each
+    block alone (dispersion.sweep does). Raises InstabilityError, with the
+    flat index of the first failing form as its entry, unless every S is
+    positive definite.
     """
     root = np.sqrt(diag_freqs)
     s = 2.0 * np.asarray(interaction, dtype=float)
@@ -96,16 +73,7 @@ def normal_modes(diag_freqs, interaction, vectors=True):
             f"frequency {lowest[t] / RAD_PER_SEC_PER_THZ ** 2:.6e} THz^2",
             entry=t)
     freqs = np.sqrt(squared) / RAD_PER_SEC_PER_THZ
-    if evecs is None:
-        return freqs, None
-
-    vecs = np.swapaxes(evecs, -1, -2)
-    degenerate = np.diff(freqs, axis=-1) <= DEGENERACY_TOL * freqs[..., 1:]
-    for t in zip(*np.nonzero(degenerate.any(axis=-1))):
-        order = _branch_order(freqs[t], vecs[t] ** 2)
-        freqs[t] = freqs[t][order]
-        vecs[t] = vecs[t][order]
-    return freqs, vecs
+    return freqs, None if evecs is None else np.swapaxes(evecs, -1, -2)
 
 
 def hopfield_coefficients(diag_freqs, freqs, vecs):

@@ -1,13 +1,13 @@
 """Magnetic-bias sweeps, branch bookkeeping, and spectrum synthesis.
 
 A sweep diagonalizes the coupled system on a whole grid of cyclotron
-frequencies in one stacked eigensolve and labels the branch columns of
-each point alone, from the exact blocks of the coupling's zero pattern and
-its near-dark matter combinations, so that a finer grid never relabels a
-point. Feature detection classifies the labelled columns into flat photon
-lines, the bare cyclotron line, and the coupled polariton branches, and
-extracts the quantities used to compare parameter sets: anticrossing gaps,
-the inflection of the middle branch, and its asymptotes.
+frequencies in one stacked eigensolve per exact block of the coupling's
+zero pattern and labels the branch columns of each point alone, from those
+blocks and their near-dark matter combinations, so that a finer grid never
+relabels a point. Feature detection classifies the labelled columns into
+flat photon lines, the bare cyclotron line, and the coupled polariton
+branches, and extracts the quantities used to compare parameter sets:
+anticrossing gaps, the inflection of the middle branch, and its asymptotes.
 """
 
 from __future__ import annotations
@@ -96,55 +96,55 @@ def _blocks(rabi):
     return np.concatenate([photon, matter])
 
 
-def _branch_columns(rabi, vecs, fracs):
-    """Eigen-column order[t, i] of branch column i at every point, each point
-    labelled from its own eigenvectors vecs (T, n, n) and fractions alone.
+def _branch_columns(rabi, block, freqs, vecs):
+    """Column order[t, i] of branch column i at every point of a sweep
+    solved block by block: the columns of each block of _blocks (block),
+    in the order of their lowest modes, hold its frequencies freqs (T, n)
+    and eigenvectors vecs (T, n, n) in its eigen-order. Each point is
+    labelled from its own eigenvectors alone.
 
-    Each column goes to the block of _blocks that holds most of its weight,
-    and a block's columns keep their eigen-order: inside an irreducible
-    real symmetric one-parameter block, eigenvalues do not cross (von
-    Neumann and Wigner, 1929). A near-dark matter combination, a right
-    singular vector v of its block's part of W with a singular value of at
-    most NEAR_DARK_FRACTION times the largest of W, is at every point the
-    column of largest weight |v . e_matter| instead, so its nearly flat
-    nu = nu_c line crosses its block's branches. Labels are ranked block by
-    block, then the near-dark lines, so every point's labels stay a
-    permutation even where eigh mixes degenerate blocks; branch column i
-    is the i-th lowest mode at the first point."""
+    A block's columns keep their eigen-order: inside an irreducible real
+    symmetric one-parameter block, eigenvalues do not cross (von Neumann and
+    Wigner, 1929). A near-dark matter combination, a right singular vector
+    v of its block's part of W with a singular value of at most
+    NEAR_DARK_FRACTION times the largest of W, is at every point the column
+    of largest weight |v . e_matter| instead, so its nearly flat nu = nu_c
+    line crosses its block's branches. Labels are ranked block by block,
+    then the near-dark lines, and branch column i is the i-th lowest mode
+    at the first point."""
     n_ph = len(rabi)
-    block = _blocks(rabi)
-    roots = np.flatnonzero(block == np.arange(2 * n_ph))
-    group = np.argmax([np.add.reduce(fracs[..., block == r], axis=-1)
-                       for r in roots], axis=0)
+    group = np.tile(np.sort(block), (len(freqs), 1))
     parts = []  # squared singular values, right vectors and matter modes
-    for r in roots:
+    for r in np.flatnonzero(block == np.arange(len(block))):
         matter = block[n_ph:] == r
         part = rabi[block[:n_ph] == r][:, matter]
         if part.size:
             gram = np.add.reduce(part[:, :, None] * part[:, None, :])
             parts.append((*np.linalg.eigh(gram), matter))
     cut = NEAR_DARK_FRACTION ** 2 * max((p[0][-1] for p in parts), default=0.0)
-    label = len(roots)
+    n = group.shape[1]
+    label = n  # above every block's label, its lowest mode
     for squared, right, matter in parts:
         for v in right[:, squared <= cut].T:
             weight = np.add.reduce(vecs[..., n_ph:][..., matter] * v, axis=-1)
             group[np.arange(len(group)), np.abs(weight).argmax(axis=1)] = label
             label += 1
     # slots[t, s] is the column of label s at point t; branch column i keeps
-    # the label that column i has at the first point
-    n = group.shape[1]
+    # the label of the i-th lowest column at the first point
     slots = np.argsort(group * n + np.arange(n), axis=1)
-    return slots[:, np.argsort(slots[0])]
+    return slots[:, np.argsort(slots[0])[np.argsort(freqs[0], kind="stable")]]
 
 
 def sweep(photons, rabi, nu_c_grid):
     """Diagonalize over a grid of cyclotron frequencies (THz, ascending),
     for the Rabi matrix rabi (N, N) in rad/s, quoted at nu_c = nu_1.
 
-    Branch column k is the k-th lowest mode at the first point, and every
-    point takes its labels from its own solution, by _branch_columns: a
-    column stays on its block's k-th eigenvalue, or on its near-dark
-    nu = nu_c line, at every point."""
+    Each exact block of the form, by _blocks, is solved alone, so a
+    branch's weight outside its own block is exactly 0. Branch column k is
+    the k-th lowest mode at the first point, and every point takes its
+    labels from its own solution, by _branch_columns: a column stays on its
+    block's k-th eigenvalue, or on its near-dark nu = nu_c line, at every
+    point."""
     rabi = np.asarray(rabi, dtype=float)
     if rabi.ndim != 2 or rabi.shape[0] != rabi.shape[1] or rabi.size == 0:
         raise ValueError(f"rabi must be square and non-empty, not {rabi.shape}")
@@ -158,16 +158,24 @@ def sweep(photons, rabi, nu_c_grid):
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("nu_c grid must be strictly ascending")
 
-    try:
-        freqs, vecs = normal_modes(*assemble_batch(photons, grid, rabi))
-    except InstabilityError as exc:
-        raise InstabilityError(f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
-                               entry=exc.entry) from exc
-    fracs = vecs ** 2
-    order = _branch_columns(rabi, vecs, fracs)
+    diag, inter = assemble_batch(photons, grid, rabi)
+    block = _blocks(rabi)
+    freqs, vecs = np.empty(diag.shape), np.zeros(inter.shape)
+    layout = np.sort(block)  # block-major columns
+    for r in np.flatnonzero(block == np.arange(len(block))):
+        modes = np.flatnonzero(block == r)
+        cols = np.flatnonzero(layout == r)
+        try:
+            freqs[:, cols], vecs[:, cols[:, None], modes] = normal_modes(
+                diag[:, modes], inter[:, modes[:, None], modes])
+        except InstabilityError as exc:
+            raise InstabilityError(
+                f"at nu_c = {grid[exc.entry]:.6g} THz: {exc}",
+                entry=exc.entry) from exc
+    order = _branch_columns(rabi, block, freqs, vecs)
     points = np.arange(len(grid))[:, None]
     return SweepResult(nu_c_values=grid, branches=freqs[points, order],
-                       fractions=fracs[points, order])
+                       fractions=vecs[points, order] ** 2)
 
 
 def _middle_branch(result, coupled):

@@ -63,8 +63,10 @@ def read_ascii(path):
 
 # range caps, where the arithmetic (or the model) stops making sense. MAX_RATIO
 # bounds the arithmetic, not the stable range: at ratio 1e7 rounding turns
-# structured.cfg's smallest squared frequency negative, and at eta = 0 that
-# already happens from about 1e3 (test_identity_gram_is_stable's strict xfails).
+# structured.cfg's smallest squared frequency negative. At eta = 0 sweep
+# solves each photon's 1+1 block alone and stays positive up to the cap, but
+# fit's one solve of the whole form turns negative from about 2e3 (from about
+# 10 at nu_c = 1e-6 THz).
 MAX_RATIO = 1e6
 MAX_LINEWIDTH_THZ = 1e150  # squared in every dip, which overflows near 1.3e154
 MAX_RESTARTS = 1000  # the restarts run in lockstep, as one stack

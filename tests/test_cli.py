@@ -992,6 +992,33 @@ def test_config_dialect_gives_the_shipped_outputs(tmp_path):
                                                      tmp_path / "shipped")
 
 
+def _identity_overlap_branches(tmp_path, ratio):
+    """branches.csv lines of structured.cfg at eta = 0 with both ratios at
+    ratio, swept from 1e-6 THz."""
+    text = SHIPPED_STRUCTURED.read_text()
+    for key, value in (("ratio_11", ratio), ("ratio_2_tilde", ratio),
+                       ("eta", "0"), ("start_thz", "1e-6")):
+        text = _with_value(text, key, value)
+    cfg = _write(tmp_path / f"eta0-{ratio}.cfg", text)
+    out = tmp_path / ratio
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    return (out / "branches.csv").read_text().splitlines()
+
+
+def test_identity_overlap_sweeps_from_near_zero_field(tmp_path):
+    # at eta = 0 each photon couples to its own matter mode alone, and the
+    # lowest branch at 1e-6 THz is the closed-form nu_1 nu_c / nu_upper,
+    # 3.16227766e-07 THz at ratios 1.5
+    lines = _identity_overlap_branches(tmp_path, "1.5")
+    assert lines[1].startswith("1e-06,1,3.16227766e-07,")
+    # deep-strong ratios run too, and keep the written digits
+    lines = _identity_overlap_branches(tmp_path, "1e3")
+    lower, _ = oracles.two_mode_secular(0.8, 1e-6,
+                                        1e3 * 0.8 * math.sqrt(1e-6 / 0.8))
+    assert lines[1].startswith("1e-06,1,")
+    assert math.isclose(float(lines[1].split(",")[2]), lower, rel_tol=1e-8)
+
+
 def test_byte_order_mark_gives_the_shipped_outputs(tmp_path):
     # editors on some systems save UTF-8 with a leading byte-order mark
     text = SHIPPED_STRUCTURED.read_text()

@@ -9,8 +9,8 @@ import mmhopfield as mm
 from mmhopfield.bogoliubov import normal_modes
 import mmhopfield.dispersion as dispersion
 from mmhopfield.dispersion import csv_rows, g9_cells
-from mmhopfield.errors import InstabilityError
-from mmhopfield.model import assemble_batch, rabi_from_gram, strengths_from_ratios
+from mmhopfield.model import (RAD_PER_SEC_PER_THZ, assemble_batch,
+                              rabi_from_gram, strengths_from_ratios)
 
 import oracles
 
@@ -103,11 +103,36 @@ MATCH_CASES = {
 GREEDY_CASES = [case for case in MATCH_CASES if case != "three_mode"]
 
 
+# blocks of modes that the greedy reference solves alone: at eta = 0
+# (Gamma = I) photon i couples to matter mode i alone, and one eigh of the
+# whole form gives other bits than sweep's two 1+1 solves
+GREEDY_BLOCKS = {"eta_0": ([0, 2], [1, 3])}
+
+
+def _solved_by_blocks(photons, coupling, grid, blocks):
+    """normal_modes of each block of modes alone, embedded in the (T, n)
+    frequencies and (T, n, n) vectors of the whole form and sorted by
+    frequency point by point."""
+    diag, inter = assemble_batch(photons, grid, coupling)
+    freqs, vecs = [], []
+    for modes in blocks:
+        part, part_vecs = normal_modes(diag[:, modes],
+                                       inter[:, modes][:, :, modes])
+        freqs.append(part)
+        vecs.append(np.zeros(part.shape + diag.shape[1:]))
+        vecs[-1][..., modes] = part_vecs
+    freqs, vecs = np.hstack(freqs), np.hstack(vecs)
+    order = np.argsort(freqs, axis=1, kind="stable")
+    points = np.arange(len(grid))[:, None]
+    return freqs[points, order], vecs[points, order]
+
+
 @pytest.mark.parametrize("case", GREEDY_CASES)
 def test_sweep_matches_greedy_reference(case, photon_pair, full_grid):
     photons, coupling = MATCH_CASES[case](photon_pair)
     res = mm.sweep(photons, coupling, full_grid)
-    freqs, vecs = normal_modes(*assemble_batch(photons, full_grid, coupling))
+    blocks = GREEDY_BLOCKS.get(case, [np.arange(2 * len(photons))])
+    freqs, vecs = _solved_by_blocks(photons, coupling, full_grid, blocks)
     branches, fractions = oracles.greedy_branches(freqs, vecs ** 2)
     assert np.array_equal(res.branches, branches)
     assert np.array_equal(res.fractions, fractions)
@@ -156,17 +181,26 @@ def test_shipped_couplings_classify_alike_at_every_step(
         assert (feats.n_coupled_branches, feats.n_cr_lines) == counts
 
 
+@pytest.mark.parametrize("case", list(MATCH_CASES))
+def test_no_column_has_weight_outside_its_block(case, photon_pair, full_grid):
+    # each exact block of the form is solved alone
+    photons, coupling = MATCH_CASES[case](photon_pair)
+    res = mm.sweep(photons, coupling, full_grid)
+    block = dispersion._blocks(np.asarray(coupling))
+    own = block[np.argmax(res.fractions[0] != 0.0, axis=1)]
+    assert not res.fractions[:, block != own[:, None]].any()
+
+
 def test_degenerate_blocks_keep_their_columns(full_grid):
-    # two equal 1+1 blocks: every frequency is doubly degenerate, and eigh
-    # mixes the two blocks' vectors at some points. Each block still keeps
-    # one lower and one upper column, the columns of the 1+1 sweep
+    # two equal 1+1 blocks: every frequency is doubly degenerate. Each
+    # block keeps one lower and one upper column, the columns of the 1+1
+    # sweep, and no weight outside it
     twin = [mm.PhotonMode(index=1, frequency=0.8),
             mm.PhotonMode(index=2, frequency=0.8)]
     res = mm.sweep(twin, mm.couplings_from_ratios(twin, 0.3, 0.3, 0.0),
                    full_grid)
-    first = res.fractions[:, :, [0, 2]].sum(axis=2)
-    assert np.any((first > 1e-3) & (first < 1.0 - 1e-3))  # mixed somewhere
-    assert np.all(first[:, [0, 2]] > 0.5) and np.all(first[:, [1, 3]] < 0.5)
+    assert not res.fractions[:, [0, 2]][:, :, [1, 3]].any()
+    assert not res.fractions[:, [1, 3]][:, :, [0, 2]].any()
     single = mm.sweep(twin[:1], mm.single_mode_coupling(twin[0], 0.3),
                       full_grid).branches
     for columns in ([0, 2], [1, 3]):
@@ -185,8 +219,7 @@ def test_dark_and_bare_lines_come_from_zero_patterns(full_grid):
     on_line = np.flatnonzero(np.all(np.isclose(
         res.branches, full_grid[:, None], rtol=1e-12, atol=0.0), axis=0))
     assert len(on_line) == 1
-    np.testing.assert_allclose(res.fractions[:, on_line[0], 5], 1.0,
-                               rtol=1e-12)
+    assert np.all(res.fractions[:, on_line[0], 5] == 1.0)
 
     # a zero strength leaves a zero row: photon 2 stays bare at 1.6 THz,
     # and the rank-2 rest of W leaves one matter combination dark
@@ -197,8 +230,8 @@ def test_dark_and_bare_lines_come_from_zero_patterns(full_grid):
     bare = np.flatnonzero(np.all(np.isclose(res.branches, 1.6, rtol=1e-12,
                                             atol=0.0), axis=0))
     assert len(bare) == 1
-    # all photon 2, but where the dark line meets it at nu_c = 1.6 THz
-    assert np.all(res.fractions[:, bare[0], 1] > 0.5)
+    # all photon 2, also where the dark line meets it at nu_c = 1.6 THz
+    assert np.all(res.fractions[:, bare[0], 1] == 1.0)
     feats = mm.detect_features(res, THREE_PHOTONS)
     assert (feats.n_coupled_branches, feats.n_cr_lines) == (4, 1)
 
@@ -333,19 +366,30 @@ def test_block_diagonal_gram_is_the_union_of_its_blocks(blocks, full_grid):
                                rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=InstabilityError, reason=(
-    "Gamma = I (eta = 0) near zero field or at deep-strong ratios: the form "
-    "is positive definite (the Schur complement of its matter block is "
-    "D_ph > 0), but eigh of S reports a negative squared frequency; ROADMAP "
-    "direction 3's graded-safe solve should flip this"))
-@pytest.mark.parametrize("ratios, grid", [
-    ((0.3, 100.0), np.geomspace(1e-6, 2.2, 80)),
-    ((1e3, 1e3), 0.05 + 0.01 * np.arange(216)),
-], ids=["near-zero-field", "deep-strong"])
-def test_identity_gram_is_stable(photon_pair, ratios, grid):
-    rabi = rabi_from_gram(strengths_from_ratios(photon_pair, ratios), np.eye(2))
-    res = mm.sweep(photon_pair, rabi, grid)
+@pytest.mark.parametrize("ratios, grid, rtol", [
+    ((1.5, 1.5), np.geomspace(1e-6, 2.2, 80), 1e-14),
+    ((0.37, 0.21), np.geomspace(1e-6, 2.2, 80), 1e-14),
+    ((0.3, 100.0), np.geomspace(1e-6, 2.2, 80), 1e-8),
+    ((1e3, 1e3), 0.05 + 0.01 * np.arange(216), 1e-8),
+], ids=["ratios-1.5", "ratios-0.37-0.21", "near-zero-field", "deep-strong"])
+def test_identity_gram_is_stable(photon_pair, ratios, grid, rtol):
+    # Gamma = I (eta = 0): photon i couples to matter mode i alone, so the
+    # form is two 1+1 blocks, each with the closed-form roots, near zero
+    # field and at deep-strong ratios too; 1e-8 is the 9 written digits
+    strengths = strengths_from_ratios(photon_pair, ratios)
+    res = mm.sweep(photon_pair, rabi_from_gram(strengths, np.eye(2)), grid)
     assert np.all(res.branches > 0.0)
+    nu_1 = photon_pair[0].frequency
+    for i, mode in enumerate(photon_pair):
+        # the block's two columns, by their weights; at ratios (0.3, 100)
+        # the first block's matter mode is near-dark, and its column rides
+        # nu = nu_c across the photon line
+        columns = np.flatnonzero(res.fractions[0][:, [i, 2 + i]].any(axis=1))
+        rabi = strengths[i] / RAD_PER_SEC_PER_THZ * np.sqrt(grid / nu_1)
+        lower, upper = oracles.two_mode_secular(mode.frequency, grid, rabi)
+        np.testing.assert_allclose(np.sort(res.branches[:, columns], axis=1),
+                                   np.column_stack([lower, upper]),
+                                   rtol=rtol, atol=0.0, err_msg=f"block {i}")
 
 
 def test_structured_middle_branch_features(photon_pair, structured_coupling,
