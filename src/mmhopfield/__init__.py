@@ -22,11 +22,11 @@ _SOURCES = {
                    "detect_features", "spectrum_from_branches", "sweep",
                    "write_branch_csv"),
     "errors": ("ConvergenceError", "DataCoverageError", "InstabilityError",
-               "NumericalError", "OverlapError", "ProfileFormatError"),
+               "NumericalError", "OverlapError", "ProfileFormatError",
+               "cyclotron_frequency"),
     "fit": ("FitConfig", "FitResult", "PeakDataset", "PeakRecord", "fit",
             "load_peaks", "save_peaks"),
-    "model": ("MaterialParams", "PhotonMode", "assemble_batch",
-              "couplings_from_ratios", "cyclotron_frequency",
+    "model": ("PhotonMode", "assemble_batch", "couplings_from_ratios",
               "rabi_from_gram", "single_mode_coupling"),
     "overlap": ("DomainMask", "FieldProfile", "central_square_mask",
                 "full_mask", "gram", "load_mask",

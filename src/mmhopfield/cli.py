@@ -25,8 +25,8 @@ import tempfile
 # it, after it has read its config and checked its flags and input files, so
 # a usage, config-reading or missing-file error exits before numpy loads
 from .errors import (ConvergenceError, DataCoverageError, InstabilityError,
-                     NumericalError, OverlapError, ProfileFormatError, fault,
-                     feature_span_fault)
+                     NumericalError, OverlapError, ProfileFormatError,
+                     cyclotron_frequency, fault, feature_span_fault)
 
 
 class ConfigError(ValueError):
@@ -196,7 +196,7 @@ def _read_photons(cfg):
 def _fields(cfg, section, keys=None):
     """The library fields that the file sets by the section's keys (all by
     default), each named by its _KEYS rule and checked without numpy; the
-    library type gives every other field its own default."""
+    library type or function gives every other field its own default."""
     return {_KEYS[section][key][1]: cfg.get(section, key)
             for key in keys or _KEYS[section] if cfg.has(section, key)}
 
@@ -215,16 +215,13 @@ def _grid(cfg, section, keys, to_thz=float):
     keys (finite by _KEYS) as (keys, start, step, n), checked without numpy;
     each error names the key it is about. The checks see the values as
     written, so to_thz only ever converts a valid grid, and the point count
-    is checked before any point is made. With to_thz None the grid is
-    checked as written only, and None is returned."""
+    is checked before any point is made."""
     start, stop, step = (cfg.get(section, key) for key in keys)
     for key, bad, problem in ((keys[2], step <= 0.0, "step must be positive"),
                               (keys[1], stop <= start, "stop must exceed start"),
                               (keys[0], start < 0.0, "start must be non-negative")):
         if bad:
             raise cfg.error(section, key, problem)
-    if to_thz is None:
-        return None
     start, stop, step = map(to_thz, (start, stop, step))
     # inf for a subnormal step, or one that converts to 0
     span = (stop - start) / step + 1e-9 if step else math.inf
@@ -250,10 +247,10 @@ def _points(grid):
     return start + step * np.arange(n)
 
 
-def _sweep_grid(cfg, convert=True):
-    """The [sweep] grid as a _grid, checked without numpy; a tesla grid
-    loads model only to convert its endpoints, and without convert is
-    checked as written only."""
+def _sweep_grid(cfg):
+    """The [sweep] grid as a _grid, checked without numpy; a tesla grid's
+    endpoints are converted once, so B- and THz-specified sweeps share the
+    exact same grid arithmetic."""
     cfg.require("sweep")
     thz = [cfg.has("sweep", k) for k in _SWEEP_THZ]
     tesla = [cfg.has("sweep", k) for k in _SWEEP_TESLA]
@@ -266,15 +263,8 @@ def _sweep_grid(cfg, convert=True):
     if all(thz):
         return _grid(cfg, "sweep", _SWEEP_THZ)
     if all(tesla):
-        material = _fields(cfg, "material")
-
-        def to_thz(field):
-            # convert the endpoints once so B- and THz-specified sweeps share
-            # the exact same grid arithmetic
-            from . import model
-            return model.cyclotron_frequency(field,
-                                             model.MaterialParams(**material))
-        return _grid(cfg, "sweep", _SWEEP_TESLA, to_thz if convert else None)
+        return _grid(cfg, "sweep", _SWEEP_TESLA, lambda field:
+                     cyclotron_frequency(field, **_fields(cfg, "material")))
     raise cfg.error("sweep", None, "needs start/stop/step in THz or tesla")
 
 
@@ -380,7 +370,7 @@ def _run_fit(args):
                                     "eta_bounds", "restarts"))
     settings["eta_fixed"] = None if free else cfg.get("coupling", "eta")
     if "sweep" in cfg.sections:
-        _sweep_grid(cfg, convert=False)
+        _sweep_grid(cfg)
     if "spectrum" in cfg.sections:
         _read_spectrum(cfg, modes)
     if found := fault(seed=args.seed):

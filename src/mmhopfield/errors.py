@@ -1,7 +1,8 @@
 """Exception types shared across the package, the value rules of its inputs,
-and the ASCII reader of the input files whose errors are a
-ProfileFormatError. Nothing here imports numpy: the CLI checks a config
-with these rules before it loads numpy."""
+the ASCII reader of the input files whose errors are a ProfileFormatError,
+and the tesla-to-THz conversion. Nothing here imports numpy: the CLI checks
+a config with these rules, and converts a tesla grid, before it loads
+numpy."""
 
 import math
 import re
@@ -140,3 +141,21 @@ def fault(**values):
             if not all(map(ok, value if isinstance(value, list) else (value,))):
                 return field, problem(value) if callable(problem) else problem
     return None
+
+
+# CODATA 2018
+ELEMENTARY_CHARGE = 1.602176634e-19     # C (exact)
+ELECTRON_MASS = 9.1093837015e-31        # kg
+
+
+def cyclotron_frequency(field_tesla, effective_mass_ratio=0.07):
+    """Cyclotron frequency nu_c = e B / (2 pi m*) in THz of a two-dimensional
+    electron gas of band mass m* = effective_mass_ratio m_e (GaAs's 0.07 by
+    default)."""
+    if not 0.0 <= field_tesla < math.inf:
+        raise ValueError("magnetic field must be finite and non-negative")
+    if found := fault(effective_mass_ratio=effective_mass_ratio):
+        raise ValueError(": ".join(found))
+    nu_hz = ELEMENTARY_CHARGE * field_tesla / (
+        2.0 * math.pi * (effective_mass_ratio * ELECTRON_MASS))
+    return nu_hz / 1e12

@@ -1,4 +1,4 @@
-"""Material parameters, Rabi couplings, and multi-mode Hamiltonian assembly.
+"""Photon modes, Rabi couplings, and multi-mode Hamiltonian assembly.
 
 Internally every computation runs in angular frequency (rad/s). Public
 inputs and outputs are ordinary frequencies in THz; the 2*pi*1e12 conversion
@@ -29,10 +29,6 @@ import numpy as np
 
 from .errors import fault
 
-# CODATA 2018
-ELEMENTARY_CHARGE = 1.602176634e-19     # C (exact)
-ELECTRON_MASS = 9.1093837015e-31        # kg
-
 RAD_PER_SEC_PER_THZ = 2.0 * math.pi * 1e12
 
 # Matter-oscillator floor (THz): keeps the dynamical matrix regular at zero
@@ -44,24 +40,6 @@ GRAM_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class MaterialParams:
-    """Two-dimensional electron gas hosting the cyclotron transition; its
-    band mass converts a field in tesla to nu_c. The default is GaAs's
-    m*/m_e = 0.07."""
-
-    effective_mass_ratio: float = 0.07
-
-    def __post_init__(self):
-        if found := fault(**vars(self)):
-            raise ValueError(": ".join(found))
-
-    @property
-    def effective_mass(self):
-        """Effective electron mass in kg."""
-        return self.effective_mass_ratio * ELECTRON_MASS
-
-
-@dataclass(frozen=True)
 class PhotonMode:
     """One resonator mode; frequency in THz."""
 
@@ -69,8 +47,8 @@ class PhotonMode:
     frequency: float
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("mode index must be >= 1")
+        if not (self.index >= 1 and self.index % 1 == 0):
+            raise ValueError("mode index must be an integer >= 1")
         if found := fault(frequency=self.frequency):
             raise ValueError(": ".join(found))
 
@@ -78,14 +56,6 @@ class PhotonMode:
     def omega(self):
         """Angular frequency in rad/s."""
         return self.frequency * RAD_PER_SEC_PER_THZ
-
-
-def cyclotron_frequency(field_tesla, material=MaterialParams()):
-    """Cyclotron frequency nu_c = e B / (2 pi m*) in THz."""
-    if field_tesla < 0.0:
-        raise ValueError("magnetic field must be non-negative")
-    nu_hz = ELEMENTARY_CHARGE * field_tesla / (2.0 * math.pi * material.effective_mass)
-    return nu_hz / 1e12
 
 
 def rabi_from_gram(strengths, gram):

@@ -22,7 +22,7 @@ import pytest
 
 import mmhopfield as mm
 import oracles
-from mmhopfield import cli, dispersion, errors, model, overlap
+from mmhopfield import cli, dispersion, errors, overlap
 
 TRUE_RATIO_11 = 0.37
 TRUE_RATIO_2 = 0.2124026
@@ -151,9 +151,9 @@ def test_sweep_is_deterministic(tmp_path):
 
 def test_field_sweep_matches_thz_sweep_bytewise(tmp_path):
     # endpoints chosen so the converted grid still spans [0.05, 2.0]
-    nu_lo = model.cyclotron_frequency(0.125)
-    nu_hi = model.cyclotron_frequency(5.125)
-    nu_step = model.cyclotron_frequency(0.125)
+    nu_lo = mm.cyclotron_frequency(0.125)
+    nu_hi = mm.cyclotron_frequency(5.125)
+    nu_step = mm.cyclotron_frequency(0.125)
     thz_cfg = _HEAD + f"""
 [sweep]
 start_thz = {nu_lo!r}
@@ -516,10 +516,6 @@ def _couplings(field):
         "ratio_11": 0.37, "ratio_2_tilde": 0.2124026, "eta": 0.15, field: v})
 
 
-def _material(field):
-    return lambda v: mm.MaterialParams(**{field: v})
-
-
 def _spectrum(field):
     return lambda v: mm.SpectrumConfig(
         frequency_grid=[0.4, 0.5], **{"linewidths": 0.04, field: v})
@@ -550,9 +546,9 @@ RULE_ROWS = [
     ("eta", SWEEP_CFG, "eta", "1", _next_up("1"), _couplings("eta")),
     ("eta_fixed", FIT_CFG, "eta", "1", _next_up("1"), _fit_config("eta_fixed")),
     ("effective_mass_ratio", MATERIAL_CFG, "effective_mass_ratio",
-     "1.7976931348623157e308", "inf", _material("effective_mass_ratio")),
+     "1.7976931348623157e308", "inf", lambda v: mm.cyclotron_frequency(1.0, v)),
     ("effective_mass_ratio", MATERIAL_CFG, "effective_mass_ratio", "0.001",
-     repr(math.nextafter(0.001, 0.0)), _material("effective_mass_ratio")),
+     repr(math.nextafter(0.001, 0.0)), lambda v: mm.cyclotron_frequency(1.0, v)),
     ("linewidths", SPECTRUM_CFG, "linewidth_thz", "1e150", "nan",
      _spectrum("linewidths")),
     ("linewidths", SPECTRUM_CFG, "linewidth_thz", "5e-324", "0",
@@ -648,7 +644,7 @@ def test_each_rule_binds_the_cli_and_the_library_alike(
     (lambda: mm.SpectrumConfig(frequency_grid=[0.4, 0.5], linewidths=1e160),
      ValueError, "linewidths"),
     # cyclotron_frequency raised ZeroDivisionError
-    (lambda: mm.MaterialParams(effective_mass_ratio=1e-310), ValueError,
+    (lambda: mm.cyclotron_frequency(1.0, 1e-310), ValueError,
      "effective_mass_ratio"),
     # fit raised TypeError
     (lambda: mm.FitConfig(restarts=2.5), ValueError, "restarts"),
@@ -814,8 +810,7 @@ def test_grid_step_below_the_float_spacing_exits_2(tmp_path, capsys):
                  "frequencies_thz = 0.8, 1.6, 2.4",
                  "[photon_modes] frequencies_thz: the two-mode model needs "
                  "exactly two frequencies", id="three-mode-fit"),
-    # fit checks a tesla [sweep] as written; only a run that sweeps
-    # converts it
+    # fit checks a tesla [sweep] as sweep does, though it sweeps nothing
     pytest.param("fit", FIT_CFG + TESLA_CFG[TESLA_CFG.index("\n[sweep]"):]
                  .replace("stop_tesla = 5.125", "stop_tesla = 0.1"),
                  "stop_tesla = 0.1", "[sweep] stop_tesla: stop must exceed start",
@@ -1321,9 +1316,8 @@ sys.exit(main(sys.argv[1:]))
                                       "linewidth_thz = 0.04, 0.05"), 2,
                  "ERROR 2: {cfg}:16: [spectrum] linewidth_thz: need one "
                  "linewidth or 4\n", id="linewidth-count"),
-    # fit checks [fit] and --seed, and a tesla sweep its keys as written
-    # and [material], before numpy loads; any existing file serves as the
-    # peak file, which is read only after the config
+    # fit checks [fit] and --seed before numpy loads; any existing file
+    # serves as the peak file, which is read only after the config
     pytest.param("fit --config {cfg} --peaks {cfg}",
                  FIT_CFG.replace("eta_mode = fixed", "eta_mode = bananas"), 2,
                  "ERROR 2: {cfg}:13: [fit] eta_mode: must be 'fixed' or "
@@ -1352,6 +1346,16 @@ sys.exit(main(sys.argv[1:]))
                      "effective_mass_ratio = 0.07", "effective_mass_ratio = 0"), 2,
                  "ERROR 2: {cfg}:16: [material] effective_mass_ratio: must be "
                  "finite and positive\n", id="tesla-material"),
+    # a tesla grid is converted without numpy, so each subcommand checks
+    # its converted point count before numpy loads
+    *[pytest.param(argv, TESLA_CFG.replace("step_tesla = 0.125",
+                                           "step_tesla = 1e-7")
+                   + FIT_CFG[FIT_CFG.index("\n[fit]"):], 2,
+                   "ERROR 2: {cfg}:13: [sweep] step_tesla: step gives more "
+                   "than 1000000 grid points\n",
+                   id=f"{argv.split()[0]}-tesla-point-count")
+      for argv in ("sweep --config {cfg}", "spectrum --config {cfg}",
+                   "fit --config {cfg} --peaks {cfg}")],
     # a value is checked whether or not the command reads its section
     pytest.param("sweep --config {cfg}", SWEEP_CFG + FIT_CFG[
                      FIT_CFG.index("\n[fit]"):].replace("eta_mode = fixed",
@@ -1383,6 +1387,15 @@ def test_front_end_exits_without_numpy(tmp_path, argv, text, code, message):
     assert message.format(**paths) in proc.stderr
     if code == 0:
         assert proc.stdout.startswith("usage: mmhopfield")
+
+
+def test_cyclotron_frequency_runs_without_numpy():
+    script = ('import sys\nsys.modules["numpy"] = None\nimport mmhopfield\n'
+              'print(mmhopfield.cyclotron_frequency(1.0))')
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{mm.cyclotron_frequency(1.0)!r}\n"
 
 
 _FIT_IS_THE_FUNCTION_SCRIPT = """

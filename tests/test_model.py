@@ -39,9 +39,11 @@ def test_cyclotron_linearity():
         assert abs(nu - field * base) <= 1e-14 * nu
 
 
-def test_cyclotron_rejects_negative_field():
-    with pytest.raises(ValueError):
-        mm.cyclotron_frequency(-0.1)
+@pytest.mark.parametrize("field", [-0.1, float("nan"), float("inf")])
+def test_cyclotron_rejects_negative_field(field):
+    with pytest.raises(ValueError, match="^magnetic field must be finite and "
+                                         "non-negative$"):
+        mm.cyclotron_frequency(field)
 
 
 def _two_mode_gram(eta):
@@ -367,6 +369,10 @@ def test_photon_mode_rejects_non_finite_values(bad):
 def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mm.PhotonMode(index=0, frequency=0.8)
+    for index in (1.5, float("nan")):
+        with pytest.raises(ValueError,
+                           match="^mode index must be an integer >= 1$"):
+            mm.PhotonMode(index=index, frequency=0.8)
     with pytest.raises(ValueError):
         mm.PhotonMode(index=1, frequency=-0.8)
     pair = [mm.PhotonMode(index=1, frequency=0.8),
@@ -433,7 +439,6 @@ def test_value_types_keep_value_equality():
     record = mm.PeakRecord(nu_c=0.5, peaks=[0.4, 0.6])
     values = [
         lambda: mm.PhotonMode(index=1, frequency=0.8),
-        lambda: mm.MaterialParams(),
         lambda: mm.FitConfig(eta_fixed=None),
         lambda: mm.FitResult(0.37, 0.21, 0.15, 1e-3, (1e-3,), 12, True),
         lambda: mm.PeakRecord(nu_c=0.5, peaks=(0.4, 0.6)),
